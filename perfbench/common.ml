@@ -74,8 +74,14 @@ let end_to_end_metrics ~setups ~reads ~requests ~wall ~heap =
     metric "throughput_rps" "1/s" (float_of_int requests /. wall);
     metric "heap_mb" "MiB" heap ]
 
-(* Cold starts per run; setup_s is their median. *)
-let starts_per_run = 9
+(* Cold starts per run; setup_s is their median. An untraced run makes
+   [starts_before] of them ahead of its first slice and the rest
+   between slices ({!run_parts}), so that, like the slices, they sample
+   the machine's speed across the whole run; a traced run makes them
+   all up front. *)
+let starts_per_run = 21
+
+let starts_before = 5
 
 (* [count] cold starts, each one's result discarded before the next
    begins; [start ()] gives the started corpus, the seconds from the
@@ -91,6 +97,9 @@ type 'a cold_starts = {
 let cold_starts ~count ~discard start =
   let rec go i previous setups firsts wrong =
     Option.iter discard previous;
+    (* a full major collection first, so that every start begins, as a
+       fresh process would, with the earlier starts' garbage gone *)
+    Gc.full_major ();
     let x, total, first, ok = start () in
     let setups = total :: setups and firsts = first :: firsts in
     let wrong = if ok then wrong else wrong + 1 in
@@ -98,6 +107,12 @@ let cold_starts ~count ~discard start =
     else { last = x; setups = Array.of_list setups; firsts = Array.of_list firsts; wrong }
   in
   go 1 None [] [] 0
+
+(* [count] more cold starts, none kept: their setups and wrong answers. *)
+let discarded_starts ~count ~discard start =
+  let s = cold_starts ~count ~discard start in
+  discard s.last;
+  s.setups, s.wrong
 
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
@@ -176,12 +191,17 @@ let gc_metrics ~requests before after =
 (* Timed phases split across processes                                 *)
 
 (* Run-to-run spread on the reference machine comes mostly from how
-   fast one process happens to be (runs next to each other in time do
-   not agree more than runs far apart), so an untraced timed phase is
-   split into [parts] consecutive slices of the sequence, each replayed
-   in a fresh process of this executable ([main.exe part WORKLOAD PLAN
-   REPORT]), and their samples are pooled. *)
-let parts = 4
+   fast one process happens to be over a stretch of a few seconds
+   (consecutive slices of one run differ by up to ~13%), so an untraced
+   timed phase is split into [parts] consecutive slices of the
+   sequence, each replayed in a fresh process of this executable
+   ([main.exe part WORKLOAD PLAN REPORT]), and their samples are
+   pooled. *)
+let parts = 8
+
+(* cold starts after each slice: starts_before + parts * starts_between
+   = starts_per_run *)
+let starts_between = (starts_per_run - starts_before) / parts
 
 let slice array k =
   let edge i = i * Array.length array / parts in
@@ -198,9 +218,13 @@ type part_report = {
   heap_mb : float; (* live heap when the slice ended *)
 }
 
-(* Replay every slice, in order, each in its own process. *)
-let run_parts ~workload ~work plan_of =
-  List.init parts (fun k ->
+(* Replay every slice, in order, each in its own process, with the cold
+   starts [between ()] makes after each. Returns the slices' reports and
+   those starts' setups and wrong answers. *)
+let run_parts ~workload ~work ~between plan_of =
+  let setups = ref [] and wrong = ref 0 in
+  let reports =
+    List.init parts (fun k ->
       let plan_path = Filename.concat work (Printf.sprintf "part-%d.plan" k) in
       let report_path = Filename.concat work (Printf.sprintf "part-%d.report" k) in
       write_marshal plan_path (plan_of k);
@@ -209,17 +233,27 @@ let run_parts ~workload ~work plan_of =
         Unix.create_process exe [| exe; "part"; workload; plan_path; report_path |] Unix.stdin
           Unix.stderr Unix.stderr
       in
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> (read_marshal report_path : part_report)
-      | _ -> die "part %d of %s failed" k workload)
+      let report =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> (read_marshal report_path : part_report)
+        | _ -> die "part %d of %s failed" k workload
+      in
+      let s, w = between () in
+      setups := s :: !setups;
+      wrong := !wrong + w;
+      report)
+  in
+  reports, Array.concat (List.rev !setups), !wrong
 
 (* The pooled result: samples in sequence order, failures and timed
-   phases summed, the heap as the last slice left it. *)
+   phases summed, and the median of the heaps the slices' processes
+   ended with (what the caches hold at the end depends on the last
+   requests, which the seed orders). *)
 let pool reports =
   ( Array.concat (List.map (fun r -> r.latencies) reports),
     List.fold_left (fun acc r -> acc + r.failed) 0 reports,
     List.fold_left (fun acc r -> acc +. r.wall) 0. reports,
-    List.fold_left (fun _ r -> r.heap_mb) 0. reports )
+    median (Array.of_list (List.map (fun r -> r.heap_mb) reports)) )
 
 (* [main.exe part WORKLOAD PLAN REPORT] *)
 let serve_part run ~plan_path ~report_path =

@@ -24,7 +24,7 @@ let hot_targets = 20
 let skew = 1.0
 
 (* requests per second of --seconds: a fixed count, not a duration *)
-let requests_per_second = 3_000
+let requests_per_second = 2_500
 
 let limit = 25
 
@@ -74,13 +74,11 @@ let prepare ~seed ~seconds ~work =
     Html_view.result_page ~title ~query:r.Mix.query ~bound:r.Mix.bound
       (Pipeline.run ~bound:r.Mix.bound ~limit flat r.Mix.query)
   in
-  let rng = Mix.stream ~seed 2 in
   let hot =
     Mix.stratified
-      (Mix.deck_sequence rng queries ~count:(Array.length queries))
+      (Array.mapi (fun i query -> { Mix.query; bound = Mix.bound_of i }) queries)
       ~size:(fun r -> String.length (page r))
       ~strata:(min hot_targets (Array.length queries))
-      rng
   in
   let probe = Mix.probe queries ~results:(fun q -> List.length (Pipeline.search flat q)) in
   ( {
@@ -221,10 +219,12 @@ let run ~seed ~seconds ~trace ~work ~spans_path =
   let pinned = pin_server () in
   let inputs, pages = prepare ~seed ~seconds ~work in
   let layers = ref [] in
+  let start () =
+    if trace then layers := startup_layers inputs :: !layers;
+    cold_start inputs
+  in
   let starts =
-    cold_starts ~count:starts_per_run ~discard:stop (fun () ->
-        if trace then layers := startup_layers inputs :: !layers;
-        cold_start inputs)
+    cold_starts ~count:(if trace then starts_per_run else starts_before) ~discard:stop start
   in
   let failed = ref starts.wrong in
   let p = starts.last in
@@ -244,17 +244,20 @@ let run ~seed ~seconds ~trace ~work ~spans_path =
   in
   if not trace then begin
     stop p;
-    let latencies, part_failed, wall, heap =
-      pool
-        (run_parts ~workload:"hot-http" ~work (fun k ->
-             { inputs; pages; part_sequence = slice inputs.sequence k; pinned; plan_work = work }))
+    let reports, later_setups, later_wrong =
+      run_parts ~workload:"hot-http" ~work
+        ~between:(fun () -> discarded_starts ~count:starts_between ~discard:stop start)
+        (fun k ->
+          { inputs; pages; part_sequence = slice inputs.sequence k; pinned; plan_work = work })
     in
+    let latencies, part_failed, wall, heap = pool reports in
     {
       (* each slice's process answers the probe and a warm-up pass *)
       attempted = n + starts_per_run + (parts * (1 + Array.length inputs.targets));
-      failed = !failed + part_failed;
+      failed = !failed + part_failed + later_wrong;
       metrics =
-        end_to_end_metrics ~setups:starts.setups ~reads:latencies ~requests:n ~wall ~heap;
+        end_to_end_metrics ~setups:(Array.append starts.setups later_setups) ~reads:latencies
+          ~requests:n ~wall ~heap;
       info = info @ [ "processes", json_int parts ];
     }
   end

@@ -32,7 +32,7 @@ let tail_adds = 4 (* journalled adds left uncompacted in the prepared store *)
 
 (* requests per second of --seconds: a fixed count, not a duration;
    never fewer than 1200, so that p99 has 1000 reads under it *)
-let requests_per_second = 1_100
+let requests_per_second = 850
 
 let min_requests = 1200
 
@@ -83,8 +83,7 @@ let prepare ~seed ~seconds ~work =
   let members =
     List.mapi (fun i e -> Mix.member_name i, Mix.element_xml e) (Mix.retailer_elements corpus)
   in
-  let bodies = Mix.replacement_documents ~seed ~count:bodies in
-  let rng = Mix.stream ~seed 4 in
+  let bodies = Mix.replacement_documents ~count:bodies in
   (* the prepared store: every member added, compacted, then a tail *)
   let base_dir = Filename.concat work "live.base" in
   let store = Live.open_dir base_dir in
@@ -92,20 +91,19 @@ let prepare ~seed ~seconds ~work =
   ignore (Live.compact store);
   let members =
     List.fold_left
-      (fun members _ ->
-        let name = Mix.member_name (Extract_util.Prng.int rng replaced) in
-        let xml = bodies.(Extract_util.Prng.int rng (Array.length bodies)) in
-        Live.add store ~name ~xml;
-        replace members name xml)
+      (fun members w ->
+        let name, body = Mix.nth_add ~replaced ~bodies:(Array.length bodies) w in
+        Live.add store ~name ~xml:bodies.(body);
+        replace members name bodies.(body))
       members (List.init tail_adds Fun.id)
   in
   Live.close store;
   let whole = Pipeline.build (Document.of_document corpus) in
   let queries = Mix.query_pool (Pipeline.kinds whole) in
   let sequence =
-    Mix.live_sequence rng queries
+    Mix.live_sequence (Mix.stream ~seed 4) queries
       ~count:(max min_requests (requests_per_second * seconds))
-      ~write_every ~compact_every ~replaced ~bodies:(Array.length bodies)
+      ~write_every ~compact_every ~replaced ~bodies:(Array.length bodies) ~adds_before:tail_adds
   in
   (* expected answers for the reads served at each compaction point:
      after a compaction and before the next write *)
@@ -394,11 +392,11 @@ let part plan =
 let run ~seed ~seconds ~trace ~work ~spans_path =
   let inputs = prepare ~seed ~seconds ~work in
   let layers = ref [] in
-  let starts =
-    cold_starts ~count:starts_per_run ~discard (fun () ->
-        if trace then layers := startup_layers inputs ~work :: !layers;
-        cold_start inputs ~work)
+  let start () =
+    if trace then layers := startup_layers inputs ~work :: !layers;
+    cold_start inputs ~work
   in
+  let starts = cold_starts ~count:(if trace then starts_per_run else starts_before) ~discard start in
   let failed = ref starts.wrong in
   let o = starts.last in
   let n = Array.length inputs.sequence in
@@ -426,24 +424,24 @@ let run ~seed ~seconds ~trace ~work ~spans_path =
   if not trace then begin
     (* the last cold start's copy is where the slices continue *)
     Live_corpus.close o.live;
-    let reads, part_failed, wall, heap =
-      pool
-        (run_parts ~workload:"live-write" ~work (fun k ->
-             {
-               part_inputs =
-                 {
-                   inputs with
-                   sequence = slice inputs.sequence k;
-                   expected = slice inputs.expected k;
-                 };
-               dir = o.dir;
-             }))
+    let reports, later_setups, later_wrong =
+      run_parts ~workload:"live-write" ~work
+        ~between:(fun () -> discarded_starts ~count:starts_between ~discard start)
+        (fun k ->
+          {
+            part_inputs =
+              { inputs with sequence = slice inputs.sequence k; expected = slice inputs.expected k };
+            dir = o.dir;
+          })
     in
+    let reads, part_failed, wall, heap = pool reports in
     remove_tree o.dir;
     {
       attempted = attempted + parts;
-      failed = !failed + part_failed;
-      metrics = end_to_end_metrics ~setups:starts.setups ~reads ~requests:n ~wall ~heap;
+      failed = !failed + part_failed + later_wrong;
+      metrics =
+        end_to_end_metrics ~setups:(Array.append starts.setups later_setups) ~reads ~requests:n
+          ~wall ~heap;
       info = info @ [ "processes", json_int parts ];
     }
   end

@@ -3,11 +3,11 @@
    generated requests. The corpora are the two the repository's
    experiments use, and the query pool is what the workload generator
    makes of each (fixed generator seeds, so node counts and the pool are
-   the same in every run). The run's seed draws everything else: the
-   order of the requests, each one's snippet bound, the hot set, and the
-   documents the live workload writes. A fixed pool keeps the mix of
-   cheap and expensive queries the same from seed to seed, so a change
-   of seed changes the sequence and not the cost of the workload. *)
+   the same in every run). What a run sends — every (query, bound) pair
+   and how often, the hot set, the writes and the documents they write —
+   is fixed by the workload and the request count; the run's seed draws
+   the order in which it is sent. A change of seed therefore changes the
+   sequence and not the cost of the workload. *)
 
 module Prng = Extract_util.Prng
 module Zipf = Extract_util.Zipf
@@ -62,19 +62,30 @@ let query_pool kinds =
   if Array.length queries = 0 then Common.die "the workload generator produced no queries";
   queries
 
+(* Snippet bounds 4 to 12 in turn. *)
+let bound_of i = 4 + (i mod 9)
+
 (* Uniform draws without replacement: a deck holds every distinct query
-   once, shuffled, each paired with a bound from 4 to 12. Whole decks
-   keep the mix of cheap and expensive queries the same from seed to
-   seed; a run is as many decks as it needs, the last one cut short. *)
+   once, in an order the seed shuffles, the [j]-th query of deck [d]
+   paired with [bound_of (n * (d mod 2) + j)]; a run is as many decks as
+   it needs, the last one an evenly spaced selection from the pool (the
+   pool's first queries are its most frequent, and broad). Which pairs a
+   run sends thus depends on [count] alone. From the third deck on the
+   pairs repeat those of two decks before, at least a deck apart: long
+   after either cache has let them go, and without more answers to
+   compute before timing. *)
 let deck_sequence rng queries ~count =
-  let deck () =
-    let d = Array.map (fun query -> { query; bound = Prng.int_in_range rng ~min:4 ~max:12 }) queries in
-    Prng.shuffle rng d;
-    d
-  in
   let n = Array.length queries in
-  let all = Array.concat (List.init ((count + n - 1) / n) (fun _ -> deck ())) in
-  Array.sub all 0 count
+  let deck d =
+    let size = min n (count - (d * n)) in
+    let cards =
+      Array.init size (fun j ->
+          { query = queries.(j * n / size); bound = bound_of ((n * (d mod 2)) + j) })
+    in
+    Prng.shuffle rng cards;
+    cards
+  in
+  Array.concat (List.init ((count + n - 1) / n) deck)
 
 let search_target r =
   Printf.sprintf "/search?data=retail&q=%s&bound=%d" (url_encode r.query) r.bound
@@ -100,17 +111,16 @@ let probe pool ~results =
   in
   { query = (match best with Some (_, q) -> q | None -> pool.(0)); bound = 3 }
 
-(* hot-http's targets: one from each of [strata] equal-count page-size
-   bands of [candidates] (a seeded pick within the band), ordered so
-   that popularity rank k always falls on the same band, middle bands
-   first. The popular pages are then alike in size from seed to seed. *)
-let stratified candidates ~size ~strata rng =
+(* hot-http's targets: the middle one of each of [strata] equal-count
+   page-size bands of [candidates], ordered so that popularity rank k
+   always falls on the same band, middle bands first. *)
+let stratified candidates ~size ~strata =
   let by_size = Array.map (fun c -> size c, c) candidates in
   Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) by_size;
   let n = Array.length by_size in
   let pick band =
     let lo = band * n / strata and hi = ((band + 1) * n / strata) - 1 in
-    snd by_size.(Prng.int_in_range rng ~min:lo ~max:(max lo hi))
+    snd by_size.((lo + max lo hi) / 2)
   in
   let middle_out =
     List.init strata Fun.id
@@ -119,14 +129,30 @@ let stratified candidates ~size ~strata rng =
   in
   Array.of_list (List.map pick middle_out)
 
-(* Popularity ranks 0 .. distinct-1 with Zipf([skew]) weights. *)
+(* [count] popularity ranks 0 .. distinct-1 in a seeded order, rank k
+   as often as its Zipf([skew]) weight gives (largest remainders), so
+   that how often each rank comes depends on [count] alone. *)
 let zipf_sequence rng ~distinct ~skew ~count =
   let z = Zipf.create ~n:distinct ~skew in
-  Array.init count (fun _ -> Zipf.sample z rng)
+  let share = Array.init distinct (fun k -> Zipf.probability z k *. float_of_int count) in
+  let times = Array.map int_of_float share in
+  let short = count - Array.fold_left ( + ) 0 times in
+  let by_remainder = Array.init distinct Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      Float.compare (share.(b) -. float_of_int times.(b)) (share.(a) -. float_of_int times.(a)))
+    by_remainder;
+  for i = 0 to short - 1 do
+    let k = by_remainder.(i mod distinct) in
+    times.(k) <- times.(k) + 1
+  done;
+  let ranks = Array.concat (List.init distinct (fun k -> Array.make times.(k) k)) in
+  Prng.shuffle rng ranks;
+  ranks
 
 (* live-write's members are the default corpus's retailers, one
-   document each; its writes put in further retailers generated from
-   the run's seed ([replacement_documents]). *)
+   document each; its writes put in further retailers, generated at a
+   fixed seed ([replacement_documents]). *)
 let retailer_elements (doc : Types.document) =
   List.filter_map
     (function Types.Element e -> Some e | Types.Text _ -> None)
@@ -136,11 +162,8 @@ let element_xml e = Extract_xml.Printer.to_string ~indent:None (Types.Element e)
 
 let member_name i = Printf.sprintf "retailer-%02d" i
 
-let replacement_documents ~seed ~count =
-  let doc =
-    Retail.generate
-      { Retail.default with seed = 1 + Prng.int (stream ~seed 5) 1_000_000; retailers = count }
-  in
+let replacement_documents ~count =
+  let doc = Retail.generate { Retail.default with seed = 5; retailers = count } in
   Array.of_list (List.map element_xml (retailer_elements doc))
 
 type live_op =
@@ -148,14 +171,31 @@ type live_op =
   | Add of { name : string; body : int } (* index into the replacement documents *)
   | Compact
 
-(* One request in [write_every] replaces a member from the first
-   [replaced] names; a compaction every [compact_every] requests. *)
-let live_sequence rng queries ~count ~write_every ~compact_every ~replaced ~bodies =
-  let reads = deck_sequence rng queries ~count in
-  Array.mapi
-    (fun i read ->
-      if (i + 1) mod compact_every = 0 then Compact
-      else if (i + 1) mod write_every = 0 then
-        Add { name = member_name (Prng.int rng replaced); body = Prng.int rng bodies }
-      else Read read)
-    reads
+(* The [w]-th add of a run (or of the prepared store's tail): it
+   replaces member [w mod replaced] with body [w mod bodies]. *)
+let nth_add ~replaced ~bodies w = member_name (w mod replaced), w mod bodies
+
+(* One request in [write_every] is the next add (counting on from the
+   [adds_before] the store already holds), a compaction every
+   [compact_every] requests, and the rest are reads drawn in decks; the
+   seed orders the reads, the writes stand where they stand. *)
+let live_sequence rng queries ~count ~write_every ~compact_every ~replaced ~bodies ~adds_before =
+  let kind i =
+    if (i + 1) mod compact_every = 0 then `Compact
+    else if (i + 1) mod write_every = 0 then `Add
+    else `Read
+  in
+  let is_read i = match kind i with `Read -> true | `Add | `Compact -> false in
+  let n_reads = List.length (List.filter is_read (List.init count Fun.id)) in
+  let reads = deck_sequence rng queries ~count:n_reads in
+  let next_read = ref 0 and next_add = ref adds_before in
+  Array.init count (fun i ->
+      match kind i with
+      | `Compact -> Compact
+      | `Add ->
+        incr next_add;
+        let name, body = nth_add ~replaced ~bodies (!next_add - 1) in
+        Add { name; body }
+      | `Read ->
+        incr next_read;
+        Read reads.(!next_read - 1))

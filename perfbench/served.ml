@@ -51,14 +51,18 @@ type inputs = {
   probe : Mix.read;
 }
 
-(* cold-snapshot replays whole decks, at least 1000 requests; sharded
-   replays a fixed 1000 (its requests cost ~6x more, and p99 needs 1000
+(* cold-snapshot replays whole decks, at least 1000 requests, and more
+   per second of --seconds than the other workloads (four decks at 12):
+   its figures follow the machine's speed drift the most, and a longer
+   timed phase averages more of it; from the third deck on the targets
+   repeat, so the answers to compute before timing do not grow. sharded
+   replays 1000 (its requests cost ~6x more, and p99 needs 1000
    samples). Counts depend on --seconds, never on measured speed. *)
 let request_count route ~seconds ~queries =
   match route with
   | Search ->
     let at_least = (1000 + queries - 1) / queries in
-    let nearest = ((160 * seconds) + (queries / 2)) / queries in
+    let nearest = ((280 * seconds) + (queries / 2)) / queries in
     max at_least nearest * queries
   | Shards -> max 1000 (30 * seconds)
 
@@ -377,10 +381,12 @@ let run route ~seed ~seconds ~trace ~work ~spans_path =
   let targets = Array.map (target route) inputs.sequence in
   let n = Array.length targets in
   let layers = ref [] in
+  let start () =
+    if trace then layers := startup_layers route path :: !layers;
+    cold_start route path ~probe ~expected
+  in
   let starts =
-    cold_starts ~count:starts_per_run ~discard:ignore (fun () ->
-        if trace then layers := startup_layers route path :: !layers;
-        cold_start route path ~probe ~expected)
+    cold_starts ~count:(if trace then starts_per_run else starts_before) ~discard:ignore start
   in
   let failed = ref (bad_references + starts.wrong) in
   let attempted = n + starts_per_run in
@@ -397,16 +403,19 @@ let run route ~seed ~seconds ~trace ~work ~spans_path =
       "reference_mismatches", json_int bad_references ]
   in
   if not trace then begin
-    let latencies, replay_failed, wall, heap =
-      pool
-        (run_parts ~workload:(workload_name route) ~work (fun k ->
-             { plan_route = route; path; probe_target = probe; slice = slice targets k; expected }))
+    let reports, later_setups, later_wrong =
+      run_parts ~workload:(workload_name route) ~work
+        ~between:(fun () -> discarded_starts ~count:starts_between ~discard:ignore start)
+        (fun k ->
+          { plan_route = route; path; probe_target = probe; slice = slice targets k; expected })
     in
+    let latencies, replay_failed, wall, heap = pool reports in
     {
       attempted = attempted + parts;
-      failed = !failed + replay_failed;
+      failed = !failed + replay_failed + later_wrong;
       metrics =
-        end_to_end_metrics ~setups:starts.setups ~reads:latencies ~requests:n ~wall ~heap;
+        end_to_end_metrics ~setups:(Array.append starts.setups later_setups) ~reads:latencies
+          ~requests:n ~wall ~heap;
       info = info @ [ "processes", json_int parts ];
     }
   end
