@@ -301,8 +301,10 @@ let search_cmd =
       Printf.printf "(relaxed: dropped %s)\n" (String.concat ", " dropped);
     let scored =
       if ranked then
-        let ranker = Extract_search.Ranker.make (Pipeline.index db) in
-        Extract_search.Ranker.rank ranker (Extract_search.Query.of_string query) results
+        let ctx =
+          Extract_search.Eval_ctx.make (Pipeline.index db) (Extract_search.Query.of_string query)
+        in
+        Extract_search.Ranker.rank (Extract_search.Ranker.make ctx) results
       else List.map (fun r -> r, nan) results
     in
     let scored =

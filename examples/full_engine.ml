@@ -13,6 +13,7 @@
 
 module Pipeline = Extract_snippet.Pipeline
 module Ranker = Extract_search.Ranker
+module Eval_ctx = Extract_search.Eval_ctx
 module Query = Extract_search.Query
 module Snippet_tree = Extract_snippet.Snippet_tree
 module Selector = Extract_snippet.Selector
@@ -30,11 +31,10 @@ let () =
 
   (* 2-4. online: differentiated snippets, then rank the results *)
   let snippets = Pipeline.run_differentiated ~bound db query in
-  let ranker = Ranker.make (Pipeline.index db) in
-  let q = Query.of_string query in
+  let ranker = Ranker.make (Eval_ctx.make (Pipeline.index db) (Query.of_string query)) in
   let ranked =
     List.map
-      (fun (r : Pipeline.snippet_result) -> Ranker.score ranker q r.Pipeline.result, r)
+      (fun (r : Pipeline.snippet_result) -> Ranker.score ranker r.Pipeline.result, r)
       snippets
     |> List.stable_sort (fun (a, _) (b, _) -> Float.compare b a)
   in

@@ -513,7 +513,7 @@ let check_query ?semantics ?(bound = Pipeline.default_bound) db query =
 let probe_queries db =
   let index = Pipeline.index db in
   let scored =
-    List.map (fun t -> t, Array.length (Inverted_index.lookup index t))
+    List.map (fun t -> t, Inverted_index.keyword_count index t)
       (Inverted_index.vocabulary index)
   in
   let top =

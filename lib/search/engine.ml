@@ -111,7 +111,7 @@ let run_relaxed ?semantics ?shape ?limit ?mask index kinds query =
       let rarest =
         List.fold_left
           (fun best k ->
-            let df = Array.length (Inverted_index.lookup index k) in
+            let df = Inverted_index.keyword_count index k in
             match best with
             | Some (_, best_df) when best_df <= df -> best
             | _ -> Some (k, df))

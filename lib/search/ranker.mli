@@ -16,18 +16,31 @@
     - {b result specificity} — smaller results outrank sprawling ones,
       echoing the SLCA intuition.
 
-    Scores are comparable only within one query. *)
+    Scores are comparable only within one query.
+
+    A ranker is made from the query's {!Eval_ctx}: it scores from the
+    posting lists the context already resolved for the engine, so a
+    ranked query decodes each keyword's list once, not once per result
+    and keyword. Document frequency is
+    {!Extract_store.Inverted_index.keyword_count}, the unmasked list
+    length. Under a visibility mask the matches of a result whose
+    subtree is wholly visible (a live member, a shard block) are the
+    same in the masked and unmasked lists, so its score is the unmasked
+    score. *)
 
 type t
 
-val make : ?decay:float -> Extract_store.Inverted_index.t -> t
-(** [decay] is the per-level attenuation in (0, 1], default 0.8. *)
+val make : ?decay:float -> Eval_ctx.t -> t
+(** A ranker for the context's query. [decay] is the per-level
+    attenuation in (0, 1], default 0.8. *)
 
 val idf : t -> string -> float
 (** [ln (1 + elements / (1 + df))], where [df] is the keyword's posting
-    count. Unknown keywords get the maximum IDF. *)
+    count in the whole index (any mask ignored). Unknown keywords get the
+    maximum IDF. *)
 
-val score : t -> Query.t -> Result_tree.t -> float
+val score : t -> Result_tree.t -> float
+(** The result's score for the ranker's query. *)
 
-val rank : t -> Query.t -> Result_tree.t list -> (Result_tree.t * float) list
+val rank : t -> Result_tree.t list -> (Result_tree.t * float) list
 (** Sorted by decreasing score; ties keep the input (document) order. *)

@@ -1,10 +1,6 @@
-module Engine = Extract_search.Engine
-module Query = Extract_search.Query
-module Ranker = Extract_search.Ranker
-
 type t = { dbs : (string * Pipeline.t) list (* sorted by name *) }
 
-type hit = {
+type hit = Pipeline.hit = {
   source : string;
   score : float;
   snippet : Pipeline.snippet_result;
@@ -75,23 +71,8 @@ let load_file ?(on_warning = fun _ -> ()) path =
       rebuild_or_reraise ("truncated: " ^ reason) e)
 
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
-  let hits =
-    List.concat_map
-      (fun (source, db) ->
-        let ranker = Ranker.make (Pipeline.index db) in
-        let query = Query.of_string query_string in
-        Pipeline.run ?semantics ?config ?bound ?deadline db query_string
-        |> List.map (fun (s : Pipeline.snippet_result) ->
-               { source; score = Ranker.score ranker query s.Pipeline.result; snippet = s }))
-      t.dbs
-  in
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        if a.score <> b.score then Float.compare b.score a.score
-        else String.compare a.source b.source)
-      hits
-  in
-  match limit with
-  | None -> sorted
-  | Some k -> List.filteri (fun i _ -> i < k) sorted
+  Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline
+    (List.map
+       (fun (name, db) -> { Pipeline.db; mask = None; source_of = (fun _ -> Some name) })
+       t.dbs)
+    query_string

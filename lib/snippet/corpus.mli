@@ -9,7 +9,7 @@
 
 type t
 
-type hit = {
+type hit = Pipeline.hit = {
   source : string;  (** name of the database the hit comes from *)
   score : float;
   snippet : Pipeline.snippet_result;
@@ -51,8 +51,9 @@ val run :
   t ->
   string ->
   hit list
-(** Search every database, snippet every result, merge and sort by
-    decreasing score (ties: source name, then document order). [limit]
-    caps the {e merged} list. [deadline] is shared across the member
-    databases: once it expires, remaining snippets degrade
-    ({!Pipeline.run}). *)
+(** Search and rank every database, merge and sort by decreasing score
+    (ties: source name, then document order), cut the {e merged} list at
+    [limit], and only then snippet the hits kept
+    ({!Pipeline.run_merged}). [deadline] is shared across the member
+    databases and checked before each kept hit's snippet in rank order:
+    once it expires, the remaining snippets degrade. *)

@@ -1,10 +1,8 @@
 module Live = Extract_store.Live
 module Document = Extract_store.Document
-module Query = Extract_search.Query
-module Ranker = Extract_search.Ranker
 module Result_tree = Extract_search.Result_tree
 
-type hit = {
+type hit = Pipeline.hit = {
   source : string;
   score : float;
   snippet : Pipeline.snippet_result;
@@ -132,40 +130,20 @@ let member_of q root =
 
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
   let q = Atomic.get t.qview in
-  let query = Query.of_string query_string in
-  let scored_hits db source_of results =
-    let ranker = Ranker.make (Pipeline.index db) in
-    List.filter_map
-      (fun (s : Pipeline.snippet_result) ->
-        match source_of s with
-        | None -> None
-        | Some source ->
-          Some { source; score = Ranker.score ranker query s.Pipeline.result; snippet = s })
-      results
-  in
-  let base_hits =
+  let base =
     if Array.length q.mask = 0 then []
     else
-      Pipeline.run ?semantics ?config ?bound ?deadline ~mask:q.mask q.base query_string
-      |> scored_hits q.base (fun s ->
-             match member_of q (Result_tree.root s.Pipeline.result) with
-             | Some (name, _) -> Some name
-             | None -> None)
+      [
+        {
+          Pipeline.db = q.base;
+          mask = Some q.mask;
+          source_of = (fun result -> Option.map fst (member_of q (Result_tree.root result)));
+        };
+      ]
   in
-  let delta_hits =
-    List.concat_map
-      (fun (name, db) ->
-        Pipeline.run ?semantics ?config ?bound ?deadline db query_string
-        |> scored_hits db (fun _ -> Some name))
+  let deltas =
+    List.map
+      (fun (name, db) -> { Pipeline.db; mask = None; source_of = (fun _ -> Some name) })
       q.deltas
   in
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        if a.score <> b.score then Float.compare b.score a.score
-        else String.compare a.source b.source)
-      (base_hits @ delta_hits)
-  in
-  match limit with
-  | None -> sorted
-  | Some k -> List.filteri (fun i _ -> i < k) sorted
+  Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline (base @ deltas) query_string

@@ -19,7 +19,7 @@
 
 type t
 
-type hit = {
+type hit = Pipeline.hit = {
   source : string;  (** member-document name the hit comes from *)
   score : float;
   snippet : Pipeline.snippet_result;
@@ -58,6 +58,8 @@ val run :
   t ->
   string ->
   hit list
-(** Search the base (under its visibility mask) and every delta, merge
-    and sort by decreasing score (ties: source name, then document
-    order). [limit] caps the merged list. *)
+(** Search and rank the base (under its visibility mask) and every
+    delta, merge and sort by decreasing score (ties: source name, then
+    document order), cut the merged list at [limit], and only then
+    snippet the hits kept ({!Pipeline.run_merged}). [deadline] is
+    checked before each kept hit's snippet, in rank order. *)

@@ -7,6 +7,7 @@ module Engine = Extract_search.Engine
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
 module Eval_ctx = Extract_search.Eval_ctx
+module Ranker = Extract_search.Ranker
 module Deadline = Extract_util.Deadline
 module Faults = Extract_util.Faults
 module Registry = Extract_obs.Registry
@@ -90,26 +91,32 @@ let timed hist span f =
    when one is active (the server stamps one per HTTP request), else a
    fresh id for this call. The same id lands in the stage log lines, the
    trace spans and the explain capture, so one grep correlates them. *)
-let query_scope event query_string ~count f =
+let with_request query_string f =
   Reqid.ensure (fun _rid ->
       let t0 = Deadline.now () in
       match f () with
-      | out ->
-        (if Log.enabled Log.Info then begin
-           let results, degraded = count out in
-           Log.info event
-             [ "query", Jsonv.Str query_string;
-               "results", Jsonv.Int results;
-               "degraded", Jsonv.Int degraded;
-               "seconds", Jsonv.Float (Deadline.now () -. t0) ]
-         end);
-        out
+      | out -> out
       | exception e ->
         Log.warn "query.failed"
           [ "query", Jsonv.Str query_string;
             "error", Jsonv.Str (Printexc.to_string e);
             "seconds", Jsonv.Float (Deadline.now () -. t0) ];
         raise e)
+
+let log_done event query_string ~t0 (results, degraded) =
+  if Log.enabled Log.Info then
+    Log.info event
+      [ "query", Jsonv.Str query_string;
+        "results", Jsonv.Int results;
+        "degraded", Jsonv.Int degraded;
+        "seconds", Jsonv.Float (Deadline.now () -. t0) ]
+
+let query_scope event query_string ~count f =
+  with_request query_string (fun () ->
+      let t0 = Deadline.now () in
+      let out = f () in
+      log_done event query_string ~t0 (count out);
+      out)
 
 let count_snippets snips =
   ( List.length snips,
@@ -210,6 +217,12 @@ let want_degraded deadline =
 let snippet_of ?config ?(bound = default_bound) t result query =
   snippet_with ?config ~bound ~ctx:(Eval_ctx.make t.index query) t result
 
+(* The snippet stage for one result under its query's context: checked
+   against the deadline just before its work starts. *)
+let snippet_one ?config ~bound ~deadline ~ctx t result =
+  if want_degraded deadline then degraded_snippet ~bound result
+  else snippet_with ?config ~bound ~ctx t result
+
 let context_of ?mask t query_string =
   Faults.hit "pipeline.search";
   Eval_ctx.make ?mask t.index (Query.of_string query_string)
@@ -221,6 +234,18 @@ let searched ?semantics ?limit ?mask t query_string =
   timed search_seconds "pipeline.search" (fun () ->
       let ctx = context_of ?mask t query_string in
       ctx, notify_results t (Engine.run_ctx ?semantics ?limit ctx t.kinds))
+
+(* The rank stage: search with no limit (the best results may come last
+   in document order) and score every result, generating no snippet. The
+   ranker scores from the lists the search's context resolved. *)
+let rank ?semantics ?mask t query_string =
+  let ctx, results = searched ?semantics ?mask t query_string in
+  ctx, Ranker.rank (Ranker.make ctx) results
+
+let take limit l =
+  match limit with
+  | None -> l
+  | Some k -> List.filteri (fun i _ -> i < k) l
 
 let search ?semantics ?limit ?mask t query_string =
   query_scope "search.done" query_string
@@ -276,26 +301,72 @@ let run_ranked ?semantics ?config ?(bound = default_bound) ?limit
   query_scope "query.done" query_string
     ~count:(fun scored -> count_snippets (List.map snd scored))
   @@ fun () ->
-  let ctx, results = searched ?semantics ?mask t query_string in
-  let ranker = Extract_search.Ranker.make t.index in
-  let ranked =
-    Extract_search.Ranker.rank ranker (Eval_ctx.query ctx) results
-    |> fun scored ->
-    match limit with
-    | None -> scored
-    | Some k -> List.filteri (fun i _ -> i < k) scored
-  in
+  let ctx, ranked = rank ?semantics ?mask t query_string in
   let scored =
     timed snippet_seconds "pipeline.snippet" (fun () ->
         List.map
-          (fun (result, score) ->
-            ( score,
-              if want_degraded deadline then degraded_snippet ~bound result
-              else snippet_with ?config ~bound ~ctx t result ))
-          ranked)
+          (fun (result, score) -> score, snippet_one ?config ~bound ~deadline ~ctx t result)
+          (take limit ranked))
   in
   ignore (notify_snippets t (List.map snd scored));
   scored
+
+type hit = {
+  source : string;
+  score : float;
+  snippet : snippet_result;
+}
+
+type segment = {
+  db : t;
+  (* read-only — the caller's interval set, never mutated *)
+  mask : (int * int) array option;
+  source_of : Result_tree.t -> string option;
+}
+
+(* Several databases, one ranked answer: rank every segment, keep the
+   results with a source, sort them all, cut at [limit] and only then
+   snippet, in rank order. The sort is stable and the candidates are
+   listed segment by segment, each in rank order with ties in document
+   order, so equal (score, source) keys keep segment and document order.
+   Each segment's search is observed on its own; its observer and
+   [query.done] line see the hits it contributed. *)
+let run_merged ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline.never)
+    segments query_string =
+  with_request query_string @@ fun () ->
+  let ranked =
+    List.mapi
+      (fun i seg ->
+        let t0 = Deadline.now () in
+        let ctx, scored = rank ?semantics ?mask:seg.mask seg.db query_string in
+        let candidate (result, score) =
+          Option.map
+            (fun source -> (score, source), (i, seg.db, ctx, result))
+            (seg.source_of result)
+        in
+        t0, List.filter_map candidate scored)
+      segments
+  in
+  let by_rank ((a, sa), _) ((b, sb), _) =
+    if a <> b then Float.compare b a else String.compare sa sb
+  in
+  let kept = take limit (List.stable_sort by_rank (List.concat_map snd ranked)) in
+  let hits =
+    timed snippet_seconds "pipeline.snippet" (fun () ->
+        List.map
+          (fun ((score, source), (i, db, ctx, result)) ->
+            let snippet = snippet_one ?config ~bound ~deadline ~ctx db result in
+            i, { source; score; snippet })
+          kept)
+  in
+  List.iteri
+    (fun i (seg, (t0, _)) ->
+      let snips =
+        List.filter_map (fun (j, h) -> if i = j then Some h.snippet else None) hits
+      in
+      log_done "query.done" query_string ~t0 (count_snippets (notify_snippets seg.db snips)))
+    (List.combine segments ranked);
+  List.map snd hits
 
 let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline.never)
     ?mask t query_string =
@@ -303,9 +374,7 @@ let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline
   let ctx, results = searched ?semantics ?limit ?mask t query_string in
   timed snippet_seconds "pipeline.snippet" (fun () ->
       results
-      |> List.map (fun result ->
-             if want_degraded deadline then degraded_snippet ~bound result
-             else snippet_with ?config ~bound ~ctx t result)
+      |> List.map (snippet_one ?config ~bound ~deadline ~ctx t)
       |> notify_snippets t)
 
 (* Per-result snippet generation is embarrassingly parallel: the arena,
@@ -318,10 +387,7 @@ let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
   let ctx, result_list = searched ?semantics ?limit ?mask t query_string in
   let results = Array.of_list result_list in
-  let snippet result =
-    if want_degraded deadline then degraded_snippet ~bound result
-    else snippet_with ?config ~bound ~ctx t result
-  in
+  let snippet = snippet_one ?config ~bound ~deadline ~ctx t in
   let n = Array.length results in
   let domains = max 1 (min domains n) in
   timed snippet_seconds "pipeline.snippet" (fun () ->
@@ -345,7 +411,6 @@ let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 
           List.init (domains - 1) (fun d ->
               Domain.spawn (fun () -> Trace.with_context ctx (worker (d + 1))))
         in
-        worker 0 ();
-        List.iter Domain.join spawned;
+        Extract_util.Fanout.finish (worker 0) spawned;
         notify_snippets t (Array.to_list out |> List.filter_map Fun.id)
       end)

@@ -95,12 +95,12 @@ val default_bound : int
 
     Every run variant takes an optional [?deadline]
     ({!Extract_util.Deadline.t}, default {!Extract_util.Deadline.never}).
-    The deadline is checked once per result, before that result's snippet
-    work starts: results reached after expiry degrade to the
-    {!Naive_baseline} snippet (tagged [degraded = true]) instead of
+    The deadline is checked once per returned result, before that
+    result's snippet work starts: results reached after expiry degrade to
+    the {!Naive_baseline} snippet (tagged [degraded = true]) instead of
     aborting the request. A request therefore always returns one snippet
-    per search result — the tail of the list just gets cheaper snippets
-    when the budget runs out. *)
+    per result it returns — the tail of the list just gets cheaper
+    snippets when the budget runs out. *)
 
 val run :
   ?semantics:Extract_search.Engine.semantics ->
@@ -136,7 +136,8 @@ val run_parallel :
     OCaml domains (default 4, clamped to the result count). The analyzed
     database is immutable and shared; outputs are identical to {!run} and
     in the same order. Worth it when many large results are snippeted at
-    once — see bench E19. *)
+    once — see bench E19. When a worker raises, every worker domain is
+    joined before the first exception reaches the caller. *)
 
 val run_ranked :
   ?semantics:Extract_search.Engine.semantics ->
@@ -150,7 +151,47 @@ val run_ranked :
   (float * snippet_result) list
 (** Like {!run} but results come ranked by the XRank-style score (best
     first), and [limit] keeps the top-scored results rather than the first
-    in document order. *)
+    in document order. Runs in two stages: {e rank} searches with no
+    limit and scores every result from the posting lists its
+    {!Extract_search.Eval_ctx} resolved ({!Extract_search.Ranker}), with
+    no snippet; {e snippet} then generates snippets for the first
+    [limit] ranked results only, checking the deadline before each in
+    rank order. *)
+
+(** {1 Ranked runs over several databases} *)
+
+type hit = {
+  source : string;  (** which database or member the hit comes from *)
+  score : float;
+  snippet : snippet_result;
+}
+
+type segment = {
+  db : t;
+  mask : (int * int) array option;  (** see {!run} *)
+  source_of : Extract_search.Result_tree.t -> string option;
+      (** the hit's source, or [None] to drop the result *)
+}
+
+val run_merged :
+  ?semantics:Extract_search.Engine.semantics ->
+  ?config:Config.t ->
+  ?bound:int ->
+  ?limit:int ->
+  ?deadline:Extract_util.Deadline.t ->
+  segment list ->
+  string ->
+  hit list
+(** One query over several databases, ranked as one list: the rank stage
+    of {!run_ranked} on every segment, then the results with a source
+    sorted by decreasing score (ties: source name, then segment and
+    document order). [limit] cuts the sorted list, and only then are
+    snippets generated, in rank order, each checked against the shared
+    [deadline] before its work starts. Each segment's search records its
+    own stage histogram and span, and its observer and [query.done] log
+    line see the hits it contributed; the snippet stage is timed once,
+    over all segments' hits. {!Corpus.run} and {!Live_corpus.run} are
+    built on it. *)
 
 val run_differentiated :
   ?semantics:Extract_search.Engine.semantics ->

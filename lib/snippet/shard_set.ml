@@ -157,9 +157,10 @@ type hit = {
 (* Run [f] once per shard, one domain per shard beyond the first (the
    caller's domain takes shard 0) — the {!Pipeline.run_parallel}
    pattern. Each [out] slot is written by exactly one domain and the
-   joins publish the writes. Spawned shards run under the caller's
-   captured trace context, so their [shard.run] spans adopt into the
-   parent query span with the caller's rid. *)
+   joins publish the writes; every domain is joined before a failure is
+   re-raised ({!Extract_util.Fanout.finish}). Spawned shards run under
+   the caller's captured trace context, so their [shard.run] spans adopt
+   into the parent query span with the caller's rid. *)
 let map_shards ~parallel f t =
   let k = Array.length t.shards in
   let out = Array.make k [] in (* domain-local until joined: slot i owned by worker i *)
@@ -177,8 +178,7 @@ let map_shards ~parallel f t =
           Domain.spawn (fun () ->
               Trace.with_context ctx (fun () -> out.(i) <- traced i t.shards.(i))))
     in
-    out.(0) <- traced 0 t.shards.(0);
-    List.iter Domain.join spawned
+    Extract_util.Fanout.finish (fun () -> out.(0) <- traced 0 t.shards.(0)) spawned
   end;
   out
 

@@ -80,7 +80,9 @@ val run :
     to every shard's pipeline run, so a sharded query degrades on
     budget exhaustion exactly like a flat one. When tracing, each shard
     records a [shard.run{shard=i}] span adopted under the caller's open
-    span with the caller's request id ({!Extract_obs.Trace.capture}). *)
+    span with the caller's request id ({!Extract_obs.Trace.capture}).
+    When a shard raises, every shard's domain is joined before the
+    first exception reaches the caller. *)
 
 (** {1 Persistence} *)
 

@@ -102,12 +102,14 @@ let lookup t keyword =
     | Packed packed -> Packed_postings.to_array packed.(id))
   | None -> [||]
 
+let keyword_count t keyword =
+  match Interner.find t.tokens (Tokenizer.normalize keyword) with
+  | Some id -> list_length t id
+  | None -> 0
+
 let matches t keyword = Array.to_list (lookup t keyword)
 
-let contains t keyword =
-  match Interner.find t.tokens (Tokenizer.normalize keyword) with
-  | Some id -> list_length t id > 0
-  | None -> false
+let contains t keyword = keyword_count t keyword > 0
 
 let vocabulary t =
   let acc = ref [] in

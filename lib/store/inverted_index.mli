@@ -36,6 +36,11 @@ val lookup : t -> string -> Document.node array
 (** [lookup t keyword] is the posting list for the normalized keyword —
     the shared array, do not mutate. Empty when the keyword is absent. *)
 
+val keyword_count : t -> string -> int
+(** [keyword_count t keyword] = [Array.length (lookup t keyword)], the
+    keyword's document frequency, read from the list header: O(1) and no
+    decode on either representation. 0 when the keyword is absent. *)
+
 val matches : t -> string -> Document.node list
 
 val contains : t -> string -> bool

@@ -62,29 +62,34 @@ let of_array arr =
     { count = n; skips; offsets; data }
   end
 
-(* Decode block [b]: a fresh array of its (<= block) entries. Callers on
-   the query path decode once per query via Eval_ctx, so the allocation
-   is cold; the point/range helpers below touch one block per probe. *)
-let decoded_block t b =
-  let lo = b * block in
-  let len = min t.count (lo + block) - lo in
-  let out = Array.make len 0 in
+let block_length t b = min t.count ((b + 1) * block) - (b * block)
+
+(* Decode block [b]'s entries into [out] from index [pos]. *)
+let decode_block_into t b out pos =
   let r = Codec.reader t.data in
   Codec.seek r t.offsets.(b);
   let prev = ref 0 in
-  for i = 0 to len - 1 do
+  for i = 0 to block_length t b - 1 do
     let v = Codec.read_varint r in
     let node = if i = 0 then v else !prev + v in
-    out.(i) <- node;
+    out.(pos + i) <- node;
     prev := node
-  done;
+  done
+
+(* One block as a fresh array: what the point/range helpers below decode,
+   one block per probe. *)
+let decoded_block t b =
+  let out = Array.make (block_length t b) 0 in
+  decode_block_into t b out 0;
   out
 
+(* The whole list, decoded straight into one array. On the query path
+   this runs once per keyword per query per segment, in Eval_ctx.make;
+   every later stage of the query reads the array it returned. *)
 let to_array t =
   let out = Array.make t.count 0 in
   for b = 0 to nblocks t - 1 do
-    let entries = decoded_block t b in
-    Array.blit entries 0 out (b * block) (Array.length entries)
+    decode_block_into t b out (b * block)
   done;
   out
 

@@ -13,6 +13,7 @@ module Path_query = Extract_store.Path_query
 module Query = Extract_search.Query
 module Engine = Extract_search.Engine
 module Ranker = Extract_search.Ranker
+module Eval_ctx = Extract_search.Eval_ctx
 module Xsearch = Extract_search.Xsearch
 module Result_tree = Extract_search.Result_tree
 open Extract_snippet
@@ -263,9 +264,12 @@ let test_reorder_features_keeps_fixed_prefix () =
 (* ------------------------------------------------------------------ *)
 (* Ranker *)
 
+let ranker_for ?decay db query =
+  Ranker.make ?decay (Eval_ctx.make (Pipeline.index db) (Query.of_string query))
+
 let test_ranker_idf_rare_beats_common () =
   let db = db_of league in
-  let ranker = Ranker.make (Pipeline.index db) in
+  let ranker = ranker_for db "guard center" in
   (* "guard" appears twice, "center" once: center is rarer *)
   check bool "idf(center) > idf(guard)" true
     (Ranker.idf ranker "center" > Ranker.idf ranker "guard");
@@ -275,32 +279,28 @@ let test_ranker_idf_rare_beats_common () =
 let test_ranker_prefers_specific_result () =
   let db = db_of league in
   let doc = Pipeline.document db in
-  let ranker = Ranker.make (Pipeline.index db) in
-  let q = Query.of_string "guard" in
+  let ranker = ranker_for db "guard" in
   let player = Result_tree.full doc 4 in
   let team = Result_tree.full doc 1 in
   check bool "small specific result scores higher" true
-    (Ranker.score ranker q player > Ranker.score ranker q team)
+    (Ranker.score ranker player > Ranker.score ranker team)
 
 let test_ranker_sorted_desc () =
   let db = db_of league in
-  let ranker = Ranker.make (Pipeline.index db) in
-  let q = Query.of_string "player" in
-  let ranked = Ranker.rank ranker q (Pipeline.search db "player") in
+  let ranked = Ranker.rank (ranker_for db "player") (Pipeline.search db "player") in
   let scores = List.map snd ranked in
   check bool "descending" true (List.sort (fun a b -> compare b a) scores = scores)
 
 let test_ranker_zero_for_no_match () =
   let db = db_of league in
   let doc = Pipeline.document db in
-  let ranker = Ranker.make (Pipeline.index db) in
   Alcotest.check (Alcotest.float 1e-9) "no matches, zero score" 0.0
-    (Ranker.score ranker (Query.of_string "zebra") (Result_tree.full doc 1))
+    (Ranker.score (ranker_for db "zebra") (Result_tree.full doc 1))
 
 let test_ranker_bad_decay () =
   let db = db_of league in
   Alcotest.check_raises "decay 0" (Invalid_argument "Ranker.make: decay must be in (0, 1]")
-    (fun () -> ignore (Ranker.make ~decay:0.0 (Pipeline.index db)))
+    (fun () -> ignore (ranker_for ~decay:0.0 db "guard"))
 
 (* ------------------------------------------------------------------ *)
 (* XSearch *)

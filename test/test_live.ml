@@ -554,6 +554,102 @@ let test_mask_filters_postings () =
   | _ -> Alcotest.fail "expected two member subtrees");
   check bool "empty mask hides everything" true (run [||] = [])
 
+(* ------------------------------------------------------------------ *)
+(* Ranked answers over several databases: every segment is ranked
+   before any snippet is made, so a limit only cuts the ranked list and
+   a deadline only degrades the snippets of the hits kept. *)
+
+let retail_xml seed =
+  let cfg =
+    {
+      Extract_datagen.Retail.default with
+      seed;
+      retailers = 2;
+      stores_per_retailer = 5;
+      clothes_per_store = 3;
+    }
+  in
+  Extract_xml.Printer.document_to_string (Extract_datagen.Retail.generate cfg)
+
+(* a base of three members with one tombstoned, plus two deltas *)
+let ranked_store () =
+  let lc = Live_corpus.open_dir (temp_dir ()) in
+  List.iter
+    (fun i -> Live_corpus.add lc ~name:(Printf.sprintf "m%d.xml" i) ~xml:(retail_xml i))
+    [ 0; 1; 2 ];
+  ignore (Live_corpus.compact lc);
+  check bool "tombstoned" true (Live_corpus.remove lc "m1.xml");
+  Live_corpus.add lc ~name:"d0.xml" ~xml:(retail_xml 10);
+  Live_corpus.add lc ~name:"d1.xml" ~xml:(retail_xml 11);
+  lc
+
+let ranked_corpus () =
+  Corpus.of_list
+    (List.map
+       (fun i -> Printf.sprintf "db%d" i, Pipeline.of_xml_string (retail_xml (20 + i)))
+       [ 0; 1; 2 ])
+
+let ranked_queries = [ "store"; "apparel retailer"; "suit"; "store texas"; "nosuchword" ]
+
+let order_key (h : Pipeline.hit) =
+  (h.Pipeline.source, h.Pipeline.score), Result_tree.root h.Pipeline.snippet.Pipeline.result
+
+let order_keys = Alcotest.(list (pair (pair string (float 0.)) int))
+
+let hit_view (h : Pipeline.hit) =
+  ( order_key h,
+    Snippet_tree.render h.Pipeline.snippet.Pipeline.selection.Selector.snippet )
+
+let hit_views = Alcotest.(list (pair (pair (pair string (float 0.)) int) string))
+
+let check_limit_is_prefix run =
+  let all = List.map hit_view (run ?limit:None "store") in
+  check bool "more hits than the largest limit" true (List.length all > 25);
+  List.iter
+    (fun q ->
+      let all = List.map hit_view (run ?limit:None q) in
+      List.iter
+        (fun k ->
+          check hit_views
+            (Printf.sprintf "%S, limit %d: first hits of the unlimited run" q k)
+            (List.filteri (fun i _ -> i < k) all)
+            (List.map hit_view (run ?limit:(Some k) q)))
+        [ 1; 3; 25 ])
+    ranked_queries
+
+let check_deadline_only_degrades run =
+  List.iter
+    (fun q ->
+      let full = run ?deadline:None q in
+      let expired = run ?deadline:(Some (Extract_util.Deadline.after 0.)) q in
+      check order_keys (q ^ ": sources, scores and order unchanged")
+        (List.map order_key full) (List.map order_key expired);
+      check bool (q ^ ": every snippet degraded") true
+        (List.for_all
+           (fun (h : Pipeline.hit) -> h.Pipeline.snippet.Pipeline.degraded)
+           expired))
+    ranked_queries
+
+let test_live_limit_is_prefix () =
+  let lc = ranked_store () in
+  check_limit_is_prefix (fun ?limit q -> Live_corpus.run ?limit lc q);
+  Live_corpus.close lc
+
+let test_corpus_limit_is_prefix () =
+  let corpus = ranked_corpus () in
+  check_limit_is_prefix (fun ?limit q -> Corpus.run ?limit corpus q)
+
+let test_live_deadline_only_degrades () =
+  let lc = ranked_store () in
+  check_deadline_only_degrades (fun ?deadline q -> Live_corpus.run ~limit:25 ?deadline lc q);
+  check_deadline_only_degrades (fun ?deadline q -> Live_corpus.run ?deadline lc q);
+  Live_corpus.close lc
+
+let test_corpus_deadline_only_degrades () =
+  let corpus = ranked_corpus () in
+  check_deadline_only_degrades (fun ?deadline q -> Corpus.run ~limit:25 ?deadline corpus q);
+  check_deadline_only_degrades (fun ?deadline q -> Corpus.run ?deadline corpus q)
+
 let suites =
   [
     ( "live.journal",
@@ -610,4 +706,13 @@ let suites =
       ] );
     ( "live.mask",
       [ Alcotest.test_case "filters postings" `Quick test_mask_filters_postings ] );
+    ( "live.ranked",
+      [
+        Alcotest.test_case "live: a limit is a prefix" `Quick test_live_limit_is_prefix;
+        Alcotest.test_case "corpus: a limit is a prefix" `Quick test_corpus_limit_is_prefix;
+        Alcotest.test_case "live: a deadline only degrades" `Quick
+          test_live_deadline_only_degrades;
+        Alcotest.test_case "corpus: a deadline only degrades" `Quick
+          test_corpus_deadline_only_degrades;
+      ] );
   ]

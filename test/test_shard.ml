@@ -5,7 +5,10 @@
 
 module Codec = Extract_store.Codec
 module Document = Extract_store.Document
+module Inverted_index = Extract_store.Inverted_index
 module Engine = Extract_search.Engine
+module Result_tree = Extract_search.Result_tree
+module Faults = Extract_util.Faults
 module Pipeline = Extract_snippet.Pipeline
 module Shard_set = Extract_snippet.Shard_set
 
@@ -179,6 +182,81 @@ let test_limit_bounds_merged_answer () =
     (List.map hit_key top
     = List.map hit_key (List.filteri (fun i _ -> i < 2) all))
 
+(* A failing shard must not leave the other shards' domains running:
+   every domain is joined before the failure is re-raised, so by the
+   time the caller sees the exception every shard has passed the
+   armed search point. *)
+let test_failure_joins_every_shard () =
+  let t = Lazy.force sharded in
+  check int "three shards" 3 (Shard_set.shard_count t);
+  (match Faults.configure "pipeline.search:fail" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Faults.clear (fun () ->
+      match Shard_set.run ~parallel:true t "retailer" with
+      | _ -> Alcotest.fail "the injected search fault did not surface"
+      | exception Faults.Injected (point, _) ->
+        check Alcotest.string "point" "pipeline.search" point;
+        check int "every shard searched" 3 (Faults.hits "pipeline.search"))
+
+(* ------------------------------------------------------------------ *)
+(* Ranking equivalence: a ranker scores from the lists its query
+   resolved, and takes document frequency from the unmasked list length,
+   so neither the posting representation, nor where the shards were
+   loaded from, nor a mask over other members may move a score. *)
+
+let exact = Alcotest.float 0.
+
+let test_packed_ranking_equals_plain () =
+  let plain = Lazy.force retail_db in
+  let packed =
+    Pipeline.of_parts (Pipeline.document plain) (Inverted_index.pack (Pipeline.index plain))
+  in
+  check bool "packed" true (Inverted_index.is_packed (Pipeline.index packed));
+  let root_scores semantics db q =
+    Pipeline.run_ranked ~semantics db q
+    |> List.map (fun (score, s) -> Result_tree.root s.Pipeline.result, score)
+  in
+  List.iter
+    (fun semantics ->
+      List.iter
+        (fun q ->
+          check
+            Alcotest.(list (pair int exact))
+            (Printf.sprintf "%s %S: packed = plain" (Engine.string_of_semantics semantics) q)
+            (root_scores semantics plain q) (root_scores semantics packed q))
+        queries)
+    [ Engine.Xseek; Engine.Slca; Engine.Elca ]
+
+let test_mask_keeps_other_scores () =
+  let doc = Lazy.force retail_doc in
+  let t = Lazy.force sharded in
+  (* hide the first retailer of shard 1, which holds more than that one *)
+  let g0, g1 = Shard_set.provenance t 1 in
+  let last = Document.subtree_last doc g0 in
+  check bool "shard 1 keeps other retailers" true (last < g1);
+  let mask = [| (0, g0 - 1); (last + 1, Document.node_count doc - 1) |] in
+  List.iter
+    (fun q ->
+      let unmasked = Shard_set.run ~parallel:false t q in
+      let masked = Shard_set.run ~mask ~parallel:false t q in
+      check bool (q ^ ": the mask hides something") true
+        (q = "nosuchword" || List.length masked < List.length unmasked);
+      List.iter
+        (fun h ->
+          let root = h.Shard_set.global_root in
+          check bool "not from the hidden retailer" true (root < g0 || root > last);
+          let same u =
+            u.Shard_set.shard = h.Shard_set.shard && u.Shard_set.global_root = root
+          in
+          match List.find_opt same unmasked with
+          | Some u ->
+            check exact (Printf.sprintf "%s: score of %d" q root) u.Shard_set.score
+              h.Shard_set.score
+          | None -> Alcotest.failf "%s: masked hit %d is no unmasked hit" q root)
+        masked)
+    queries
+
 (* ------------------------------------------------------------------ *)
 (* The merge itself *)
 
@@ -223,7 +301,16 @@ let test_save_load_roundtrip () =
         Shard_set.run ~semantics:Engine.Slca ~parallel:false t q
         |> List.map (fun h -> h.Shard_set.shard, h.Shard_set.global_root)
       in
-      check bool (q ^ ": loaded answers match") true (roots t = roots t2))
+      check bool (q ^ ": loaded answers match") true (roots t = roots t2);
+      (* the loaded shards are packed snapshots: ranked hits, scores
+         included, must still equal the in-memory split's *)
+      List.iter
+        (fun limit ->
+          let keys t = List.map hit_key (Shard_set.run ?limit ~parallel:false t q) in
+          check
+            Alcotest.(list (triple int exact int))
+            (q ^ ": loaded ranked hits match") (keys t) (keys t2))
+        [ None; Some 3 ])
     queries
 
 let test_empty_manifest_diagnostic () =
@@ -275,6 +362,12 @@ let suites =
         case "parallel = sequential" test_parallel_equals_sequential;
         case "deadline degrades, never raises" test_run_deadline_degrades;
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
+        case "a failing shard joins every domain" test_failure_joins_every_shard;
+      ] );
+    ( "shard.ranking",
+      [
+        case "packed = plain, every semantics" test_packed_ranking_equals_plain;
+        case "a mask leaves other scores alone" test_mask_keeps_other_scores;
       ] );
     ( "shard.mask",
       [
