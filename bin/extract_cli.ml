@@ -620,14 +620,15 @@ let pack_cmd =
     let index = Pipeline.index db in
     if shards = 1 then begin
       Pipeline.save_snapshot out db;
+      let tokens = Extract_store.Inverted_index.token_count index in
+      (* the plain size is what int arrays would take: 8 bytes per
+         posting and one header word per list *)
       Printf.printf "wrote %s (%d nodes, %d tokens, %d bytes, index %d -> %d posting bytes)\n"
         out
         (Extract_store.Document.node_count (Pipeline.document db))
-        (Extract_store.Inverted_index.token_count index)
-        (file_size out)
+        tokens (file_size out)
+        (8 * (Extract_store.Inverted_index.postings_size index + tokens))
         (Extract_store.Inverted_index.postings_bytes index)
-        (Extract_store.Inverted_index.postings_bytes
-           (Extract_store.Inverted_index.pack index))
     end
     else begin
       let t = Shard_set.split ~shards (Pipeline.document db) in
@@ -1012,9 +1013,16 @@ let serve_cmd =
         queue_depth;
       }
     in
-    Extract_server.Demo_server.serve ~config
-      (Extract_server.Demo_server.create ?live ?sharded corpus)
-      ~port
+    match
+      Extract_server.Demo_server.serve ~config
+        (Extract_server.Demo_server.create ?live ?sharded corpus)
+        ~port
+    with
+    | () -> ()
+    | exception Invalid_argument msg ->
+      (* a pool over OCaml's domain cap is refused before it starts *)
+      prerr_endline ("error: " ^ msg);
+      exit 2
   in
   let shards_serve_arg =
     Arg.(

@@ -1,6 +1,7 @@
 module Document = Extract_store.Document
 module Dewey = Extract_store.Dewey
 module Inverted_index = Extract_store.Inverted_index
+module Packed_postings = Extract_store.Packed_postings
 module Dataguide = Extract_store.Dataguide
 module Tokenizer = Extract_store.Tokenizer
 module Result_tree = Extract_search.Result_tree
@@ -146,13 +147,11 @@ let check_index idx =
   let c = collector "index" in
   let doc = Inverted_index.document idx in
   let n = Document.node_count doc in
-  let repr = Inverted_index.Internal.to_repr idx in
-  let tokens = repr.Inverted_index.Internal.tokens in
-  let postings = repr.Inverted_index.Internal.postings in
-  if Array.length tokens <> Array.length postings then
-    report c "%d tokens but %d posting lists" (Array.length tokens) (Array.length postings);
-  let lists = min (Array.length tokens) (Array.length postings) in
-  for i = 0 to lists - 1 do
+  let tokens = Inverted_index.Internal.token_names idx in
+  let postings =
+    Array.map Packed_postings.to_array (Inverted_index.Internal.packed_lists idx)
+  in
+  for i = 0 to Array.length tokens - 1 do
     let token = tokens.(i) in
     if token = "" then report c "token %d is empty" i;
     if Tokenizer.normalize token <> token then report c "token %S is not normalized" token;
@@ -176,8 +175,7 @@ let check_index idx =
      document and diff token by token. *)
   if c.count = 0 then begin
     let fresh = Inverted_index.build doc in
-    let fresh_repr = Inverted_index.Internal.to_repr fresh in
-    let fresh_tokens = fresh_repr.Inverted_index.Internal.tokens in
+    let fresh_tokens = Inverted_index.Internal.token_names fresh in
     let have = Hashtbl.create (Array.length tokens) in
     Array.iter (fun t -> Hashtbl.replace have t ()) tokens;
     Array.iter

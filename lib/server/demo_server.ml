@@ -1295,9 +1295,24 @@ let worker_loop ~config queue t w =
   in
   loop ()
 
+(* OCaml 5.1 runs at most 128 domains at once (Max_domains,
+   caml/domain.h); a spawn past that fails. *)
+let max_domains = 128
+
+let check_domain_budget ~workers ~shards =
+  (* the main domain, the acceptor, and every worker with the shard
+     domains it fans one request out to *)
+  if workers > (max_domains - 2) / max 1 shards then
+    invalid_arg
+      (Printf.sprintf
+         "%d worker(s) over %d shard(s) need 2 + %d x %d domains; OCaml runs at most %d"
+         workers shards workers shards max_domains)
+
 let start_pool ?(config = default_config) t listening =
-  ensure_sigpipe_ignored ();
   let workers = max 1 config.workers in
+  check_domain_budget ~workers
+    ~shards:(match t.sharded with Some s -> Shard_set.shard_count s | None -> 1);
+  ensure_sigpipe_ignored ();
   let queue = queue_create (max 1 config.queue_depth) in
   let stopping = Atomic.make false in
   let acceptor =
@@ -1350,11 +1365,11 @@ let serve ?(config = default_config) t ~port =
   (* background GC/subsystem sampler feeding /metrics and /debug/runtime *)
   ignore (Runtime.start ());
   let sock = listen ~port in
+  let _pool = start_pool ~config t sock in
   let workers = max 1 config.workers in
   Printf.printf "eXtract demo server on http://127.0.0.1:%d/ (%d worker%s)\n%!"
     (bound_port sock) workers
     (if workers = 1 then "" else "s");
-  let _pool = start_pool ~config t sock in
   (* the main domain parks instead of joining: it must stay interruptible
      so the SIGTERM handler above still runs and dumps the slowlog *)
   while true do

@@ -230,13 +230,23 @@ val serve_once : ?config:config -> t -> Unix.file_descr -> unit
 type pool
 (** A running acceptor + worker-domain pool (see {!start_pool}). *)
 
+val check_domain_budget : workers:int -> shards:int -> unit
+(** Refuse a pool OCaml cannot run. [workers] workers over a [shards]-way
+    shard set (1 without one) hold up to 2 + [workers] × [shards] live
+    domains: the main domain, the acceptor, and each worker with the
+    domains it fans a request out to. OCaml 5.1 runs at most 128.
+    @raise Invalid_argument naming the numbers when the pool needs
+    more. *)
+
 val start_pool : ?config:config -> t -> Unix.file_descr -> pool
 (** Start the domain pool on an already-listening socket and return
     immediately: one acceptor domain pushing accepted connections into a
     bounded queue ([config.queue_depth], overflow answered 503 +
     [Retry-After] by the acceptor), [config.workers] worker domains each
     running the keep-alive connection loop. The caller keeps ownership
-    of the listening socket. *)
+    of the listening socket.
+    @raise Invalid_argument before spawning anything when the pool
+    fails {!check_domain_budget}. *)
 
 val stop_pool : pool -> unit
 (** Graceful stop: close the queue, wake the acceptor (a loopback poke —
@@ -245,7 +255,8 @@ val stop_pool : pool -> unit
     completion; the listening socket is left open for the caller. *)
 
 val serve : ?config:config -> t -> port:int -> unit
-(** [listen] + {!start_pool}, then park forever, with SIGPIPE ignored
+(** [listen] + {!start_pool}, then announce the port on stdout and park
+    forever, with SIGPIPE ignored
     and a catch-all around each connection: no single client can stop
     the pool. On SIGTERM the {!Extract_obs.Slowlog} snapshot is dumped
     to stderr before exiting 0, so the worst and the degraded queries

@@ -407,10 +407,7 @@ let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 
         (* spawned workers adopt the caller's span/rid so their spans
            stitch under this query instead of surfacing as orphan roots *)
         let ctx = Trace.capture () in
-        let spawned =
-          List.init (domains - 1) (fun d ->
-              Domain.spawn (fun () -> Trace.with_context ctx (worker (d + 1))))
-        in
-        Extract_util.Fanout.finish (worker 0) spawned;
+        Extract_util.Fanout.run (worker 0)
+          (List.init (domains - 1) (fun d () -> Trace.with_context ctx (worker (d + 1))));
         notify_snippets t (Array.to_list out |> List.filter_map Fun.id)
       end)

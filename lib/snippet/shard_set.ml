@@ -158,7 +158,7 @@ type hit = {
    caller's domain takes shard 0) — the {!Pipeline.run_parallel}
    pattern. Each [out] slot is written by exactly one domain and the
    joins publish the writes; every domain is joined before a failure is
-   re-raised ({!Extract_util.Fanout.finish}). Spawned shards run under
+   re-raised ({!Extract_util.Fanout.run}). Spawned shards run under
    the caller's captured trace context, so their [shard.run] spans adopt
    into the parent query span with the caller's rid. *)
 let map_shards ~parallel f t =
@@ -172,13 +172,11 @@ let map_shards ~parallel f t =
     Array.iteri (fun i s -> out.(i) <- traced i s) t.shards
   else begin
     let ctx = Trace.capture () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          let i = d + 1 in
-          Domain.spawn (fun () ->
-              Trace.with_context ctx (fun () -> out.(i) <- traced i t.shards.(i))))
-    in
-    Extract_util.Fanout.finish (fun () -> out.(0) <- traced 0 t.shards.(0)) spawned
+    Extract_util.Fanout.run
+      (fun () -> out.(0) <- traced 0 t.shards.(0))
+      (List.init (k - 1) (fun d ->
+           let i = d + 1 in
+           fun () -> Trace.with_context ctx (fun () -> out.(i) <- traced i t.shards.(i))))
   end;
   out
 

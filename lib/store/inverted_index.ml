@@ -1,19 +1,10 @@
 module Interner = Extract_util.Interner
 module Arraylist = Extract_util.Arraylist
 
-(* Posting lists come in two representations: plain sorted arrays (8
-   bytes per posting — what [build] produces) and block-compressed
-   {!Packed_postings} (1–2 bytes per posting — what {!Snapshot} maps).
-   Every query entry point answers identically on both; the equivalence
-   is property-tested in test_packed.ml. *)
-type lists =
-  | Plain of Document.node array array
-  | Packed of Packed_postings.t array
-
 type t = {
   doc : Document.t;
   tokens : Interner.t;
-  postings : lists;                         (* token id -> sorted element ids *)
+  postings : Packed_postings.t array;       (* token id -> sorted element ids *)
   tag_tokens : (int * int, unit) Hashtbl.t; (* (token id, tag id) membership *)
   mutable sorted_tokens : (string * int) array option;
       (* (token, id) sorted by token, built lazily on the first [complete];
@@ -53,29 +44,17 @@ let build doc =
       | None -> ()
     end
   done;
-  let postings = Array.make (Arraylist.length lists) [||] in
-  Arraylist.iteri (fun i list -> postings.(i) <- Arraylist.to_array list) lists;
-  { doc; tokens; postings = Plain postings; tag_tokens; sorted_tokens = None }
+  let postings =
+    Array.init (Arraylist.length lists) (fun i ->
+        Packed_postings.of_array (Arraylist.to_array (Arraylist.get lists i)))
+  in
+  { doc; tokens; postings; tag_tokens; sorted_tokens = None }
 
 let document t = t.doc
 
 let token_count t = Interner.count t.tokens
 
-let is_packed t =
-  match t.postings with
-  | Plain _ -> false
-  | Packed _ -> true
-
-let pack t =
-  match t.postings with
-  | Packed _ -> t
-  | Plain arrays ->
-    { t with postings = Packed (Array.map Packed_postings.of_array arrays) }
-
-let list_length t id =
-  match t.postings with
-  | Plain arrays -> Array.length arrays.(id)
-  | Packed packed -> Packed_postings.length packed.(id)
+let list_length t id = Packed_postings.length t.postings.(id)
 
 let postings_size t =
   let n = token_count t in
@@ -86,20 +65,11 @@ let postings_size t =
   !acc
 
 let postings_bytes t =
-  (* approximate resident bytes of the posting lists alone: one word per
-     posting plus a header word per plain array, vs the packed blocks'
-     compressed footprint — the numerator and denominator of E22's
-     compression ratio *)
-  match t.postings with
-  | Plain arrays -> Array.fold_left (fun acc l -> acc + (8 * (Array.length l + 1))) 0 arrays
-  | Packed packed -> Array.fold_left (fun acc p -> acc + Packed_postings.byte_size p) 0 packed
+  Array.fold_left (fun acc p -> acc + Packed_postings.byte_size p) 0 t.postings
 
 let lookup t keyword =
   match Interner.find t.tokens (Tokenizer.normalize keyword) with
-  | Some id -> (
-    match t.postings with
-    | Plain arrays -> arrays.(id)
-    | Packed packed -> Packed_postings.to_array packed.(id))
+  | Some id -> Packed_postings.to_array t.postings.(id)
   | None -> [||]
 
 let keyword_count t keyword =
@@ -116,29 +86,12 @@ let vocabulary t =
   Interner.iter (fun _ s -> acc := s :: !acc) t.tokens;
   List.rev !acc
 
-let mem_sorted list node =
-  let rec search lo hi =
-    if lo > hi then false
-    else begin
-      let mid = (lo + hi) / 2 in
-      if list.(mid) = node then true
-      else if list.(mid) < node then search (mid + 1) hi
-      else search lo (mid - 1)
-    end
-  in
-  search 0 (Array.length list - 1)
-
-let mem_posting t id node =
-  match t.postings with
-  | Plain arrays -> mem_sorted arrays.(id) node
-  | Packed packed -> Packed_postings.mem packed.(id) node
-
 let match_kind t ~keyword ~node =
   let tok = Tokenizer.normalize keyword in
   match Interner.find t.tokens tok with
   | None -> None
   | Some id ->
-    if not (mem_posting t id node) then None
+    if not (Packed_postings.mem t.postings.(id) node) then None
     else begin
       let tag_match =
         Document.is_element t.doc node && Hashtbl.mem t.tag_tokens (id, Document.tag_id t.doc node)
@@ -199,12 +152,6 @@ let complete t ?(limit = 10) prefix =
   end
 
 module Internal = struct
-  type repr = {
-    tokens : string array;
-    postings : Document.node array array;
-    tag_tokens : (int * int) array;
-  }
-
   let token_names (idx : t) =
     let tokens = Array.make (Interner.count idx.tokens) "" in
     Interner.iter (fun id s -> tokens.(id) <- s) idx.tokens;
@@ -216,25 +163,7 @@ module Internal = struct
            if a1 <> b1 then Int.compare a1 b1 else Int.compare a2 b2)
     |> Array.of_list
 
-  let to_repr (idx : t) =
-    let postings =
-      match idx.postings with
-      | Plain arrays -> arrays
-      | Packed packed -> Array.map Packed_postings.to_array packed
-    in
-    { tokens = token_names idx; postings; tag_tokens = tag_token_pairs idx }
-
-  let of_repr ~doc (r : repr) =
-    let tokens = Interner.create ~capacity:(Array.length r.tokens) () in
-    Array.iter (fun s -> ignore (Interner.intern tokens s)) r.tokens;
-    let tag_tokens = Hashtbl.create (Array.length r.tag_tokens) in
-    Array.iter (fun pair -> Hashtbl.replace tag_tokens pair ()) r.tag_tokens;
-    { doc; tokens; postings = Plain r.postings; tag_tokens; sorted_tokens = None }
-
-  let packed_lists (idx : t) =
-    match idx.postings with
-    | Packed packed -> packed
-    | Plain arrays -> Array.map Packed_postings.of_array arrays
+  let packed_lists (idx : t) = idx.postings
 
   let of_packed ~doc ~tokens:token_names ~packed ~tag_tokens:pairs =
     if Array.length token_names <> Array.length packed then
@@ -243,5 +172,5 @@ module Internal = struct
     Array.iter (fun s -> ignore (Interner.intern tokens s)) token_names;
     let tag_tokens = Hashtbl.create (max 16 (Array.length pairs)) in
     Array.iter (fun pair -> Hashtbl.replace tag_tokens pair ()) pairs;
-    { doc; tokens; postings = Packed packed; tag_tokens; sorted_tokens = None }
+    { doc; tokens; postings = packed; tag_tokens; sorted_tokens = None }
 end

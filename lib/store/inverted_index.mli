@@ -1,10 +1,12 @@
 (** Keyword inverted index — the paper's Index Builder (Fig. 4).
 
-    Maps each token to the sorted array of element nodes that match it. An
+    Maps each token to the sorted list of element nodes that match it. An
     element matches a token when the token appears in the element's tag name
     or in its direct text children. Postings are element ids in document
     (pre-)order, deduplicated, which is exactly what the SLCA/ELCA merge
-    algorithms consume. *)
+    algorithms consume. Every list is held block-compressed
+    ({!Packed_postings}), however the index was made: {!build}, a
+    {!Persist} artifact or a mapped {!Snapshot}. *)
 
 type t
 
@@ -19,27 +21,22 @@ val postings_size : t -> int
 (** Total number of postings across all tokens (index "size"). *)
 
 val postings_bytes : t -> int
-(** Approximate resident bytes of the posting lists: 8 per posting when
-    plain, the compressed block footprint when packed. The E22
-    compression-ratio metric. *)
-
-val pack : t -> t
-(** Convert posting lists to block-compressed {!Packed_postings} sharing
-    the same document and vocabulary. All query entry points answer
-    identically on the packed form; [lookup] decodes (fresh array per
-    call), point probes ([contains], [match_kind], [complete] counts)
-    touch at most one block. Identity on an already-packed index. *)
-
-val is_packed : t -> bool
+(** Approximate resident bytes of the posting lists: their compressed
+    blocks plus skip and offset tables ({!Packed_postings.byte_size}).
+    The numerator of E22's compression ratio is the 8 bytes per posting
+    and per list an [int array] would take, [8 * (postings_size +
+    token_count)]. *)
 
 val lookup : t -> string -> Document.node array
-(** [lookup t keyword] is the posting list for the normalized keyword —
-    the shared array, do not mutate. Empty when the keyword is absent. *)
+(** [lookup t keyword] is the posting list for the normalized keyword,
+    decoded into a fresh array on every call. Empty when the keyword is
+    absent. A query resolves each keyword once, through
+    [Eval_ctx.make]. *)
 
 val keyword_count : t -> string -> int
 (** [keyword_count t keyword] = [Array.length (lookup t keyword)], the
     keyword's document frequency, read from the list header: O(1) and no
-    decode on either representation. 0 when the keyword is absent. *)
+    decode. 0 when the keyword is absent. *)
 
 val matches : t -> string -> Document.node list
 
@@ -49,7 +46,8 @@ val vocabulary : t -> string list
 (** All tokens, in first-indexed order. *)
 
 val match_kind : t -> keyword:string -> node:Document.node -> [ `Tag | `Value | `Both ] option
-(** How (and whether) a specific element matches the keyword. *)
+(** How (and whether) a specific element matches the keyword. The
+    membership probe decodes at most one block of the list. *)
 
 val complete : t -> ?limit:int -> string -> (string * int) list
 (** [complete t prefix] — indexed tokens starting with the (normalized)
@@ -61,25 +59,15 @@ val complete : t -> ?limit:int -> string -> (string * int) list
 
 (**/**)
 
-(** Internal representation access, for {!Persist} only. *)
+(** Internal representation access, for {!Persist}, {!Snapshot} and the
+    checker only. *)
 module Internal : sig
-  type repr = {
-    tokens : string array;
-    postings : Document.node array array;
-    tag_tokens : (int * int) array;
-  }
-
-  val to_repr : t -> repr
-  (** Decodes packed lists back to plain arrays when needed. *)
-
-  val of_repr : doc:Document.t -> repr -> t
-
-  val packed_lists : t -> Packed_postings.t array
-  (** Per-token packed lists, packing on the fly for a plain index.
-      {!Snapshot}'s save path. *)
-
   val token_names : t -> string array
   (** Vocabulary in token-id order. *)
+
+  val packed_lists : t -> Packed_postings.t array
+  (** Per-token lists in token-id order (the index's own array; do not
+      mutate). *)
 
   val tag_token_pairs : t -> (int * int) array
   (** The (token id, tag id) membership set, sorted. *)
@@ -90,6 +78,7 @@ module Internal : sig
     packed:Packed_postings.t array ->
     tag_tokens:(int * int) array ->
     t
-  (** Assemble a packed index from decoded sections ({!Snapshot}'s load
-      path). @raise Invalid_argument on token/list count mismatch. *)
+  (** Assemble an index from its decoded parts: the one constructor
+      besides {!build}, shared by {!Persist} and {!Snapshot}.
+      @raise Invalid_argument on token/list count mismatch. *)
 end

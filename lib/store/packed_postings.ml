@@ -1,8 +1,8 @@
-(* Block-compressed posting lists. A posting list is a strictly
-   ascending array of node ids; packed form keeps it as delta+varint
-   blocks of [Codec.block_size] entries plus a skip table of per-block
-   first values, so point and range queries decode at most one block
-   instead of the whole list. *)
+(* Block-compressed posting lists, the only in-memory form of a posting
+   list. A posting list is a strictly ascending array of node ids, kept
+   as delta+varint blocks of [Codec.block_size] entries plus a skip table
+   of per-block first values, so a membership probe decodes at most one
+   block instead of the whole list. *)
 
 type t = {
   count : int;
@@ -76,13 +76,6 @@ let decode_block_into t b out pos =
     prev := node
   done
 
-(* One block as a fresh array: what the point/range helpers below decode,
-   one block per probe. *)
-let decoded_block t b =
-  let out = Array.make (block_length t b) 0 in
-  decode_block_into t b out 0;
-  out
-
 (* The whole list, decoded straight into one array. On the query path
    this runs once per keyword per query per segment, in Eval_ctx.make;
    every later stage of the query reads the array it returned. *)
@@ -93,70 +86,28 @@ let to_array t =
   done;
   out
 
-let get t i =
-  if i < 0 || i >= t.count then
-    invalid_arg (Printf.sprintf "Packed_postings.get: index %d out of [0,%d)" i t.count);
-  (decoded_block t (i / block)).(i mod block)
-
-(* Smallest index i with value >= x, or count: binary-search the skip
-   table for the candidate block, then scan its <= block_size decoded
-   entries. The compressed counterpart of Postings.lower_bound. *)
-let lower_bound t x =
-  if t.count = 0 then 0
-  else if x <= t.skips.(0) then 0
+(* Membership: binary-search the skip table for the last block whose
+   first value is <= x, then decode that one block only as far as x. *)
+let mem t x =
+  if t.count = 0 || x < t.skips.(0) then false
   else begin
-    (* greatest block b with skips.(b) < x; x > skips.(0) here *)
     let lo = ref 0 and hi = ref (nblocks t - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if t.skips.(mid) < x then lo := mid else hi := mid - 1
+      if t.skips.(mid) <= x then lo := mid else hi := mid - 1
     done;
     let b = !lo in
-    let entries = decoded_block t b in
-    let n = Array.length entries in
-    let i = ref 0 in
-    while !i < n && entries.(!i) < x do
-      incr i
-    done;
-    (b * block) + !i (* n = first index of the next block, or count *)
+    let r = Codec.reader t.data in
+    Codec.seek r t.offsets.(b);
+    let n = block_length t b in
+    let rec scan i prev =
+      i < n
+      &&
+      let node = prev + Codec.read_varint r in
+      node = x || (node < x && scan (i + 1) node)
+    in
+    scan 0 0
   end
-
-let mem t x =
-  let i = lower_bound t x in
-  i < t.count && get t i = x
-
-let closest_in t ~lo ~hi =
-  let i = lower_bound t lo in
-  if i < t.count then begin
-    let v = get t i in
-    if v <= hi then Some v else None
-  end
-  else None
-
-let pred_of t x =
-  let i = lower_bound t x in
-  if i = 0 then None else Some (get t (i - 1))
-
-let succ_of t x =
-  let i = lower_bound t (x + 1) in
-  if i >= t.count then None else Some (get t i)
-
-let subtree_range doc t root =
-  let lo = lower_bound t root in
-  let hi = lower_bound t (Document.subtree_last doc root + 1) in
-  lo, hi
-
-let in_subtree doc t root =
-  let lo, hi = subtree_range doc t root in
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    out := get t i :: !out
-  done;
-  !out
-
-let count_in_subtree doc t root =
-  let lo, hi = subtree_range doc t root in
-  hi - lo
 
 (* ------------------------------------------------------------------ *)
 (* Codec embedding, for Snapshot's index section. *)

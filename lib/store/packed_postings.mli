@@ -1,61 +1,33 @@
-(** Block-compressed posting lists.
+(** Block-compressed posting lists, the one in-memory form of a posting
+    list.
 
     A posting list — the strictly ascending array of node ids where a
-    keyword occurs — packed as delta+varint blocks of
+    keyword occurs — is kept as delta+varint blocks of
     {!Codec.block_size} entries with a skip table of per-block first
-    values. The skip table keeps {!Postings}-style subtree-interval
-    binary search alive on the compressed form: every point or range
-    probe binary-searches the skips and decodes at most one block.
+    values. A query decodes each of its lists once ({!to_array}, in
+    [Eval_ctx.make]); the skip table serves {!mem}, which decodes at most
+    one block.
 
     Typical footprint is 1–2 bytes per posting against the 8 bytes of a
     plain [int array]; see DESIGN.md §15 and EXPERIMENTS.md E22. *)
 
 type t
 
-val empty : t
-
 val of_array : int array -> t
 (** Pack a strictly ascending array of non-negative node ids.
     @raise Invalid_argument if unsorted, duplicated, or negative. *)
 
 val to_array : t -> int array
-(** Full decode, in ascending order. *)
+(** Full decode, in ascending order, into a fresh array. *)
 
 val length : t -> int
-(** Number of postings. *)
-
-val nblocks : t -> int
+(** Number of postings, read from the header without a decode. *)
 
 val byte_size : t -> int
 (** Approximate resident bytes: compressed data + skip/offset tables. *)
 
-val get : t -> int -> int
-(** [get t i] is the [i]th posting (decodes one block).
-    @raise Invalid_argument out of bounds. *)
-
-(** {1 Search — mirrors {!Postings} on node ids} *)
-
-val lower_bound : t -> int -> int
-(** Smallest index [i] with [get t i >= x], or [length t]. *)
-
 val mem : t -> int -> bool
-
-val closest_in : t -> lo:int -> hi:int -> int option
-(** Smallest posting in [\[lo, hi\]], if any. *)
-
-val pred_of : t -> int -> int option
-(** Greatest posting [< x]. *)
-
-val succ_of : t -> int -> int option
-(** Smallest posting [> x]. *)
-
-val subtree_range : Document.t -> t -> int -> int * int
-(** [subtree_range doc t root] is the half-open index interval of
-    postings inside [root]'s subtree. *)
-
-val in_subtree : Document.t -> t -> int -> int list
-
-val count_in_subtree : Document.t -> t -> int -> int
+(** [mem t x] — is [x] a posting? Decodes at most one block. *)
 
 (** {1 Codec embedding} *)
 

@@ -192,13 +192,14 @@ let load path = decode (read_file ~what:"arena" ~magic path)
 let index_magic = "XTRINDEX"
 
 let index_payload ~arena_fingerprint index =
-  let repr = Inverted_index.Internal.to_repr index in
   let w = Codec.writer () in
   Codec.write_string w arena_fingerprint;
-  write_string_array w repr.Inverted_index.Internal.tokens;
-  Codec.write_varint w (Array.length repr.Inverted_index.Internal.postings);
+  write_string_array w (Inverted_index.Internal.token_names index);
+  let lists = Inverted_index.Internal.packed_lists index in
+  Codec.write_varint w (Array.length lists);
   Array.iter
-    (fun list ->
+    (fun packed ->
+      let list = Packed_postings.to_array packed in
       Codec.write_varint w (Array.length list);
       let prev = ref 0 in
       Array.iteri
@@ -207,13 +208,14 @@ let index_payload ~arena_fingerprint index =
           else Codec.write_varint w (node - !prev);
           prev := node)
         list)
-    repr.Inverted_index.Internal.postings;
-  Codec.write_varint w (Array.length repr.Inverted_index.Internal.tag_tokens);
+    lists;
+  let pairs = Inverted_index.Internal.tag_token_pairs index in
+  Codec.write_varint w (Array.length pairs);
   Array.iter
     (fun (a, b) ->
       Codec.write_varint w a;
       Codec.write_varint w b)
-    repr.Inverted_index.Internal.tag_tokens;
+    pairs;
   Codec.contents w
 
 let encode_index index =
@@ -234,21 +236,28 @@ let decode_index_payload ~doc ~arena_fingerprint payload =
             stored_fingerprint arena_fingerprint));
   let tokens = read_string_array r in
   let n_lists = Codec.read_varint r in
-  let postings =
-    Array.init n_lists (fun _ ->
+  if Array.length tokens <> n_lists then
+    raise (Codec.Corrupt "token/postings arity mismatch");
+  let packed =
+    Array.init n_lists (fun i ->
         let len = Codec.read_varint r in
         let out = Array.make len 0 in
         let prev = ref 0 in
-        for i = 0 to len - 1 do
+        for j = 0 to len - 1 do
           let v = Codec.read_varint r in
-          let node = if i = 0 then v else !prev + v in
-          out.(i) <- node;
+          let node = if j = 0 then v else !prev + v in
+          out.(j) <- node;
           prev := node
         done;
-        out)
+        (* a sealed file can still hold a list that is not strictly
+           ascending: packing refuses it, and so must the load *)
+        match Packed_postings.of_array out with
+        | list -> list
+        | exception Invalid_argument _ ->
+          raise
+            (Codec.Corrupt
+               (Printf.sprintf "postings of %S are not strictly ascending node ids" tokens.(i))))
   in
-  if Array.length tokens <> n_lists then
-    raise (Codec.Corrupt "token/postings arity mismatch");
   let n_pairs = Codec.read_varint r in
   let tag_tokens =
     Array.init n_pairs (fun _ ->
@@ -257,7 +266,7 @@ let decode_index_payload ~doc ~arena_fingerprint payload =
         a, b)
   in
   if not (Codec.at_end r) then raise (Codec.Corrupt "trailing bytes after index");
-  Inverted_index.Internal.of_repr ~doc { Inverted_index.Internal.tokens; postings; tag_tokens }
+  Inverted_index.Internal.of_packed ~doc ~tokens ~packed ~tag_tokens
 
 let decode_index ~doc data =
   decode_index_payload ~doc ~arena_fingerprint:(fingerprint doc)

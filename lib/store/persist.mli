@@ -60,15 +60,17 @@ val fingerprint : Document.t -> string
     {!fingerprint}: [load_index] recomputes the fingerprint of the
     document it is given and rejects a mismatched pair with
     {!Codec.Corrupt} (historically this yielded silent nonsense
-    postings). *)
+    postings). Decoding packs every list ({!Packed_postings}); a list
+    that is not strictly ascending is rejected the same way. *)
 
 val index_magic : string
 
 val encode_index : Inverted_index.t -> string
 
 val decode_index : doc:Document.t -> string -> Inverted_index.t
-(** @raise Codec.Corrupt on malformed input, checksum failure or an
-    arena/index fingerprint mismatch. *)
+(** @raise Codec.Corrupt on malformed input, checksum failure, an
+    arena/index fingerprint mismatch or a posting list that is not
+    strictly ascending. *)
 
 val save_index : string -> Inverted_index.t -> unit
 

@@ -33,13 +33,14 @@ val encode : Document.t -> Inverted_index.t -> string
 (** The complete snapshot image (header page + padded sections). *)
 
 val save : string -> Document.t -> Inverted_index.t -> unit
-(** Write atomically (temp file + rename). Packs the index when it is
-    still plain. @raise Sys_error on IO failure. *)
+(** Write atomically (temp file + rename). The index section stores the
+    index's packed lists as they are. @raise Sys_error on IO failure. *)
 
 val load : string -> Document.t * Inverted_index.t
 (** Map a snapshot. The document's columns are backed by the file
     (private, read-only mapping; the mapping outlives the fd). The index
-    is returned packed — {!Inverted_index.is_packed}.
+    is assembled from the decoded packed lists without unpacking them
+    ({!Inverted_index.Internal.of_packed}).
     @raise Codec.Corrupt on structural damage, foreign endianness or
     word size, or index/arena fingerprint mismatch.
     @raise Codec.Truncated on an empty or short file (path and expected

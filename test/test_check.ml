@@ -1,11 +1,14 @@
 (* Tests for the invariant verifier (lib/check): every bundled generator
    must come out clean under [Check.all], and seeded corruptions —
-   injected through the [Internal.of_repr] back doors — must be caught.
+   injected through the [Internal] back doors — must be caught.
    Posting-list edge cases (empty, single, duplicates, out-of-range) ride
    along, since [check_index] is their specification. *)
 
+module Codec = Extract_store.Codec
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
+module Packed_postings = Extract_store.Packed_postings
+module Persist = Extract_store.Persist
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
 module Pipeline = Extract_snippet.Pipeline
@@ -107,13 +110,58 @@ let test_corrupt_depth_detected () =
 
 let index_of_doc doc = Inverted_index.build doc
 
+(* LEB128 over the value's 63 bits, the way [Codec.read_varint] reads
+   it back. Unlike [Codec.write_varint] it takes a negative number,
+   which is how a gap that goes down looks on the wire. *)
+let rec add_varint buf v =
+  if v >= 0 && v < 0x80 then Buffer.add_char buf (Char.chr v)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
+    add_varint buf (v lsr 7)
+  end
+
+(* first id, then gaps: both persisted list layouts *)
+let add_gaps buf list =
+  Array.iteri (fun i v -> add_varint buf (if i = 0 then v else v - list.(i - 1))) list
+
+(* A one-block list, sorted or not, in {!Packed_postings}' wire form:
+   count, block count, skip table, offset table, data. A damaged
+   snapshot is the only way such a list reaches memory, so the seeded
+   corruptions below are decoded from these bytes. *)
+let packed_of_list list =
+  let n = Array.length list in
+  assert (n <= Codec.block_size);
+  let data = Buffer.create 16 in
+  add_gaps data list;
+  let buf = Buffer.create 32 in
+  add_varint buf n;
+  if n = 0 then begin
+    add_varint buf 0;
+    add_varint buf 0
+  end
+  else begin
+    add_varint buf 1;
+    add_varint buf list.(0);
+    add_varint buf 0;
+    add_varint buf (Buffer.length data)
+  end;
+  add_varint buf (Buffer.length data);
+  Buffer.add_buffer buf data;
+  Packed_postings.decode (Codec.reader (Buffer.contents buf))
+
+(* [f] edits the decoded lists of [doc]'s index in place; the edited
+   index is checked *)
 let with_postings doc f =
   let idx = index_of_doc doc in
-  let r = Inverted_index.Internal.to_repr idx in
-  let postings = Array.map Array.copy r.Inverted_index.Internal.postings in
-  let r' = { r with Inverted_index.Internal.postings } in
-  f r';
-  Check.check_index (Inverted_index.Internal.of_repr ~doc r')
+  let tokens = Inverted_index.Internal.token_names idx in
+  let postings =
+    Array.map Packed_postings.to_array (Inverted_index.Internal.packed_lists idx)
+  in
+  f tokens postings;
+  Check.check_index
+    (Inverted_index.Internal.of_packed ~doc ~tokens
+       ~packed:(Array.map packed_of_list postings)
+       ~tag_tokens:(Inverted_index.Internal.tag_token_pairs idx))
 
 let test_clean_index_passes () =
   check_clean "small index" (Check.check_index (index_of_doc (small_doc ())))
@@ -128,8 +176,7 @@ let test_lookup_empty_and_single () =
 let test_shuffled_postings_detected () =
   let doc = small_doc () in
   let issues =
-    with_postings doc (fun r ->
-        let postings = r.Inverted_index.Internal.postings in
+    with_postings doc (fun _ postings ->
         (* reverse the longest posting list ("book" has two) *)
         let longest = ref 0 in
         Array.iteri
@@ -149,8 +196,7 @@ let test_shuffled_postings_detected () =
 let test_duplicate_postings_detected () =
   let doc = small_doc () in
   let issues =
-    with_postings doc (fun r ->
-        let postings = r.Inverted_index.Internal.postings in
+    with_postings doc (fun _ postings ->
         let longest = ref 0 in
         Array.iteri
           (fun i l -> if Array.length l > Array.length postings.(!longest) then longest := i)
@@ -163,8 +209,7 @@ let test_duplicate_postings_detected () =
 let test_out_of_range_posting_detected () =
   let doc = small_doc () in
   let issues =
-    with_postings doc (fun r ->
-        let postings = r.Inverted_index.Internal.postings in
+    with_postings doc (fun _ postings ->
         let l = postings.(0) in
         l.(Array.length l - 1) <- Document.node_count doc + 5)
   in
@@ -174,26 +219,23 @@ let test_out_of_range_posting_detected () =
 let test_empty_posting_list_detected () =
   let doc = small_doc () in
   let issues =
-    with_postings doc (fun r -> r.Inverted_index.Internal.postings.(0) <- [||])
+    with_postings doc (fun _ postings -> postings.(0) <- [||])
   in
   check_flagged "empty posting list flagged" issues
 
 let test_phantom_posting_detected () =
   (* a structurally valid element that does not match the token *)
   let doc = small_doc () in
-  let idx = index_of_doc doc in
-  let r = Inverted_index.Internal.to_repr idx in
-  let postings = Array.map Array.copy r.Inverted_index.Internal.postings in
-  (* find the token "acme" (posting = the vendor element, node 1) and
-     point it at the root instead *)
-  let acme = ref (-1) in
-  Array.iteri (fun i t -> if t = "acme" then acme := i) r.Inverted_index.Internal.tokens;
-  check bool "acme is indexed" true (!acme >= 0);
-  postings.(!acme) <- [| 0 |];
-  let corrupted =
-    Inverted_index.Internal.of_repr ~doc { r with Inverted_index.Internal.postings }
+  let issues =
+    with_postings doc (fun tokens postings ->
+        (* find the token "acme" (posting = the vendor element, node 1)
+           and point it at the root instead *)
+        let acme = ref (-1) in
+        Array.iteri (fun i t -> if t = "acme" then acme := i) tokens;
+        check bool "acme is indexed" true (!acme >= 0);
+        postings.(!acme) <- [| 0 |])
   in
-  check_flagged "phantom posting flagged" (Check.check_index corrupted)
+  check_flagged "phantom posting flagged" issues
 
 (* ------------------------------------------------------------------ *)
 (* Snippet / selection corruptions *)
@@ -316,6 +358,34 @@ let test_check_pair_xml_arena () =
       let issues = Check.check_pair ~arena ~index in
       check_flagged "xml arena vs foreign index flagged" issues)
 
+(* A sealed index whose seal is intact but whose list goes down: the
+   load refuses it as corrupt, like any other damaged artifact, and
+   check --index reports it. *)
+let test_unsorted_index_is_corrupt () =
+  let doc = small_doc () in
+  let payload = Buffer.create 64 in
+  let add_string s =
+    add_varint payload (String.length s);
+    Buffer.add_string payload s
+  in
+  add_string (Persist.fingerprint doc);
+  add_varint payload 1;
+  add_string "book";
+  add_varint payload 1;
+  add_varint payload 2;
+  add_gaps payload [| 5; 2 |];
+  add_varint payload 0;
+  in_temp_pair (fun arena index ->
+      Persist.save arena doc;
+      write_file index
+        (Persist.Envelope.seal ~magic:Persist.index_magic (Buffer.contents payload));
+      check bool "load_index raises Corrupt" true
+        (match Persist.load_index index ~doc with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true);
+      check bool "check_pair reports it" true
+        (has_issue_about "not strictly ascending" (Check.check_pair ~arena ~index)))
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline observer (the EXTRACT_CHECK seam) *)
 
@@ -376,6 +446,7 @@ let suites =
         Alcotest.test_case "mismatched pair" `Quick test_check_pair_mismatched;
         Alcotest.test_case "corrupt index" `Quick test_check_pair_corrupt_index;
         Alcotest.test_case "xml arena" `Quick test_check_pair_xml_arena;
+        Alcotest.test_case "unsorted index" `Quick test_unsorted_index_is_corrupt;
       ] );
     ( "check.all",
       [

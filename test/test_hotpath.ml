@@ -30,15 +30,23 @@ let render (r : Pipeline.snippet_result) =
 (* ------------------------------------------------------------------ *)
 (* Evaluation context *)
 
-let test_ctx_shares_posting_arrays () =
+let test_ctx_resolves_each_keyword_once () =
   let db = Lazy.force retail_db in
   let idx = Pipeline.index db in
   let q = Query.of_string "apparel retailer" in
+  let resolved = Extract_obs.Registry.counter "extract_posting_lists_resolved_total" in
+  let before = Extract_obs.Registry.counter_value resolved in
   let ctx = Eval_ctx.make idx q in
-  (* resolve-once: the context hands back the index's own arrays *)
+  (* resolve-once: every later read of a keyword's list gets the array
+     the context decoded, not a fresh decode *)
   List.iter
-    (fun kw -> check bool ("shared " ^ kw) true (Eval_ctx.postings ctx kw == Inverted_index.lookup idx kw))
+    (fun kw ->
+      check bool ("same array " ^ kw) true (Eval_ctx.postings ctx kw == Eval_ctx.postings ctx kw);
+      check bool ("the index's list " ^ kw) true
+        (Eval_ctx.postings ctx kw = Inverted_index.lookup idx kw))
     (Query.keywords q);
+  check int "one resolution per keyword" (Query.size q)
+    (Extract_obs.Registry.counter_value resolved - before);
   check int "one list per keyword" (Query.size q) (List.length (Eval_ctx.lists ctx))
 
 let test_run_ctx_equals_run () =
@@ -183,7 +191,8 @@ let suites =
   [
     ( "hotpath.eval_ctx",
       [
-        Alcotest.test_case "posting arrays shared" `Quick test_ctx_shares_posting_arrays;
+        Alcotest.test_case "each keyword is resolved once per query" `Quick
+          test_ctx_resolves_each_keyword_once;
         Alcotest.test_case "run_ctx = run" `Quick test_run_ctx_equals_run;
       ] );
     ( "hotpath.limit",

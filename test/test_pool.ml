@@ -585,6 +585,36 @@ let test_reqid_slowlog_concurrent () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Domain budget: configuration values only, no pool near the cap *)
+
+let refused f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let test_domain_budget_boundary () =
+  let budget workers shards () = Demo_server.check_domain_budget ~workers ~shards in
+  check bool "2 + 63 x 2 = 128 passes" false (refused (budget 63 2));
+  check bool "2 + 126 x 1 = 128 passes" false (refused (budget 126 1));
+  check bool "2 + 8 x 16 = 130 is refused" true (refused (budget 8 16));
+  check bool "2 + 127 x 1 = 129 is refused" true (refused (budget 127 1))
+
+let test_start_pool_refuses_over_budget () =
+  let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
+  let sharded = Extract_snippet.Shard_set.split ~shards:2 doc in
+  check int "two shards" 2 (Extract_snippet.Shard_set.shard_count sharded);
+  let srv = Demo_server.create ~sharded Corpus.empty in
+  (* 64 workers over 2 shards need 130 domains; the check runs before the
+     socket or any domain is touched *)
+  let config = { quiet_config with Demo_server.workers = 64 } in
+  let listening = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close listening)
+    (fun () ->
+      check bool "start_pool refuses" true
+        (refused (fun () -> ignore (Demo_server.start_pool ~config srv listening))))
+
 let suites =
   [
     ( "pool.sharded_lru",
@@ -633,4 +663,10 @@ let suites =
       ] );
     ( "pool.obs_concurrency",
       [ Alcotest.test_case "reqid + slowlog, four domains" `Quick test_reqid_slowlog_concurrent ] );
+    ( "pool.domains",
+      [
+        Alcotest.test_case "budget boundary" `Quick test_domain_budget_boundary;
+        Alcotest.test_case "start_pool refuses over budget" `Quick
+          test_start_pool_refuses_over_budget;
+      ] );
   ]

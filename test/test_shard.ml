@@ -5,7 +5,6 @@
 
 module Codec = Extract_store.Codec
 module Document = Extract_store.Document
-module Inverted_index = Extract_store.Inverted_index
 module Engine = Extract_search.Engine
 module Result_tree = Extract_search.Result_tree
 module Faults = Extract_util.Faults
@@ -199,34 +198,29 @@ let test_failure_joins_every_shard () =
         check Alcotest.string "point" "pipeline.search" point;
         check int "every shard searched" 3 (Faults.hits "pipeline.search"))
 
+(* A failed spawn must not leave the shards already spawned running:
+   the second spawn fails, so the first spawned shard is joined (its
+   search has run) and the caller's own shard never starts. *)
+let test_failed_spawn_joins_spawned () =
+  let t = Lazy.force sharded in
+  check int "three shards" 3 (Shard_set.shard_count t);
+  (* pipeline.search is armed only to count passes; it never fires *)
+  (match Faults.configure "fanout.spawn:nth=2,pipeline.search:nth=1000" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Faults.clear (fun () ->
+      match Shard_set.run ~parallel:true t "retailer" with
+      | _ -> Alcotest.fail "the injected spawn fault did not surface"
+      | exception Faults.Injected (point, _) ->
+        check Alcotest.string "point" "fanout.spawn" point;
+        check int "only the spawned shard searched" 1 (Faults.hits "pipeline.search"))
+
 (* ------------------------------------------------------------------ *)
-(* Ranking equivalence: a ranker scores from the lists its query
-   resolved, and takes document frequency from the unmasked list length,
-   so neither the posting representation, nor where the shards were
-   loaded from, nor a mask over other members may move a score. *)
+(* Ranking under a mask: a ranker takes document frequency from the
+   unmasked list length, so a mask over other members may not move a
+   score. *)
 
 let exact = Alcotest.float 0.
-
-let test_packed_ranking_equals_plain () =
-  let plain = Lazy.force retail_db in
-  let packed =
-    Pipeline.of_parts (Pipeline.document plain) (Inverted_index.pack (Pipeline.index plain))
-  in
-  check bool "packed" true (Inverted_index.is_packed (Pipeline.index packed));
-  let root_scores semantics db q =
-    Pipeline.run_ranked ~semantics db q
-    |> List.map (fun (score, s) -> Result_tree.root s.Pipeline.result, score)
-  in
-  List.iter
-    (fun semantics ->
-      List.iter
-        (fun q ->
-          check
-            Alcotest.(list (pair int exact))
-            (Printf.sprintf "%s %S: packed = plain" (Engine.string_of_semantics semantics) q)
-            (root_scores semantics plain q) (root_scores semantics packed q))
-        queries)
-    [ Engine.Xseek; Engine.Slca; Engine.Elca ]
 
 let test_mask_keeps_other_scores () =
   let doc = Lazy.force retail_doc in
@@ -363,10 +357,10 @@ let suites =
         case "deadline degrades, never raises" test_run_deadline_degrades;
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
         case "a failing shard joins every domain" test_failure_joins_every_shard;
+        case "a failed spawn joins the spawned" test_failed_spawn_joins_spawned;
       ] );
     ( "shard.ranking",
       [
-        case "packed = plain, every semantics" test_packed_ranking_equals_plain;
         case "a mask leaves other scores alone" test_mask_keeps_other_scores;
       ] );
     ( "shard.mask",

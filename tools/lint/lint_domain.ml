@@ -9,8 +9,8 @@
    The pass works in three layers:
 
    1. Catalogue. Every scanned module is classified:
-      - a *domain root* spawns concurrency (contains Domain.spawn or
-        Thread.create);
+      - a *domain root* spawns concurrency (contains Domain.spawn,
+        Thread.create, or Fanout.run, which spawns its jobs' domains);
       - a *concurrency-bearing* module either uses a synchronization
         primitive (Mutex/Condition/Atomic/Domain.DLS) or is on the baked
         roster of types whose locking story lives at the use site (Lru,
@@ -95,7 +95,9 @@ let is_lower_ident text =
 let type_matches candidates tok =
   List.exists (fun c -> tok = c || Filename.check_suffix tok ("." ^ c)) candidates
 
-let spawn_tokens = [ "Domain.spawn"; "Thread.create" ]
+(* matched like a type name: exactly, or as the tail of a longer path
+   (Extract_util.Fanout.run) *)
+let spawn_tokens = [ "Domain.spawn"; "Thread.create"; "Fanout.run" ]
 
 let sync_prefixes = [ "Mutex."; "Condition."; "Atomic."; "Domain.DLS" ]
 
@@ -401,7 +403,7 @@ let analyze ctx =
   let first_spawn fu =
     Array.fold_left
       (fun acc (tok : S.token) ->
-        if acc < 0 && List.mem tok.S.text spawn_tokens then tok.S.line else acc)
+        if acc < 0 && type_matches spawn_tokens tok.S.text then tok.S.line else acc)
       (-1) fu.lexed.S.tokens
   in
   let roots =
@@ -414,7 +416,7 @@ let analyze ctx =
   let has_sync fu =
     Array.exists
       (fun (tok : S.token) ->
-        List.mem tok.S.text spawn_tokens
+        type_matches spawn_tokens tok.S.text
         || List.exists
              (fun p ->
                String.length tok.S.text >= String.length p
@@ -760,7 +762,7 @@ let concurrency_doc ctx =
      Rule semantics and the annotation grammar: DESIGN.md §13, `extract-lint\n\
      --explain-rule domain-safety`.\n\n";
   p "## Domain roots\n\n";
-  p "Modules that spawn concurrency (`Domain.spawn` / `Thread.create`):\n\n";
+  p "Modules that spawn concurrency (`Domain.spawn` / `Thread.create` / `Fanout.run`):\n\n";
   List.iter (fun (path, line) -> p "- `%s` (first spawn at line %d)\n" path line) a.a_roots;
   p "\n## Concurrency-bearing modules\n\n";
   p
