@@ -1674,11 +1674,9 @@ let index_measure () =
   let db = Pipeline.build doc in
   let idx = Pipeline.index db in
   (* every list is packed when the index is built; the baseline is what
-     int arrays would take (8 bytes per posting and a header word per
-     list), and pack_ns packs every list again from its decoded array *)
-  let plain_bytes =
-    8 * (Inverted_index.postings_size idx + Inverted_index.token_count idx)
-  in
+     int arrays would take, and pack_ns packs every list again from its
+     decoded array *)
+  let plain_bytes = Inverted_index.int_array_bytes idx in
   let packed_bytes = Inverted_index.postings_bytes idx in
   let arrays = List.map (Inverted_index.lookup idx) (Inverted_index.vocabulary idx) in
   let _, pack_ns =

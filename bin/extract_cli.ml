@@ -620,14 +620,12 @@ let pack_cmd =
     let index = Pipeline.index db in
     if shards = 1 then begin
       Pipeline.save_snapshot out db;
-      let tokens = Extract_store.Inverted_index.token_count index in
-      (* the plain size is what int arrays would take: 8 bytes per
-         posting and one header word per list *)
       Printf.printf "wrote %s (%d nodes, %d tokens, %d bytes, index %d -> %d posting bytes)\n"
         out
         (Extract_store.Document.node_count (Pipeline.document db))
-        tokens (file_size out)
-        (8 * (Extract_store.Inverted_index.postings_size index + tokens))
+        (Extract_store.Inverted_index.token_count index)
+        (file_size out)
+        (Extract_store.Inverted_index.int_array_bytes index)
         (Extract_store.Inverted_index.postings_bytes index)
     end
     else begin

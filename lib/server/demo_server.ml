@@ -1295,9 +1295,13 @@ let worker_loop ~config queue t w =
   in
   loop ()
 
-(* OCaml 5.1 runs at most 128 domains at once (Max_domains,
-   caml/domain.h); a spawn past that fails. *)
-let max_domains = 128
+(* The runtime's cap on live domains; a spawn past it fails. OCaml 5.1
+   fixes it when the compiler is built (Max_domains in caml/domain.h: 128
+   on 64-bit builds, 16 on 32-bit ones). Newer runtimes may let
+   OCAMLRUNPARAM change it, and 5.1's standard library has no call that
+   reads it, so this is the 5.1 value: under another cap the check can
+   refuse a pool the runtime would run, or pass one whose spawns fail. *)
+let max_domains = if Sys.word_size = 64 then 128 else 16
 
 let check_domain_budget ~workers ~shards =
   (* the main domain, the acceptor, and every worker with the shard

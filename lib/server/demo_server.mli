@@ -234,7 +234,8 @@ val check_domain_budget : workers:int -> shards:int -> unit
 (** Refuse a pool OCaml cannot run. [workers] workers over a [shards]-way
     shard set (1 without one) hold up to 2 + [workers] × [shards] live
     domains: the main domain, the acceptor, and each worker with the
-    domains it fans a request out to. OCaml 5.1 runs at most 128.
+    domains it fans a request out to. OCaml 5.1 runs at most 128 on
+    64-bit builds and 16 on 32-bit ones.
     @raise Invalid_argument naming the numbers when the pool needs
     more. *)
 

@@ -12,6 +12,18 @@ type t = {
          stale *)
 }
 
+(* [arr] sorted with its duplicates removed; [arr] itself is reordered. *)
+let sorted_unique arr =
+  Array.sort Int.compare arr;
+  let k = ref 0 in
+  for i = 0 to Array.length arr - 1 do
+    if !k = 0 || arr.(i) <> arr.(!k - 1) then begin
+      arr.(!k) <- arr.(i);
+      incr k
+    end
+  done;
+  Array.sub arr 0 !k
+
 let build doc =
   let tokens = Interner.create ~capacity:1024 () in
   let lists : Document.node Arraylist.t Arraylist.t = Arraylist.create () in
@@ -23,11 +35,25 @@ let build doc =
     done;
     id, Arraylist.get lists id
   in
-  (* Nodes are visited in pre-order, so posting lists stay sorted; only
-     consecutive duplicates (same node, same token twice) need removing. *)
-  let add tok node =
-    let _, list = posting_for tok in
-    if Arraylist.is_empty list || Arraylist.last list <> node then Arraylist.push list node
+  (* Nodes are visited in pre-order and an element posts its tag tokens
+     at its own visit, but a text node posts its parent. Attributes are
+     leaf child elements ahead of the element's own children, and text
+     may follow a child element, so the parent can come after one of its
+     descendants ([<item code="red">red</item>] posts the attribute, then
+     the item). Such a list is marked and sorted once it is complete;
+     consecutive duplicates (same node, same token twice) are dropped as
+     they come. *)
+  let unsorted = Hashtbl.create 16 in
+  let add id list node =
+    if Arraylist.is_empty list then Arraylist.push list node
+    else begin
+      let last = Arraylist.last list in
+      if node > last then Arraylist.push list node
+      else if node < last then begin
+        Hashtbl.replace unsorted id ();
+        Arraylist.push list node
+      end
+    end
   in
   for node = 0 to Document.node_count doc - 1 do
     if Document.is_element doc node then
@@ -35,18 +61,23 @@ let build doc =
         (fun tok ->
           let id, list = posting_for tok in
           Hashtbl.replace tag_tokens (id, Document.tag_id doc node) ();
-          if Arraylist.is_empty list || Arraylist.last list <> node then
-            Arraylist.push list node)
+          add id list node)
         (Tokenizer.tokens (Document.tag_name doc node))
     else begin
       match Document.parent doc node with
-      | Some p -> List.iter (fun tok -> add tok p) (Tokenizer.tokens (Document.text doc node))
+      | Some p ->
+        List.iter
+          (fun tok ->
+            let id, list = posting_for tok in
+            add id list p)
+          (Tokenizer.tokens (Document.text doc node))
       | None -> ()
     end
   done;
   let postings =
-    Array.init (Arraylist.length lists) (fun i ->
-        Packed_postings.of_array (Arraylist.to_array (Arraylist.get lists i)))
+    Array.init (Arraylist.length lists) (fun id ->
+        let arr = Arraylist.to_array (Arraylist.get lists id) in
+        Packed_postings.of_array (if Hashtbl.mem unsorted id then sorted_unique arr else arr))
   in
   { doc; tokens; postings; tag_tokens; sorted_tokens = None }
 
@@ -66,6 +97,8 @@ let postings_size t =
 
 let postings_bytes t =
   Array.fold_left (fun acc p -> acc + Packed_postings.byte_size p) 0 t.postings
+
+let int_array_bytes t = 8 * (postings_size t + token_count t)
 
 let lookup t keyword =
   match Interner.find t.tokens (Tokenizer.normalize keyword) with

@@ -22,10 +22,13 @@ val postings_size : t -> int
 
 val postings_bytes : t -> int
 (** Approximate resident bytes of the posting lists: their compressed
-    blocks plus skip and offset tables ({!Packed_postings.byte_size}).
-    The numerator of E22's compression ratio is the 8 bytes per posting
-    and per list an [int array] would take, [8 * (postings_size +
-    token_count)]. *)
+    blocks plus skip and offset tables ({!Packed_postings.byte_size}). *)
+
+val int_array_bytes : t -> int
+(** The bytes the posting lists would take as [int array]s: 8 per
+    posting and a header word per list, [8 * (postings_size +
+    token_count)]. The baseline that [extract pack] and E22 compare
+    {!postings_bytes} with. *)
 
 val lookup : t -> string -> Document.node array
 (** [lookup t keyword] is the posting list for the normalized keyword,

@@ -48,6 +48,8 @@ let of_array arr =
     for b = 0 to nb - 1 do
       let lo = b * block in
       let hi = min n (lo + block) in
+      if b > 0 && arr.(lo) <= arr.(lo - 1) then
+        invalid_arg "Packed_postings.of_array: not strictly ascending";
       skips.(b) <- arr.(lo);
       offsets.(b) <- Buffer.length buf;
       add_varint arr.(lo);

@@ -1,7 +1,7 @@
 (** Bounded LRU cache.
 
     The demo server answers repeated queries; caching (query, bound) →
-    rendered page keeps hot queries cheap. A plain association of hashable
+    rendered page keeps hot queries cheap. Plain association of hashable
     keys to values with least-recently-used eviction; O(1) amortized per
     operation (hash table + doubly linked list).
 

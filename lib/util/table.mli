@@ -1,4 +1,4 @@
-(** Text table rendering for the benchmark harness and the CLI.
+(** Plain-text table rendering for the benchmark harness and the CLI.
 
     Columns are sized to their widest cell; numeric-looking cells are
     right-aligned, everything else left-aligned. *)

@@ -363,28 +363,37 @@ let test_check_pair_xml_arena () =
    check --index reports it. *)
 let test_unsorted_index_is_corrupt () =
   let doc = small_doc () in
-  let payload = Buffer.create 64 in
-  let add_string s =
-    add_varint payload (String.length s);
-    Buffer.add_string payload s
+  let index_with list =
+    let payload = Buffer.create 64 in
+    let add_string s =
+      add_varint payload (String.length s);
+      Buffer.add_string payload s
+    in
+    add_string (Persist.fingerprint doc);
+    add_varint payload 1;
+    add_string "book";
+    add_varint payload 1;
+    add_varint payload (Array.length list);
+    add_gaps payload list;
+    add_varint payload 0;
+    Persist.Envelope.seal ~magic:Persist.index_magic (Buffer.contents payload)
   in
-  add_string (Persist.fingerprint doc);
-  add_varint payload 1;
-  add_string "book";
-  add_varint payload 1;
-  add_varint payload 2;
-  add_gaps payload [| 5; 2 |];
-  add_varint payload 0;
-  in_temp_pair (fun arena index ->
-      Persist.save arena doc;
-      write_file index
-        (Persist.Envelope.seal ~magic:Persist.index_magic (Buffer.contents payload));
-      check bool "load_index raises Corrupt" true
-        (match Persist.load_index index ~doc with
-        | _ -> false
-        | exception Codec.Corrupt _ -> true);
-      check bool "check_pair reports it" true
-        (has_issue_about "not strictly ascending" (Check.check_pair ~arena ~index)))
+  List.iter
+    (fun (label, list) ->
+      in_temp_pair (fun arena index ->
+          Persist.save arena doc;
+          write_file index (index_with list);
+          check bool (label ^ ": load_index raises Corrupt") true
+            (match Persist.load_index index ~doc with
+            | _ -> false
+            | exception Codec.Corrupt _ -> true);
+          check bool (label ^ ": check_pair reports it") true
+            (has_issue_about "not strictly ascending" (Check.check_pair ~arena ~index))))
+    [
+      "descending", [| 5; 2 |];
+      (* a zero gap as the first entry of the second block *)
+      "duplicate across blocks", Array.init (Codec.block_size + 1) (fun i -> min i (Codec.block_size - 1));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline observer (the EXTRACT_CHECK seam) *)

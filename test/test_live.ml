@@ -291,6 +291,30 @@ let test_live_add_and_query () =
        hits);
   Live_corpus.close lc
 
+(* The member's attribute value recurs in its own text, and text follows
+   its child element, so the builder posts [doc] after its descendants. *)
+let doc_tail = "<doc kind=\"storm\"><title>delta front</title>storm front</doc>"
+
+let test_live_member_posted_out_of_order () =
+  let dir = temp_dir () in
+  let expect label lc =
+    check string_list (label ^ ": storm") [ "a.xml"; "t.xml" ] (sources lc "storm");
+    check string_list (label ^ ": front") [ "t.xml" ] (sources lc "front")
+  in
+  let lc = Live_corpus.open_dir dir in
+  Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
+  Live_corpus.add lc ~name:"t.xml" ~xml:doc_tail;
+  expect "added" lc;
+  Live_corpus.close lc;
+  let lc = Live_corpus.open_dir dir in
+  expect "journal replayed" lc;
+  ignore (Live_corpus.compact lc);
+  expect "compacted" lc;
+  Live_corpus.close lc;
+  let lc = Live_corpus.open_dir dir in
+  expect "generation reloaded" lc;
+  Live_corpus.close lc
+
 let test_live_reopen_replays_journal () =
   let dir = temp_dir () in
   let lc = Live_corpus.open_dir dir in
@@ -680,6 +704,8 @@ let suites =
       [
         Alcotest.test_case "fresh store is empty" `Quick test_live_fresh_store_is_empty;
         Alcotest.test_case "add and query" `Quick test_live_add_and_query;
+        Alcotest.test_case "member posted out of order" `Quick
+          test_live_member_posted_out_of_order;
         Alcotest.test_case "reopen replays journal" `Quick test_live_reopen_replays_journal;
         Alcotest.test_case "replace shadows" `Quick test_live_replace_shadows;
         Alcotest.test_case "remove" `Quick test_live_remove;

@@ -1,9 +1,10 @@
 (* A cross-constructor oracle. An analyzed database can be built from its
    document, mapped from a v2 snapshot or decoded from a v1 bundle; all
    three must answer every query alike. One property draws a bundled
-   generator, a query from that corpus's seeded workload and an engine,
-   and compares the ranked top five (root, exact score, rendered
-   snippet) and the unranked search roots across the three builds. *)
+   generator (or a catalog with mixed content), a query from that
+   corpus's seeded workload and an engine, and compares the ranked top
+   five (root, exact score, rendered snippet) and the unranked search
+   roots across the three builds. *)
 
 module Document = Extract_store.Document
 module Engine = Extract_search.Engine
@@ -12,6 +13,7 @@ module Pipeline = Extract_snippet.Pipeline
 module Selector = Extract_snippet.Selector
 module Snippet_tree = Extract_snippet.Snippet_tree
 module Datagen = Extract_datagen
+module Types = Extract_xml.Types
 
 type corpus = {
   name : string;
@@ -27,8 +29,8 @@ let through_file suffix save load db =
       save path db;
       load path)
 
-let corpus name document =
-  let built = Pipeline.build (Document.of_document document) in
+let corpus name doc =
+  let built = Pipeline.build doc in
   let spec = { Datagen.Workload.default with seed = 17; queries = 12 } in
   {
     name;
@@ -41,18 +43,41 @@ let corpus name document =
     queries = Array.of_list (Datagen.Workload.generate spec (Pipeline.kinds built));
   }
 
-(* every generator in lib/datagen, at its default size *)
+(* A catalog whose element lists the builder must sort: each product
+   repeats its attribute values in its own text, and text follows its
+   child elements, so a product is posted after its descendants. *)
+let mixed_catalog () =
+  let colours = [| "red"; "blue"; "green" |] and brands = [| "acme"; "zenith" |] in
+  Types.element "catalog"
+    (List.init 24 (fun i ->
+         let colour = colours.(i mod 3) and brand = brands.(i mod 2) in
+         Types.element "product"
+           ~attrs:[ "colour", colour; "brand", brand ]
+           [
+             Types.text (colour ^ " shirt");
+             Types.element "name" [ Types.text (Printf.sprintf "%s %s tee" brand colour) ];
+             Types.text (Printf.sprintf "sold by %s in %s" brand colour);
+             Types.element "review"
+               [
+                 Types.text "great fit";
+                 Types.element "stars" [ Types.text (string_of_int (1 + (i mod 5))) ];
+                 Types.text (Printf.sprintf "great %s" colour);
+               ];
+           ]))
+
+(* every generator in lib/datagen at its default size, and the catalog *)
 let corpora =
   Array.map
     (fun (name, generate) -> lazy (corpus name (generate ())))
     [|
-      "paper", (fun () -> Datagen.Paper_example.document ());
-      "retail", (fun () -> Datagen.Retail.generate Datagen.Retail.default);
-      "movies", (fun () -> Datagen.Movies.generate Datagen.Movies.default);
-      "auction", (fun () -> Datagen.Auction.generate Datagen.Auction.default);
-      "bib", (fun () -> Datagen.Bib.generate Datagen.Bib.default);
-      "courses", (fun () -> Datagen.Courses.generate Datagen.Courses.default);
-      "nested", (fun () -> Datagen.Nested.generate Datagen.Nested.default);
+      "paper", (fun () -> Document.of_document (Datagen.Paper_example.document ()));
+      "retail", (fun () -> Document.of_document (Datagen.Retail.generate Datagen.Retail.default));
+      "movies", (fun () -> Document.of_document (Datagen.Movies.generate Datagen.Movies.default));
+      "auction", (fun () -> Document.of_document (Datagen.Auction.generate Datagen.Auction.default));
+      "bib", (fun () -> Document.of_document (Datagen.Bib.generate Datagen.Bib.default));
+      "courses", (fun () -> Document.of_document (Datagen.Courses.generate Datagen.Courses.default));
+      "nested", (fun () -> Document.of_document (Datagen.Nested.generate Datagen.Nested.default));
+      "mixed", (fun () -> Document.of_xml (mixed_catalog ()));
     |]
 
 let semantics = [| Engine.Xseek; Engine.Slca; Engine.Elca |]

@@ -9,6 +9,8 @@ module Inverted_index = Extract_store.Inverted_index
 module Packed_postings = Extract_store.Packed_postings
 module Persist = Extract_store.Persist
 module Snapshot = Extract_store.Snapshot
+module Tokenizer = Extract_store.Tokenizer
+module Types = Extract_xml.Types
 module Engine = Extract_search.Engine
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
@@ -100,7 +102,13 @@ let test_of_array_rejects_bad_input () =
         (match Packed_postings.of_array arr with
         | _ -> false
         | exception Invalid_argument _ -> true))
-    [ "descending", [| 5; 3 |]; "duplicate", [| 5; 5 |]; "negative", [| -1; 3 |] ]
+    [
+      "descending", [| 5; 3 |];
+      "duplicate", [| 5; 5 |];
+      "negative", [| -1; 3 |];
+      (* the second block starts below the end of the first *)
+      "descending across blocks", Array.init 129 (fun i -> if i = 128 then 0 else i + 1);
+    ]
 
 let test_decode_rejects_inconsistent_blocks () =
   let w = Codec.writer () in
@@ -152,6 +160,76 @@ let prop_packed_roundtrips_through_codec =
       Packed_postings.encode w (Packed_postings.of_array arr);
       Packed_postings.to_array (Packed_postings.decode (Codec.reader (Codec.contents w)))
       = arr)
+
+(* ------------------------------------------------------------------ *)
+(* Building lists whose element is posted after one of its descendants:
+   attributes are leaf child elements ahead of the element's children,
+   and text can follow a child element *)
+
+(* shop 0, item 1, code 2 (text 3), text 4, box 5, a 6 (text 7), text 8 *)
+let parent_after_child_xml = "<shop><item code=\"red\">red</item><box><a>x</a>x</box></shop>"
+
+let test_build_parent_after_child () =
+  let db = Pipeline.build (Document.load_string parent_after_child_xml) in
+  let idx = Pipeline.index db in
+  let ints = Alcotest.(list int) in
+  check ints "red: item's own text after its attribute" [ 1; 2 ]
+    (Array.to_list (Inverted_index.lookup idx "red"));
+  check ints "x: box's text after its child" [ 5; 6 ]
+    (Array.to_list (Inverted_index.lookup idx "x"));
+  let roots semantics q = List.map Result_tree.root (Pipeline.search ~semantics db q) in
+  check ints "elca red" [ 1; 2 ] (roots Engine.Elca "red");
+  check ints "slca red" [ 2 ] (roots Engine.Slca "red");
+  check ints "elca x" [ 5; 6 ] (roots Engine.Elca "x");
+  check ints "xseek red x" [ 0 ] (roots Engine.Xseek "red x");
+  let reloaded =
+    Persist.decode_index ~doc:(Pipeline.document db) (Persist.encode_index idx)
+  in
+  check ints "v1 index roundtrip" [ 1; 2 ] (Array.to_list (Inverted_index.lookup reloaded "red"))
+
+(* The reference lists: every element under the tokens of its tag and of
+   each of its text children, ascending and without duplicates. *)
+let reference_lookup doc tok =
+  List.init (Document.node_count doc) Fun.id
+  |> List.filter (fun n ->
+         Document.is_element doc n
+         && (List.mem tok (Tokenizer.tokens (Document.tag_name doc n))
+            || List.exists
+                 (fun c ->
+                   (not (Document.is_element doc c))
+                   && List.mem tok (Tokenizer.tokens (Document.text doc c)))
+                 (Document.children doc n)))
+
+(* Small trees over a few shared words, so that attribute values, tag
+   names and text before and after child elements post the same tokens. *)
+let gen_mixed_tree =
+  QCheck.Gen.(
+    let word = oneofl [ "red"; "item"; "box"; "code" ] in
+    let text = map (String.concat " ") (list_size (int_range 1 3) word) in
+    let attrs = list_size (int_bound 2) (pair (oneofl [ "code"; "red"; "kind" ]) text) in
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let child =
+             if depth = 0 then map Types.text text
+             else frequency [ 2, map Types.text text; 3, self (depth - 1) ]
+           in
+           map3
+             (fun tag attrs children ->
+               (* an attribute name may appear only once on an element *)
+               let attrs = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) attrs in
+               Types.element ~attrs tag children)
+             (oneofl [ "item"; "box"; "red" ]) attrs
+             (list_size (int_bound 4) child)))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"build = reference on attributes and tail text"
+    (QCheck.make ~print:(Format.asprintf "%a" Types.pp) gen_mixed_tree)
+    (fun tree ->
+      let doc = Document.of_xml tree in
+      let idx = Inverted_index.build doc in
+      List.for_all
+        (fun tok -> Array.to_list (Inverted_index.lookup idx tok) = reference_lookup doc tok)
+        (Inverted_index.vocabulary idx))
 
 (* ------------------------------------------------------------------ *)
 (* The hotpath corpus, for the snapshot tests *)
@@ -317,6 +395,11 @@ let suites =
           test_decode_rejects_inconsistent_blocks;
       ]
       @ properties );
+    ( "packed.build",
+      [
+        Alcotest.test_case "parent posted after a child" `Quick test_build_parent_after_child;
+        QCheck_alcotest.to_alcotest prop_build_matches_reference;
+      ] );
     ( "packed.snapshot",
       [
         Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;

@@ -593,6 +593,7 @@ let refused f =
   | () -> false
   | exception Invalid_argument _ -> true
 
+(* the cap of a 64-bit build, 128 domains *)
 let test_domain_budget_boundary () =
   let budget workers shards () = Demo_server.check_domain_budget ~workers ~shards in
   check bool "2 + 63 x 2 = 128 passes" false (refused (budget 63 2));
