@@ -1268,55 +1268,6 @@ let e18_kernel =
 
 
 (* ================================================================== *)
-(* E19 (Fig. M) — multicore scaling of per-result snippet generation    *)
-
-let e19 () =
-  (* many large results: every store in a big retail dataset *)
-  let cfg =
-    {
-      Datagen.Retail.default with
-      Datagen.Retail.retailers = 6;
-      stores_per_retailer = 8;
-      clothes_per_store = 60;
-    }
-  in
-  let db = Pipeline.build (Document.of_document (Datagen.Retail.generate cfg)) in
-  let query = "store apparel" in
-  let n_results = List.length (Pipeline.search db query) in
-  let repeat = if quick then 3 else 5 in
-  let base = time_median ~repeat (fun () -> Pipeline.run ~bound:10 db query) in
-  let t =
-    Table.create [ "domains"; "wall time"; "speedup"; "results" ]
-  in
-  Table.add_row t [ "sequential"; ns_to_string base; "1.00x"; string_of_int n_results ];
-  List.iter
-    (fun domains ->
-      let ns =
-        time_median ~repeat (fun () -> Pipeline.run_parallel ~bound:10 ~domains db query)
-      in
-      Table.add_row t
-        [
-          string_of_int domains;
-          ns_to_string ns;
-          Printf.sprintf "%.2fx" (base /. ns);
-          string_of_int n_results;
-        ])
-    (if quick then [ 2; 4 ] else [ 1; 2; 4; 8 ]);
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "E19 (Fig. M) — snippet generation across OCaml domains (host has %d core(s); \
-          speedup requires a multicore host — outputs are checked equal in the tests)"
-         (Domain.recommended_domain_count ()))
-    t
-
-let e19_kernel =
-  Test.make ~name:"e19_parallel_snippets"
-    (Staged.stage (fun () ->
-         let _, db = hd_exn (Lazy.force datasets) in
-         Pipeline.run_parallel ~bound:10 ~domains:2 ~limit:8 db "apparel retailer"))
-
-(* ================================================================== *)
 (* E20 (hotpath) — query hot-path: interval vs linear match restriction,
    limit pushdown, and the query-level snippet cache                    *)
 
@@ -1603,7 +1554,7 @@ let main () =
       [
         e1_kernel; e2_kernel; e3_kernel; e4_kernel; e5_greedy_kernel; e5_optimal_kernel;
         e6_kernel; e7_kernel; e8_kernel; e9_kernel; e10_kernel; e11_kernel; e12_kernel;
-        e13_kernel; e14_kernel; e15_kernel; e16_kernel; e17_kernel; e18_kernel; e19_kernel;
+        e13_kernel; e14_kernel; e15_kernel; e16_kernel; e17_kernel; e18_kernel;
       ]
   in
   let results =
@@ -1636,16 +1587,15 @@ let main () =
   e16 ();
   e17 ();
   e18 ();
-  e19 ();
   ignore (e20 ());
   print_endline "done."
 
 (* ================================================================== *)
 (* E22 — index scale-out (EXPERIMENTS.md): block-compressed postings
    vs what plain arrays would take, v1 bundle decode vs v2 snapshot
-   mapping, and per-shard fan-out scaling. [index] mode runs only this
-   experiment, writes BENCH_index.json and applies the two-ratio floor
-   gate CI pins via bench/index_floor.json. *)
+   mapping, and one sharded query's time per shard count. [index] mode
+   runs only this experiment, writes BENCH_index.json and applies the
+   two-ratio floor gate CI pins via bench/index_floor.json. *)
 
 let index_mode = Array.exists (fun a -> a = "index") Sys.argv
 
@@ -1664,7 +1614,7 @@ type index_metrics = {
   ix_v1_load_ns : float;
   ix_v2_map_ns : float;
   ix_speedup : float;
-  ix_shards : (int * float * float) list; (* shard count, sequential ns, parallel ns *)
+  ix_shards : (int * float) list; (* shard count, ns per sharded query *)
 }
 
 let index_measure () =
@@ -1704,17 +1654,11 @@ let index_measure () =
   in
   let v2_map_ns = time_median ~repeat:5 (fun () -> Extract_store.Snapshot.load v2) in
   let query = "store apparel" in
-  let shard_scaling =
+  let shard_runs =
     List.map
       (fun k ->
         let t = Shard_set.split ~shards:k doc in
-        let seq_ns =
-          time_median ~repeat:3 (fun () -> Shard_set.run ~parallel:false ~limit:10 t query)
-        in
-        let par_ns =
-          time_median ~repeat:3 (fun () -> Shard_set.run ~parallel:true ~limit:10 t query)
-        in
-        k, seq_ns, par_ns)
+        k, time_median ~repeat:3 (fun () -> Shard_set.run ~limit:10 t query))
       [ 1; 2; 4 ]
   in
   Sys.remove v1;
@@ -1732,7 +1676,7 @@ let index_measure () =
     ix_v1_load_ns = v1_load_ns;
     ix_v2_map_ns = v2_map_ns;
     ix_speedup = v1_load_ns /. Float.max 1.0 v2_map_ns;
-    ix_shards = shard_scaling;
+    ix_shards = shard_runs;
   }
 
 let index_json m =
@@ -1760,10 +1704,9 @@ let index_json m =
        m.ix_v1_load_ns m.ix_v2_map_ns m.ix_speedup);
   Buffer.add_string b "  \"shards\": [\n";
   List.iteri
-    (fun i (k, seq_ns, par_ns) ->
+    (fun i (k, run_ns) ->
       Buffer.add_string b
-        (Printf.sprintf "    { \"shards\": %d, \"seq_ns\": %.0f, \"par_ns\": %.0f }%s\n" k
-           seq_ns par_ns
+        (Printf.sprintf "    { \"shards\": %d, \"run_ns\": %.0f }%s\n" k run_ns
            (if i = List.length m.ix_shards - 1 then "" else ",")))
     m.ix_shards;
   Buffer.add_string b "  ]\n";

@@ -255,7 +255,7 @@ let search_cmd =
   in
   let run file query semantics limit ranked relax =
     if Shard_set.is_shard_dir file then begin
-      (* a shard directory: fan out, one domain per shard, k-way merge *)
+      (* a shard directory: every shard one segment of a ranked merge *)
       ignore ranked;
       if relax then prerr_endline "note: --relax is not supported for shard directories";
       let t = open_shards file in
@@ -359,9 +359,9 @@ let snippet_cmd =
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:
                "Record spans (implies tracing) and write them to $(docv) as Chrome \
-                trace-event JSON, loadable in Perfetto or chrome://tracing. Child-domain \
-                spans (per-shard runs, parallel-pipeline workers) appear with their own \
-                thread ids under the query span.")
+                trace-event JSON, loadable in Perfetto or chrome://tracing. On a shard \
+                directory every span carries the query's request id, with one shard.run \
+                span per shard under the query span.")
   in
   let differentiate_flag =
     Arg.(value & flag
@@ -410,9 +410,11 @@ let snippet_cmd =
     if Shard_set.is_shard_dir file then begin
       (* a shard directory: per-shard snippets, globally merged *)
       ignore (compare_baselines, differentiate, order, explain);
-      let t = open_shards file in
+      (* the shards load inside the query's request-id scope, so every
+         span of the exported trace carries the same rid *)
       let hits =
         Extract_obs.Reqid.ensure (fun _rid ->
+            let t = open_shards file in
             Trace.with_span "cli.run" (fun () ->
                 Shard_set.run ~semantics ~bound ?limit t query))
       in
@@ -602,8 +604,8 @@ let pack_cmd =
             "Split the corpus into $(docv) shards (contiguous groups of the root's \
              children, roughly equal node weight) and write OUT as a directory: one \
              snapshot per shard plus a sealed $(b,shards.manifest). Such a directory is \
-             accepted by $(b,search), $(b,snippet), $(b,check) and $(b,serve), which fan \
-             queries out one domain per shard.")
+             accepted by $(b,search), $(b,snippet), $(b,check) and $(b,serve), which \
+             rank every shard's results as one list.")
   in
   let file_size path =
     let ic = open_in_bin path in
@@ -1028,7 +1030,7 @@ let serve_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Split the first data set into $(docv) shards and enable the /shards and \
-             /shards/search routes (per-shard query fan-out, one domain per shard). A \
+             /shards/search routes (every shard one segment of a ranked merge). A \
              positional argument that is a shard directory written by $(b,extract pack \
              --shards) attaches the same routes without splitting at startup.")
   in

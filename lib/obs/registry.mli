@@ -15,11 +15,10 @@
     identity as a different kind raises [Invalid_argument].
 
     {b Locking.} Every registration, update and render takes one global
-    mutex, so {!Extract_snippet.Pipeline.run_parallel} domains and server
-    threads can record concurrently without torn reads; renders observe a
-    consistent snapshot. Updates are far off any per-node hot loop (they
-    fire per stage, per request or per cache probe), so the single lock
-    is not a scaling concern.
+    mutex, so the server's pool workers can record concurrently without
+    torn reads; renders observe a consistent snapshot. Updates are far
+    off any per-node hot loop (they fire per stage, per request or per
+    cache probe), so the single lock is not a scaling concern.
 
     The registry has no external dependencies and costs nothing until a
     metric is touched. *)

@@ -52,8 +52,10 @@ val merge_scored : ?limit:int -> (float * 'a) list array -> (float * (int * 'a))
 (** K-way merge of per-source scored lists (each sorted best-first) into
     one globally ranked list, tagging every item with its source index.
     Ties break toward the lower source index; order within a source is
-    preserved. [limit] keeps the best [limit] overall. The cross-shard
-    merge step of {!Extract_snippet.Shard_set}. *)
+    preserved. [limit] keeps the best [limit] overall. Nothing in the
+    library calls it: {!Extract_snippet.Shard_set.run} merges through
+    {!Extract_snippet.Pipeline.run_merged}, which orders hits the same
+    way; perfbench's traced sharded replay still uses it. *)
 
 val run_relaxed :
   ?semantics:semantics ->

@@ -102,7 +102,7 @@ let live_journal_lag =
 type t = {
   corpus : Corpus.t;
   live : Live_corpus.t option; (* crash-safe updatable corpus, when serving one *)
-  sharded : Shard_set.t option; (* split corpus with per-shard fan-out, when serving one *)
+  sharded : Shard_set.t option; (* split corpus, when serving one *)
   pages : (string, string) Sharded_lru.t; (* request target -> rendered body *)
   snippets : Snippet_cache.t; (* (db, query, bound, …) -> snippet results *)
   degraded_served : int Atomic.t; (* deadline-degraded snippets sent so far *)
@@ -220,54 +220,14 @@ let current_rid () = Option.value ~default:"-" (Reqid.current ())
 
 (* Slowlog capture around the query routes: one entry per pipeline run
    (slowest retention), plus unconditional retention of every degraded
-   or faulted query. An injected fault is recorded before it propagates
-   to the 503 path, so the slowlog still names the query that died. *)
-let slowlogged ~query f =
+   or faulted query. [entry] describes a finished run. An injected fault
+   is recorded before it propagates to the 503 path, so the slowlog
+   still names the query that died. *)
+let slowlogged ~query ~entry f =
   let t0 = Deadline.now () in
   match f () with
-  | results ->
-    let degraded =
-      List.fold_left
-        (fun n (r : Pipeline.snippet_result) -> if r.Pipeline.degraded then n + 1 else n)
-        0 results
-    in
-    Slowlog.record
-      {
-        Slowlog.rid = current_rid ();
-        query;
-        seconds = Deadline.now () -. t0;
-        degraded;
-        faulted = false;
-        digest = Explain.digest_of_results results;
-      };
-    results
-  | exception (Faults.Injected (point, _) as e) ->
-    Slowlog.record
-      {
-        Slowlog.rid = current_rid ();
-        query;
-        seconds = Deadline.now () -. t0;
-        degraded = 0;
-        faulted = true;
-        digest = Jsonv.Obj [ "fault", Jsonv.Str point ];
-      };
-    raise e
-
-(* same capture for the explain route, which already has a bundle with
-   the id, timing and digest in hand *)
-let slowlogged_bundle ~query f =
-  let t0 = Deadline.now () in
-  match f () with
-  | (_, bundle) as out ->
-    Slowlog.record
-      {
-        Slowlog.rid = bundle.Explain.request_id;
-        query;
-        seconds = bundle.Explain.seconds;
-        degraded = bundle.Explain.degraded;
-        faulted = false;
-        digest = Explain.digest bundle;
-      };
+  | out ->
+    Slowlog.record (entry out ~seconds:(Deadline.now () -. t0));
     out
   | exception (Faults.Injected (point, _) as e) ->
     Slowlog.record
@@ -295,45 +255,74 @@ let bound_param params =
   | Some b when b >= 0 -> b
   | Some _ | None -> Pipeline.default_bound
 
+(* The missing-q 400 and the budget-shed 503 every query route starts
+   with: when the budget is already gone, decline the work up front. *)
+let with_query ~deadline params f =
+  match List.assoc_opt "q" params with
+  | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
+  | Some q ->
+    if Deadline.expired deadline then begin
+      Registry.incr shed_total;
+      overloaded "per-request budget exhausted before search started"
+    end
+    else f q
+
+let count_degraded results =
+  List.fold_left
+    (fun n (r : Pipeline.snippet_result) -> if r.Pipeline.degraded then n + 1 else n)
+    0 results
+
+let limit_param params =
+  match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 25
+
+(* The body of every search route. [run q ~bound ~limit] answers the
+   query; [limit] fixes the result count, else [?limit=] does (default
+   25). [page_key] caches the rendered page under that key: a page with
+   degraded snippets is served but never cached, since the degradation
+   reflects this request's budget, not the query's answer. [title] is
+   read after the run, so a live page names the generation it answered
+   from. *)
+let search_route t ~deadline ?page_key ?limit params ~title run =
+  with_query ~deadline params @@ fun q ->
+  let bound = bound_param params in
+  let limit = match limit with Some n -> n | None -> limit_param params in
+  match Option.bind page_key (Sharded_lru.find t.pages) with
+  | Some body ->
+    Registry.incr page_hits_total;
+    ok body
+  | None ->
+    if Option.is_some page_key then Registry.incr page_misses_total;
+    let results =
+      slowlogged ~query:q
+        ~entry:(fun results ~seconds ->
+          {
+            Slowlog.rid = current_rid ();
+            query = q;
+            seconds;
+            degraded = count_degraded results;
+            faulted = false;
+            digest = Explain.digest_of_results results;
+          })
+        (fun () -> run q ~bound ~limit)
+    in
+    let degraded = count_degraded results in
+    ignore (Atomic.fetch_and_add t.degraded_served degraded);
+    let body = Html_view.result_page ~title:(title ()) ~query:q ~bound results in
+    (match page_key with
+    | Some key when degraded = 0 -> Sharded_lru.put t.pages key body
+    | Some _ | None -> ());
+    ok body
+
+(* Two cache levels: rendered pages by raw target, and search+snippet
+   results by normalized query — a page miss with a differently-encoded
+   target still skips the pipeline. *)
 let search_page t ~deadline target params =
   with_db t params (fun name db ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          (* two cache levels: rendered pages by raw target, and
-             search+snippet results by normalized query — a page miss with
-             a differently-encoded target still skips the pipeline. A page
-             with degraded snippets is served but cached at neither level:
-             the degradation reflects this request's budget, not the
-             query's answer. *)
-          match Sharded_lru.find t.pages target with
-          | Some body ->
-            Registry.incr page_hits_total;
-            ok body
-          | None ->
-            Registry.incr page_misses_total;
-            let results =
-              slowlogged ~query:q (fun () ->
-                  Snippet_cache.run ~bound ~limit:25 ~deadline t.snippets db q)
-            in
-            let degraded =
-              List.length (List.filter (fun r -> r.Pipeline.degraded) results)
-            in
-            ignore (Atomic.fetch_and_add t.degraded_served degraded);
-            let body =
-              Html_view.result_page
-                ~title:(Printf.sprintf "eXtract — %s" name)
-                ~query:q ~bound results
-            in
-            if degraded = 0 then Sharded_lru.put t.pages target body;
-            ok body
-        end)
+      search_route t ~deadline ~page_key:target ~limit:25 params
+        ~title:(fun () -> Printf.sprintf "eXtract — %s" name)
+        (fun q ~bound ~limit -> Snippet_cache.run ~bound ~limit ~deadline t.snippets db q))
 
 (* The explain endpoint runs the same cached pipeline as /search but
    assembles the bundle around it; explain pages are never page-cached —
@@ -341,27 +330,26 @@ let search_page t ~deadline target params =
    precisely what must stay live. *)
 let explain_page t ~deadline params =
   with_db t params (fun _name db ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          let _, bundle =
-            slowlogged_bundle ~query:q (fun () ->
-                Explain.run ~bound ~limit:25 ~deadline ~cache:t.snippets db q)
-          in
-          match List.assoc_opt "format" params with
-          | Some "text" -> text_ok (Explain.to_text bundle)
-          | Some "json" | None ->
-            ok ~content_type:"application/json; charset=utf-8"
-              (Explain.render_json bundle ^ "\n")
-          | Some other ->
-            error 400 "Bad Request" (Printf.sprintf "unknown format %S" other)
-        end)
+      with_query ~deadline params @@ fun q ->
+      let bound = bound_param params in
+      let _, bundle =
+        slowlogged ~query:q
+          ~entry:(fun (_, bundle) ~seconds:_ ->
+            {
+              Slowlog.rid = bundle.Explain.request_id;
+              query = q;
+              seconds = bundle.Explain.seconds;
+              degraded = bundle.Explain.degraded;
+              faulted = false;
+              digest = Explain.digest bundle;
+            })
+          (fun () -> Explain.run ~bound ~limit:25 ~deadline ~cache:t.snippets db q)
+      in
+      match List.assoc_opt "format" params with
+      | Some "text" -> text_ok (Explain.to_text bundle)
+      | Some "json" | None ->
+        ok ~content_type:"application/json; charset=utf-8" (Explain.render_json bundle ^ "\n")
+      | Some other -> error 400 "Bad Request" (Printf.sprintf "unknown format %S" other))
 
 let slowlog_page () =
   ok ~content_type:"application/json; charset=utf-8" (Slowlog.render_json () ^ "\n")
@@ -571,39 +559,18 @@ let live_status t =
 
 let live_search_page t ~deadline params =
   with_live t (fun live ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          let limit =
-            match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
-            | Some n when n > 0 -> n
-            | Some _ | None -> 25
-          in
-          let hits =
-            slowlogged ~query:q (fun () ->
-                List.map
-                  (fun (h : Live_corpus.hit) -> h.Live_corpus.snippet)
-                  (Live_corpus.run ~bound ~limit ~deadline live q))
-          in
-          let results =
-            Html_view.result_page
-              ~title:(Printf.sprintf "eXtract — live (generation %d)"
-                        (Live_corpus.generation live))
-              ~query:q ~bound hits
-          in
-          ok results
-        end)
+      search_route t ~deadline params
+        ~title:(fun () ->
+          Printf.sprintf "eXtract — live (generation %d)" (Live_corpus.generation live))
+        (fun q ~bound ~limit ->
+          List.map
+            (fun (h : Live_corpus.hit) -> h.Live_corpus.snippet)
+            (Live_corpus.run ~bound ~limit ~deadline live q)))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded serving: the /shards routes mirror /live, backed by a
-   Shard_set — one domain per shard under each request, answers k-way
-   merged. The shard set is read-only; no admin routes. *)
+   Shard_set — every shard one segment of a ranked merge. The shard set
+   is read-only; no admin routes. *)
 
 let with_sharded t f =
   match t.sharded with
@@ -626,34 +593,13 @@ let shards_status t =
 
 let shards_search_page t ~deadline params =
   with_sharded t (fun s ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          let limit =
-            match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
-            | Some n when n > 0 -> n
-            | Some _ | None -> 25
-          in
-          let hits =
-            slowlogged ~query:q (fun () ->
-                List.map
-                  (fun (h : Shard_set.hit) -> h.Shard_set.result)
-                  (Shard_set.run ~bound ~limit ~deadline s q))
-          in
-          let results =
-            Html_view.result_page
-              ~title:(Printf.sprintf "eXtract — sharded (%d shards)"
-                        (Shard_set.shard_count s))
-              ~query:q ~bound hits
-          in
-          ok results
-        end)
+      search_route t ~deadline params
+        ~title:(fun () ->
+          Printf.sprintf "eXtract — sharded (%d shards)" (Shard_set.shard_count s))
+        (fun q ~bound ~limit ->
+          List.map
+            (fun (h : Shard_set.hit) -> h.Shard_set.result)
+            (Shard_set.run ~bound ~limit ~deadline s q)))
 
 (* ------------------------------------------------------------------ *)
 (* Health surface: /healthz answers 200 whenever the process routes
@@ -1303,19 +1249,16 @@ let worker_loop ~config queue t w =
    refuse a pool the runtime would run, or pass one whose spawns fail. *)
 let max_domains = if Sys.word_size = 64 then 128 else 16
 
-let check_domain_budget ~workers ~shards =
-  (* the main domain, the acceptor, and every worker with the shard
-     domains it fans one request out to *)
-  if workers > (max_domains - 2) / max 1 shards then
+let check_domain_budget ~workers =
+  (* the main domain, the acceptor and the workers *)
+  if workers > max_domains - 2 then
     invalid_arg
-      (Printf.sprintf
-         "%d worker(s) over %d shard(s) need 2 + %d x %d domains; OCaml runs at most %d"
-         workers shards workers shards max_domains)
+      (Printf.sprintf "%d worker(s) need 2 + %d domains; OCaml runs at most %d" workers
+         workers max_domains)
 
 let start_pool ?(config = default_config) t listening =
   let workers = max 1 config.workers in
-  check_domain_budget ~workers
-    ~shards:(match t.sharded with Some s -> Shard_set.shard_count s | None -> 1);
+  check_domain_budget ~workers;
   ensure_sigpipe_ignored ();
   let queue = queue_create (max 1 config.queue_depth) in
   let stopping = Atomic.make false in

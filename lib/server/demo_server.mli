@@ -118,8 +118,8 @@ val create :
     collisions. [live] attaches a crash-safe updatable corpus and
     enables the [/admin] and [/live] routes. [sharded] attaches a
     read-only split corpus ({!Extract_snippet.Shard_set}) and enables
-    the [/shards] (status) and [/shards/search] (per-shard fan-out,
-    k-way merged) routes — the CLI's [serve --shards].
+    the [/shards] (status) and [/shards/search] (every shard one
+    segment of a ranked merge) routes — the CLI's [serve --shards].
 
     Creation also (re-)registers the server's runtime collectors
     ({!Extract_obs.Runtime.register_collector}): cache-occupancy gauges
@@ -180,8 +180,9 @@ val snippet_cache_stats : t -> int * int
     counters also appear on the [/stats] page. *)
 
 val degraded_served : t -> int
-(** Deadline-degraded snippets served since startup (also on [/stats]).
-    Pages containing any are cached at neither cache level. *)
+(** Deadline-degraded snippets served since startup on every search
+    route (also on [/stats]). Pages containing any are cached at neither
+    cache level. *)
 
 (** {1 Transport} *)
 
@@ -230,12 +231,11 @@ val serve_once : ?config:config -> t -> Unix.file_descr -> unit
 type pool
 (** A running acceptor + worker-domain pool (see {!start_pool}). *)
 
-val check_domain_budget : workers:int -> shards:int -> unit
-(** Refuse a pool OCaml cannot run. [workers] workers over a [shards]-way
-    shard set (1 without one) hold up to 2 + [workers] × [shards] live
-    domains: the main domain, the acceptor, and each worker with the
-    domains it fans a request out to. OCaml 5.1 runs at most 128 on
-    64-bit builds and 16 on 32-bit ones.
+val check_domain_budget : workers:int -> unit
+(** Refuse a pool OCaml cannot run. [workers] workers hold 2 +
+    [workers] live domains: the main domain, the acceptor and the
+    workers. OCaml 5.1 runs at most 128 on 64-bit builds and 16 on
+    32-bit ones.
     @raise Invalid_argument naming the numbers when the pool needs
     more. *)
 

@@ -1,6 +1,7 @@
 type t = { dbs : (string * Pipeline.t) list (* sorted by name *) }
 
 type hit = Pipeline.hit = {
+  segment : int;
   source : string;
   score : float;
   snippet : Pipeline.snippet_result;
@@ -73,6 +74,7 @@ let load_file ?(on_warning = fun _ -> ()) path =
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
   Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline
     (List.map
-       (fun (name, db) -> { Pipeline.db; mask = None; source_of = (fun _ -> Some name) })
+       (fun (name, db) ->
+         { Pipeline.db; mask = None; source_of = (fun _ -> Some name); span = None })
        t.dbs)
     query_string

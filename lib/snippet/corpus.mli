@@ -10,6 +10,7 @@
 type t
 
 type hit = Pipeline.hit = {
+  segment : int;  (** the database's position in name order *)
   source : string;  (** name of the database the hit comes from *)
   score : float;
   snippet : Pipeline.snippet_result;

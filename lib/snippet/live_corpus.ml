@@ -3,6 +3,7 @@ module Document = Extract_store.Document
 module Result_tree = Extract_search.Result_tree
 
 type hit = Pipeline.hit = {
+  segment : int;
   source : string;
   score : float;
   snippet : Pipeline.snippet_result;
@@ -138,12 +139,14 @@ let run ?semantics ?config ?bound ?limit ?deadline t query_string =
           Pipeline.db = q.base;
           mask = Some q.mask;
           source_of = (fun result -> Option.map fst (member_of q (Result_tree.root result)));
+          span = None;
         };
       ]
   in
   let deltas =
     List.map
-      (fun (name, db) -> { Pipeline.db; mask = None; source_of = (fun _ -> Some name) })
+      (fun (name, db) ->
+         { Pipeline.db; mask = None; source_of = (fun _ -> Some name); span = None })
       q.deltas
   in
   Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline (base @ deltas) query_string

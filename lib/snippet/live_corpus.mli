@@ -20,6 +20,7 @@
 type t
 
 type hit = Pipeline.hit = {
+  segment : int;  (** 0 for the base, then each delta in order *)
   source : string;  (** member-document name the hit comes from *)
   score : float;
   snippet : Pipeline.snippet_result;

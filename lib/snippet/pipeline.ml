@@ -296,22 +296,8 @@ let run_differentiated ?semantics ?config ?(bound = default_bound) ?limit
                { result; ilist; selection; degraded = false })
            analyses))
 
-let run_ranked ?semantics ?config ?(bound = default_bound) ?limit
-    ?(deadline = Deadline.never) ?mask t query_string =
-  query_scope "query.done" query_string
-    ~count:(fun scored -> count_snippets (List.map snd scored))
-  @@ fun () ->
-  let ctx, ranked = rank ?semantics ?mask t query_string in
-  let scored =
-    timed snippet_seconds "pipeline.snippet" (fun () ->
-        List.map
-          (fun (result, score) -> score, snippet_one ?config ~bound ~deadline ~ctx t result)
-          (take limit ranked))
-  in
-  ignore (notify_snippets t (List.map snd scored));
-  scored
-
 type hit = {
+  segment : int;
   source : string;
   score : float;
   snippet : snippet_result;
@@ -322,6 +308,7 @@ type segment = {
   (* read-only — the caller's interval set, never mutated *)
   mask : (int * int) array option;
   source_of : Result_tree.t -> string option;
+  span : (string * (string * string) list) option;
 }
 
 (* Several databases, one ranked answer: rank every segment, keep the
@@ -338,7 +325,12 @@ let run_merged ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = D
     List.mapi
       (fun i seg ->
         let t0 = Deadline.now () in
-        let ctx, scored = rank ?semantics ?mask:seg.mask seg.db query_string in
+        let rank () = rank ?semantics ?mask:seg.mask seg.db query_string in
+        let ctx, scored =
+          match seg.span with
+          | None -> rank ()
+          | Some (name, args) -> Trace.with_span ~args name rank
+        in
         let candidate (result, score) =
           Option.map
             (fun source -> (score, source), (i, seg.db, ctx, result))
@@ -354,19 +346,26 @@ let run_merged ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = D
   let hits =
     timed snippet_seconds "pipeline.snippet" (fun () ->
         List.map
-          (fun ((score, source), (i, db, ctx, result)) ->
+          (fun ((score, source), (segment, db, ctx, result)) ->
             let snippet = snippet_one ?config ~bound ~deadline ~ctx db result in
-            i, { source; score; snippet })
+            { segment; source; score; snippet })
           kept)
   in
   List.iteri
     (fun i (seg, (t0, _)) ->
       let snips =
-        List.filter_map (fun (j, h) -> if i = j then Some h.snippet else None) hits
+        List.filter_map (fun h -> if h.segment = i then Some h.snippet else None) hits
       in
       log_done "query.done" query_string ~t0 (count_snippets (notify_snippets seg.db snips)))
     (List.combine segments ranked);
-  List.map snd hits
+  hits
+
+(* One segment: the ranked answer of one database. *)
+let run_ranked ?semantics ?config ?bound ?limit ?deadline ?mask t query_string =
+  run_merged ?semantics ?config ?bound ?limit ?deadline
+    [ { db = t; mask; source_of = (fun _ -> Some ""); span = None } ]
+    query_string
+  |> List.map (fun h -> h.score, h.snippet)
 
 let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline.never)
     ?mask t query_string =
@@ -376,38 +375,3 @@ let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline
       results
       |> List.map (snippet_one ?config ~bound ~deadline ~ctx t)
       |> notify_snippets t)
-
-(* Per-result snippet generation is embarrassingly parallel: the arena,
-   index, classification and evaluation context are immutable after
-   construction, and each result's analysis/selection state is local.
-   Results are dealt round-robin across domains and reassembled in
-   order. *)
-let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 4)
-    ?(deadline = Deadline.never) ?mask t query_string =
-  query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, result_list = searched ?semantics ?limit ?mask t query_string in
-  let results = Array.of_list result_list in
-  let snippet = snippet_one ?config ~bound ~deadline ~ctx t in
-  let n = Array.length results in
-  let domains = max 1 (min domains n) in
-  timed snippet_seconds "pipeline.snippet" (fun () ->
-      if domains <= 1 || n <= 1 then
-        notify_snippets t (Array.to_list (Array.map snippet results))
-      else begin
-        let out = Array.make n None in
-        let worker d () =
-          Trace.with_span ~args:[ ("worker", string_of_int d) ] "pipeline.worker"
-            (fun () ->
-              let i = ref d in
-              while !i < n do
-                out.(!i) <- Some (snippet results.(!i));
-                i := !i + domains
-              done)
-        in
-        (* spawned workers adopt the caller's span/rid so their spans
-           stitch under this query instead of surfacing as orphan roots *)
-        let ctx = Trace.capture () in
-        Extract_util.Fanout.run (worker 0)
-          (List.init (domains - 1) (fun d () -> Trace.with_context ctx (worker (d + 1))));
-        notify_snippets t (Array.to_list out |> List.filter_map Fun.id)
-      end)

@@ -121,24 +121,6 @@ val run :
     {!Extract_search.Eval_ctx.make}; the live corpus passes the interval
     set that hides tombstoned members. *)
 
-val run_parallel :
-  ?semantics:Extract_search.Engine.semantics ->
-  ?config:Config.t ->
-  ?bound:int ->
-  ?limit:int ->
-  ?domains:int ->
-  ?deadline:Extract_util.Deadline.t ->
-  ?mask:(int * int) array ->
-  t ->
-  string ->
-  snippet_result list
-(** Like {!run}, with per-result snippet generation spread over [domains]
-    OCaml domains (default 4, clamped to the result count). The analyzed
-    database is immutable and shared; outputs are identical to {!run} and
-    in the same order. Worth it when many large results are snippeted at
-    once — see bench E19. When a worker raises, every worker domain is
-    joined before the first exception reaches the caller. *)
-
 val run_ranked :
   ?semantics:Extract_search.Engine.semantics ->
   ?config:Config.t ->
@@ -151,16 +133,12 @@ val run_ranked :
   (float * snippet_result) list
 (** Like {!run} but results come ranked by the XRank-style score (best
     first), and [limit] keeps the top-scored results rather than the first
-    in document order. Runs in two stages: {e rank} searches with no
-    limit and scores every result from the posting lists its
-    {!Extract_search.Eval_ctx} resolved ({!Extract_search.Ranker}), with
-    no snippet; {e snippet} then generates snippets for the first
-    [limit] ranked results only, checking the deadline before each in
-    rank order. *)
+    in document order: {!run_merged} over this one database. *)
 
 (** {1 Ranked runs over several databases} *)
 
 type hit = {
+  segment : int;  (** the index of the hit's segment in {!run_merged}'s list *)
   source : string;  (** which database or member the hit comes from *)
   score : float;
   snippet : snippet_result;
@@ -171,6 +149,8 @@ type segment = {
   mask : (int * int) array option;  (** see {!run} *)
   source_of : Extract_search.Result_tree.t -> string option;
       (** the hit's source, or [None] to drop the result *)
+  span : (string * (string * string) list) option;
+      (** a trace span ([name], [args]) around this segment's rank stage *)
 }
 
 val run_merged :
@@ -182,16 +162,19 @@ val run_merged :
   segment list ->
   string ->
   hit list
-(** One query over several databases, ranked as one list: the rank stage
-    of {!run_ranked} on every segment, then the results with a source
-    sorted by decreasing score (ties: source name, then segment and
-    document order). [limit] cuts the sorted list, and only then are
-    snippets generated, in rank order, each checked against the shared
-    [deadline] before its work starts. Each segment's search records its
-    own stage histogram and span, and its observer and [query.done] log
-    line see the hits it contributed; the snippet stage is timed once,
-    over all segments' hits. {!Corpus.run} and {!Live_corpus.run} are
-    built on it. *)
+(** One query over several databases, ranked as one list. Runs in two
+    stages: {e rank} searches every segment with no limit and scores
+    every result from the posting lists its {!Extract_search.Eval_ctx}
+    resolved ({!Extract_search.Ranker}), with no snippet; the results
+    with a source are sorted by decreasing score (ties: source name,
+    then segment and document order). [limit] cuts the sorted list, and
+    only then does {e snippet} generate snippets, in rank order, each
+    checked against the shared [deadline] before its work starts. Each
+    segment's search records its own stage histogram and span, and its
+    observer and [query.done] log line see the hits it contributed; the
+    snippet stage is timed once, over all segments' hits.
+    {!Corpus.run}, {!Live_corpus.run} and {!Shard_set.run} are built on
+    it. *)
 
 val run_differentiated :
   ?semantics:Extract_search.Engine.semantics ->

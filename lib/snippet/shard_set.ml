@@ -2,10 +2,8 @@ module Document = Extract_store.Document
 module Codec = Extract_store.Codec
 module Envelope = Extract_store.Persist.Envelope
 module Snapshot = Extract_store.Snapshot
-module Engine = Extract_search.Engine
 module Result_tree = Extract_search.Result_tree
 module Registry = Extract_obs.Registry
-module Trace = Extract_obs.Trace
 
 let queries_total =
   Registry.counter ~help:"Sharded queries executed" "extract_shard_queries_total"
@@ -145,7 +143,7 @@ let to_global t ~shard local =
   if local = 0 then 0 else local + (t.shards.(shard).global_first - 1)
 
 (* ------------------------------------------------------------------ *)
-(* Query fan-out *)
+(* Queries: every shard is one segment of a ranked merge *)
 
 type hit = {
   shard : int;
@@ -154,53 +152,30 @@ type hit = {
   result : Pipeline.snippet_result;
 }
 
-(* Run [f] once per shard, one domain per shard beyond the first (the
-   caller's domain takes shard 0) — the {!Pipeline.run_parallel}
-   pattern. Each [out] slot is written by exactly one domain and the
-   joins publish the writes; every domain is joined before a failure is
-   re-raised ({!Extract_util.Fanout.run}). Spawned shards run under
-   the caller's captured trace context, so their [shard.run] spans adopt
-   into the parent query span with the caller's rid. *)
-let map_shards ~parallel f t =
-  let k = Array.length t.shards in
-  let out = Array.make k [] in (* domain-local until joined: slot i owned by worker i *)
-  let traced i s =
-    Trace.with_span ~args:[ ("shard", string_of_int i) ] "shard.run" (fun () ->
-        f i s)
-  in
-  if (not parallel) || k <= 1 then
-    Array.iteri (fun i s -> out.(i) <- traced i s) t.shards
-  else begin
-    let ctx = Trace.capture () in
-    Extract_util.Fanout.run
-      (fun () -> out.(0) <- traced 0 t.shards.(0))
-      (List.init (k - 1) (fun d ->
-           let i = d + 1 in
-           fun () -> Trace.with_context ctx (fun () -> out.(i) <- traced i t.shards.(i))))
-  end;
-  out
-
-let run ?semantics ?config ?bound ?limit ?mask ?deadline ?(parallel = true) t query =
+let run ?semantics ?config ?bound ?limit ?mask ?deadline t query =
   Registry.incr queries_total;
-  let per_shard =
-    map_shards ~parallel
-      (fun i s ->
-        let mask = Option.map (fun m -> translate_mask t ~shard:i m) mask in
-        (* results rooted at the shard-local root are dropped: they have
-           no counterpart in the unsharded evaluation (documented in the
-           mli) *)
-        Pipeline.run_ranked ?semantics ?config ?bound ?limit ?mask ?deadline s.db
-          query
-        |> List.filter (fun (_, r) -> Result_tree.root r.Pipeline.result <> 0))
-      t
+  let segment i s =
+    {
+      Pipeline.db = s.db;
+      mask = Option.map (fun m -> translate_mask t ~shard:i m) mask;
+      (* results rooted at the shard-local root are dropped: they have
+         no counterpart in the unsharded evaluation (documented in the
+         mli). One source for every shard, so equal scores keep shard
+         order. *)
+      source_of = (fun r -> if Result_tree.root r = 0 then None else Some "");
+      span = Some ("shard.run", [ ("shard", string_of_int i) ]);
+    }
   in
-  Engine.merge_scored ?limit per_shard
-  |> List.map (fun (score, (i, r)) ->
+  Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline
+    (List.mapi segment (Array.to_list t.shards))
+    query
+  |> List.map (fun (h : Pipeline.hit) ->
+         let shard = h.Pipeline.segment and result = h.Pipeline.snippet in
          {
-           shard = i;
-           score;
-           global_root = to_global t ~shard:i (Result_tree.root r.Pipeline.result);
-           result = r;
+           shard;
+           score = h.Pipeline.score;
+           global_root = to_global t ~shard (Result_tree.root result.Pipeline.result);
+           result;
          })
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** Multi-document sharding: split one corpus into N independently
-    analyzed shards, fan a query out over them (one domain per shard) and
-    merge the ranked answers.
+    analyzed shards, query them as the segments of one ranked merge
+    ({!Pipeline.run_merged}).
 
     A shard is built from a contiguous group of the global root's child
     subtrees: shard-local node 0 is a copy of the global root, local ids
@@ -17,7 +17,7 @@
     whose only connection runs through the global root therefore return
     fewer results than {!Pipeline.run_ranked} on the whole corpus;
     everything rooted strictly below the top-level children is
-    identical (test suite [shard.equivalence]).
+    identical (test [shard.query] "slca equivalence").
 
     Persistence is a directory: one v2 {!Extract_store.Snapshot} per
     shard plus a sealed manifest ([shards.manifest], magic
@@ -66,23 +66,18 @@ val run :
   ?limit:int ->
   ?mask:(int * int) array ->
   ?deadline:Extract_util.Deadline.t ->
-  ?parallel:bool ->
   t ->
   string ->
   hit list
-(** Fan the query out — one {!Pipeline.run_ranked} per shard, each on
-    its own domain when [parallel] (default [true]; the caller's domain
-    takes shard 0) — and k-way merge the ranked lists
-    ({!Extract_search.Engine.merge_scored}): best first, ties toward
-    the lower shard index, identical output sequential or parallel.
-    [mask] is a global-id mask, translated per shard. [limit] bounds
-    both each shard's work and the merged answer. [deadline] is passed
-    to every shard's pipeline run, so a sharded query degrades on
-    budget exhaustion exactly like a flat one. When tracing, each shard
-    records a [shard.run{shard=i}] span adopted under the caller's open
-    span with the caller's request id ({!Extract_obs.Trace.capture}).
-    When a shard raises, every shard's domain is joined before the
-    first exception reaches the caller. *)
+(** One {!Pipeline.run_merged} pass with one segment per shard: every
+    shard is ranked, the results rooted below the shard roots are
+    sorted best first (ties toward the lower shard index), cut at
+    [limit], and only the kept hits are snippeted. [mask] is a
+    global-id mask, translated per shard. [deadline] is checked before
+    each kept hit's snippet, so a sharded query degrades on budget
+    exhaustion exactly like a flat one. When tracing, each shard's rank
+    stage records a [shard.run{shard=i}] span under the caller's open
+    span. *)
 
 (** {1 Persistence} *)
 

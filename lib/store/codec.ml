@@ -63,10 +63,21 @@ let read_int r =
 
 let read_string r =
   let n = read_varint r in
-  if r.pos + n > String.length r.data then raise (Truncated "string overruns input");
+  if n < 0 || n > String.length r.data - r.pos then raise (Truncated "string overruns input");
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+(* A count that sizes an allocation: every element it counts takes at
+   least one of the bytes left, so a larger count is damage, and is
+   refused before anything is allocated for it. *)
+let read_count r =
+  let n = read_varint r in
+  if n < 0 || n > String.length r.data - r.pos then
+    raise
+      (Corrupt
+         (Printf.sprintf "count %d exceeds the %d bytes left" n (String.length r.data - r.pos)));
+  n
 
 let read_bytes_raw r = Bytes.of_string (read_string r)
 
@@ -85,27 +96,4 @@ let seek r p =
 
 let at_end r = r.pos >= String.length r.data
 
-(* ------------------------------------------------------------------ *)
-(* Block-compressed sorted arrays: ascending ints stored gap-encoded in
-   fixed-size blocks. The per-block first values double as a skip table,
-   so consumers ({!Packed_postings}) can binary-search without decoding
-   more than one block. *)
-
 let block_size = 128
-
-let write_sorted_block w arr ~lo ~hi =
-  let prev = ref 0 in
-  for i = lo to hi - 1 do
-    if i = lo then write_varint w arr.(i) else write_varint w (arr.(i) - !prev);
-    prev := arr.(i)
-  done
-
-let read_sorted_block r out ~lo ~hi =
-  let prev = ref 0 in
-  for i = lo to hi - 1 do
-    let v = read_varint r in
-    let node = if i = lo then v else !prev + v in
-    if i > lo && v = 0 then raise (Corrupt "sorted block: zero delta (not strictly ascending)");
-    out.(i) <- node;
-    prev := node
-  done

@@ -38,6 +38,12 @@ val read_int : reader -> int
 
 val read_string : reader -> string
 
+val read_count : reader -> int
+(** A varint that counts the elements of an array or list about to be
+    allocated. Every element takes at least one byte, so the count must
+    fit in the bytes left.
+    @raise Corrupt when it is negative or does not fit. *)
+
 val read_bytes_raw : reader -> bytes
 
 val read_fixed64 : reader -> int64
@@ -51,21 +57,9 @@ val seek : reader -> int -> unit
 
 val at_end : reader -> bool
 
-(** {1 Block-compressed sorted arrays}
-
-    Shared delta+varint block primitives for strictly ascending int
-    arrays ({!Packed_postings} block payloads): each block opens with its
-    absolute first value, then gaps. *)
-
 val block_size : int
-(** Entries per compression block (the skip-table granularity). *)
-
-val write_sorted_block : writer -> int array -> lo:int -> hi:int -> unit
-(** Encode [arr.(lo) .. arr.(hi-1)] (strictly ascending) as one block. *)
-
-val read_sorted_block : reader -> int array -> lo:int -> hi:int -> unit
-(** Decode one block into [out.(lo) .. out.(hi-1)].
-    @raise Corrupt on a zero gap (the input was not strictly ascending). *)
+(** Entries per compression block of a {!Packed_postings} list (the
+    skip-table granularity). *)
 
 exception Corrupt of string
 (** Raised on malformed input: bad magic, checksum mismatch, overlong

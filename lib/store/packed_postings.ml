@@ -132,8 +132,8 @@ let encode w t =
   Codec.write_string w t.data
 
 let decode r =
-  let count = Codec.read_varint r in
-  let nb = Codec.read_varint r in
+  let count = Codec.read_count r in
+  let nb = Codec.read_count r in
   if nb <> (count + block - 1) / block then
     raise (Codec.Corrupt (Printf.sprintf "packed postings: %d blocks for %d entries" nb count));
   let prev = ref 0 in

@@ -63,7 +63,7 @@ let write_int_array w arr =
   Array.iter (Codec.write_int w) arr
 
 let read_int_array r =
-  let n = Codec.read_varint r in
+  let n = Codec.read_count r in
   Array.init n (fun _ -> Codec.read_int r)
 
 let write_string_array w arr =
@@ -71,7 +71,7 @@ let write_string_array w arr =
   Array.iter (Codec.write_string w) arr
 
 let read_string_array r =
-  let n = Codec.read_varint r in
+  let n = Codec.read_count r in
   Array.init n (fun _ -> Codec.read_string r)
 
 let doc_payload doc =
@@ -240,7 +240,7 @@ let decode_index_payload ~doc ~arena_fingerprint payload =
     raise (Codec.Corrupt "token/postings arity mismatch");
   let packed =
     Array.init n_lists (fun i ->
-        let len = Codec.read_varint r in
+        let len = Codec.read_count r in
         let out = Array.make len 0 in
         let prev = ref 0 in
         for j = 0 to len - 1 do
@@ -258,7 +258,7 @@ let decode_index_payload ~doc ~arena_fingerprint payload =
             (Codec.Corrupt
                (Printf.sprintf "postings of %S are not strictly ascending node ids" tokens.(i))))
   in
-  let n_pairs = Codec.read_varint r in
+  let n_pairs = Codec.read_count r in
   let tag_tokens =
     Array.init n_pairs (fun _ ->
         let a = Codec.read_varint r in

@@ -196,7 +196,7 @@ let parse_header ~path raw =
   let node_count = Codec.read_varint r in
   let element_count = Codec.read_varint r in
   let fingerprint = Codec.read_string r in
-  let n = Codec.read_varint r in
+  let n = Codec.read_count r in
   let sections =
     List.init n (fun _ ->
         let name = Codec.read_string r in
@@ -262,7 +262,7 @@ let decode_meta payload =
     | 1 -> Some (Codec.read_string r)
     | n -> raise (Codec.Corrupt (Printf.sprintf "snapshot meta: bad dtd flag %d" n))
   in
-  let ntags = Codec.read_varint r in
+  let ntags = Codec.read_count r in
   let tag_names = Array.init ntags (fun _ -> Codec.read_string r) in
   if not (Codec.at_end r) then raise (Codec.Corrupt "snapshot meta: trailing bytes");
   dtd_source, tag_names
@@ -275,11 +275,11 @@ let decode_index ~doc ~fingerprint payload =
       (Codec.Corrupt
          (Printf.sprintf "snapshot index/arena fingerprint mismatch (index %s, arena %s)"
             stored fingerprint));
-  let ntokens = Codec.read_varint r in
+  let ntokens = Codec.read_count r in
   let tokens = Array.init ntokens (fun _ -> Codec.read_string r) in
-  let nlists = Codec.read_varint r in
+  let nlists = Codec.read_count r in
   let packed = Array.init nlists (fun _ -> Packed_postings.decode r) in
-  let npairs = Codec.read_varint r in
+  let npairs = Codec.read_count r in
   let tag_tokens =
     Array.init npairs (fun _ ->
         let a = Codec.read_varint r in

@@ -186,41 +186,8 @@ let test_escaped_content_end_to_end () =
   let results = Pipeline.run ~semantics:Engine.Slca db "b" in
   check int "decoded text indexed" 1 (List.length results)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel snippet generation *)
-
-let test_parallel_equals_sequential () =
-  let db =
-    Pipeline.build
-      (Document.of_document (Extract_datagen.Retail.generate Extract_datagen.Retail.default))
-  in
-  let render (r : Pipeline.snippet_result) =
-    Snippet_tree.render r.Pipeline.selection.Selector.snippet
-  in
-  List.iter
-    (fun q ->
-      let seq = List.map render (Pipeline.run ~bound:8 db q) in
-      List.iter
-        (fun domains ->
-          let par = List.map render (Pipeline.run_parallel ~bound:8 ~domains db q) in
-          check bool
-            (Printf.sprintf "%s with %d domains" q domains)
-            true (par = seq))
-        [ 1; 2; 4; 7 ])
-    [ "apparel retailer"; "jeans store"; "nosuchthing" ]
-
-let test_parallel_more_domains_than_results () =
-  let db = Pipeline.of_xml_string "<r><e><v>only</v></e><e><v>other</v></e></r>" in
-  let out = Pipeline.run_parallel ~domains:16 db "only" in
-  check int "one result" 1 (List.length out)
-
 let suites =
   [
-    ( "edge.parallel",
-      [
-        Alcotest.test_case "equals sequential" `Quick test_parallel_equals_sequential;
-        Alcotest.test_case "domains > results" `Quick test_parallel_more_domains_than_results;
-      ] );
     ( "edge.documents",
       [
         Alcotest.test_case "single element" `Quick test_single_element_document;

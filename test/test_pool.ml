@@ -595,20 +595,16 @@ let refused f =
 
 (* the cap of a 64-bit build, 128 domains *)
 let test_domain_budget_boundary () =
-  let budget workers shards () = Demo_server.check_domain_budget ~workers ~shards in
-  check bool "2 + 63 x 2 = 128 passes" false (refused (budget 63 2));
-  check bool "2 + 126 x 1 = 128 passes" false (refused (budget 126 1));
-  check bool "2 + 8 x 16 = 130 is refused" true (refused (budget 8 16));
-  check bool "2 + 127 x 1 = 129 is refused" true (refused (budget 127 1))
+  let budget workers () = Demo_server.check_domain_budget ~workers in
+  check bool "2 + 126 = 128 passes" false (refused (budget 126));
+  check bool "2 + 127 = 129 is refused" true (refused (budget 127))
 
 let test_start_pool_refuses_over_budget () =
   let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
-  let sharded = Extract_snippet.Shard_set.split ~shards:2 doc in
-  check int "two shards" 2 (Extract_snippet.Shard_set.shard_count sharded);
-  let srv = Demo_server.create ~sharded Corpus.empty in
-  (* 64 workers over 2 shards need 130 domains; the check runs before the
-     socket or any domain is touched *)
-  let config = { quiet_config with Demo_server.workers = 64 } in
+  let srv = Demo_server.create (Corpus.of_list [ "paper", Pipeline.build doc ]) in
+  (* 127 workers need 129 domains; the check runs before the socket or
+     any domain is touched *)
+  let config = { quiet_config with Demo_server.workers = 127 } in
   let listening = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close listening)

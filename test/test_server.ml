@@ -702,8 +702,42 @@ let test_admin_without_live_store () =
   check int "live status 404" 404 (Demo_server.handle s "/live").Demo_server.status;
   check int "live search 404" 404 (Demo_server.handle s "/live/search?q=x").Demo_server.status
 
+(* Regression: degraded snippets served by /shards/search and
+   /live/search count toward degraded_served and its gauge, like
+   /search's. *)
+let test_degraded_counted_on_every_route () =
+  let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
+  let live = Extract_snippet.Live_corpus.open_dir (temp_live_dir ()) in
+  let s =
+    Demo_server.create ~live ~sharded:(Extract_snippet.Shard_set.split ~shards:2 doc)
+      Corpus.empty
+  in
+  ignore (post ~body:(store_xml "Austin" "Degraded Store") s "/admin/add?name=a.xml");
+  Fun.protect
+    ~finally:(fun () -> Extract_snippet.Live_corpus.close live)
+    (fun () ->
+      with_faults "pipeline.snippet:fail" (fun () ->
+          List.iter
+            (fun target ->
+              let before = Demo_server.degraded_served s in
+              let r = Demo_server.handle s target in
+              check int (target ^ " 200") 200 r.Demo_server.status;
+              check bool (target ^ " serves degraded snippets") true
+                (contains_substring r.Demo_server.body "class=\"degraded\"");
+              check bool (target ^ " counted") true (Demo_server.degraded_served s > before))
+            [ "/shards/search?q=store+texas"; "/live/search?q=degraded" ]);
+      let gauge =
+        String.split_on_char '\n' (Demo_server.handle s "/metrics").Demo_server.body
+        |> List.find_map (fun line ->
+               match String.split_on_char ' ' line with
+               | [ "extract_degraded_snippets_served"; v ] -> float_of_string_opt v
+               | _ -> None)
+      in
+      check bool "the gauge counts them" true
+        (gauge = Some (float_of_int (Demo_server.degraded_served s))))
+
 (* ------------------------------------------------------------------ *)
-(* Server: per-request observability on the fan-out routes *)
+(* Server: per-request observability on the live and sharded routes *)
 
 (* Regression: /shards/search and /live/search must flow through the
    same per-request observability as /search — every served request
@@ -795,6 +829,8 @@ let suites =
         Alcotest.test_case "request id propagation" `Quick test_request_id_propagation;
         Alcotest.test_case "fan-out routes access-logged" `Quick
           test_fanout_routes_access_logged;
+        Alcotest.test_case "degraded counted on every route" `Quick
+          test_degraded_counted_on_every_route;
       ] );
     ( "server.live",
       [

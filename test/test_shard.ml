@@ -1,7 +1,8 @@
-(* Sharded query fan-out: splitting preserves every subtree below the
-   root, provenance intervals tile the corpus, mask translation matches
-   the global tombstone semantics, parallel fan-out is deterministic,
-   and a shard directory roundtrips through save_dir/load_dir. *)
+(* Sharded queries: splitting preserves every subtree below the root,
+   provenance intervals tile the corpus, mask translation matches the
+   global tombstone semantics, a limited answer is the prefix of the
+   unlimited one, and a shard directory roundtrips through
+   save_dir/load_dir. *)
 
 module Codec = Extract_store.Codec
 module Document = Extract_store.Document
@@ -78,8 +79,8 @@ let global_roots_unsharded ?mask q =
   |> List.filter (fun r -> r <> 0)
   |> List.sort compare
 
-let global_roots_sharded ?mask ~parallel q =
-  Shard_set.run ~semantics:Engine.Slca ?mask ~parallel (Lazy.force sharded) q
+let global_roots_sharded ?mask q =
+  Shard_set.run ~semantics:Engine.Slca ?mask (Lazy.force sharded) q
   |> List.map (fun h -> h.Shard_set.global_root)
   |> List.sort compare
 
@@ -87,12 +88,12 @@ let test_slca_equivalence () =
   List.iter
     (fun q ->
       check bool (q ^ ": sharded = unsharded") true
-        (global_roots_sharded ~parallel:false q = global_roots_unsharded q))
+        (global_roots_sharded q = global_roots_unsharded q))
     queries
 
 let test_hits_translate_roots () =
   let t = Lazy.force sharded in
-  let hits = Shard_set.run ~parallel:false t "retailer" in
+  let hits = Shard_set.run t "retailer" in
   check bool "some hits" true (hits <> []);
   List.iter
     (fun h ->
@@ -131,27 +132,14 @@ let test_masked_equivalence () =
   List.iter
     (fun q ->
       check bool (q ^ ": masked sharded = masked unsharded") true
-        (global_roots_sharded ~mask ~parallel:false q = global_roots_unsharded ~mask q);
+        (global_roots_sharded ~mask q = global_roots_unsharded ~mask q);
       (* and nothing leaks from the hidden shard *)
       List.iter
         (fun h -> check bool "no hit from hidden shard" true (h.Shard_set.shard <> 0))
-        (Shard_set.run ~semantics:Engine.Slca ~mask ~parallel:false t q))
+        (Shard_set.run ~semantics:Engine.Slca ~mask t q))
     queries
-
-(* ------------------------------------------------------------------ *)
-(* Parallel fan-out determinism *)
 
 let hit_key h = Shard_set.(h.shard, h.score, h.global_root)
-
-let test_parallel_equals_sequential () =
-  let t = Lazy.force sharded in
-  List.iter
-    (fun q ->
-      let seq = Shard_set.run ~parallel:false t q in
-      let par = Shard_set.run ~parallel:true t q in
-      check bool (q ^ ": parallel = sequential") true
-        (List.map hit_key seq = List.map hit_key par))
-    queries
 
 (* Regression: Shard_set.run used to drop its caller's deadline on the
    floor, so /shards/search had no degradation path. An expired deadline
@@ -159,61 +147,69 @@ let test_parallel_equals_sequential () =
 let test_run_deadline_degrades () =
   let t = Lazy.force sharded in
   let roots hits = List.sort compare (List.map (fun h -> h.Shard_set.global_root) hits) in
-  let full = Shard_set.run ~parallel:false t "retailer" in
+  let full = Shard_set.run t "retailer" in
   let expired = Extract_util.Deadline.after 0. in
-  let hits = Shard_set.run ~parallel:false ~deadline:expired t "retailer" in
+  let hits = Shard_set.run ~deadline:expired t "retailer" in
   check bool "expired deadline still answers" true (hits <> []);
   check bool "hit roots unchanged under degradation" true (roots hits = roots full);
   check bool "snippets degraded rather than dropped" true
     (List.for_all (fun h -> h.Shard_set.result.Pipeline.degraded) hits);
   (* a generous deadline changes nothing *)
-  let easy = Shard_set.run ~parallel:false ~deadline:(Extract_util.Deadline.after 60.) t "retailer" in
+  let easy = Shard_set.run ~deadline:(Extract_util.Deadline.after 60.) t "retailer" in
   check bool "generous deadline = no deadline" true
     (List.map hit_key easy = List.map hit_key full)
 
 let test_limit_bounds_merged_answer () =
   let t = Lazy.force sharded in
-  let all = Shard_set.run ~parallel:false t "retailer" in
-  let top = Shard_set.run ~parallel:false ~limit:2 t "retailer" in
+  let all = Shard_set.run t "retailer" in
+  let top = Shard_set.run ~limit:2 t "retailer" in
   check bool "enough hits to truncate" true (List.length all > 2);
   check int "limit respected" 2 (List.length top);
   check bool "limit keeps the best" true
     (List.map hit_key top
     = List.map hit_key (List.filteri (fun i _ -> i < 2) all))
 
-(* A failing shard must not leave the other shards' domains running:
-   every domain is joined before the failure is re-raised, so by the
-   time the caller sees the exception every shard has passed the
-   armed search point. *)
-let test_failure_joins_every_shard () =
+(* An injected search fault reaches the caller of a sharded query; the
+   first shard's search is the one that fails. *)
+let test_search_fault_surfaces () =
   let t = Lazy.force sharded in
-  check int "three shards" 3 (Shard_set.shard_count t);
   (match Faults.configure "pipeline.search:fail" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Faults.clear (fun () ->
-      match Shard_set.run ~parallel:true t "retailer" with
+      match Shard_set.run t "retailer" with
       | _ -> Alcotest.fail "the injected search fault did not surface"
       | exception Faults.Injected (point, _) ->
         check Alcotest.string "point" "pipeline.search" point;
-        check int "every shard searched" 3 (Faults.hits "pipeline.search"))
+        check int "the first shard failed" 1 (Faults.hits "pipeline.search"))
 
-(* A failed spawn must not leave the shards already spawned running:
-   the second spawn fails, so the first spawned shard is joined (its
-   search has run) and the caller's own shard never starts. *)
-let test_failed_spawn_joins_spawned () =
-  let t = Lazy.force sharded in
-  check int "three shards" 3 (Shard_set.shard_count t);
-  (* pipeline.search is armed only to count passes; it never fires *)
-  (match Faults.configure "fanout.spawn:nth=2,pipeline.search:nth=1000" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Fun.protect ~finally:Faults.clear (fun () ->
-      match Shard_set.run ~parallel:true t "retailer" with
-      | _ -> Alcotest.fail "the injected spawn fault did not surface"
-      | exception Faults.Injected (point, _) ->
-        check Alcotest.string "point" "fanout.spawn" point;
-        check int "only the spawned shard searched" 1 (Faults.hits "pipeline.search"))
+(* A shard's top [limit] can hold the result rooted at its local root,
+   which the merge drops. Ranking every shard before the cut keeps the
+   limited answer full: the first [limit] hits of the unlimited one.
+   Under ELCA the first shard's root is a result (the third and fourth
+   shops hold one keyword each) and outranks the sprawling second shop;
+   the other shops match nothing. *)
+let local_root_doc =
+  let items = String.concat "" (List.init 24 (fun _ -> "<item/>")) in
+  Printf.sprintf
+    "<mall><shop><name>alpha beta</name></shop><shop><name>alpha beta%s</name></shop>\
+     <shop>alpha</shop><shop>beta</shop>%s</mall>"
+    items
+    (String.concat "" (List.init 8 (fun i -> Printf.sprintf "<shop><name>s%d</name>%s</shop>" i items)))
+
+let test_local_root_keeps_limit () =
+  let t = Shard_set.split ~shards:2 (Document.load_string local_root_doc) in
+  let q = "alpha beta" and limit = 2 in
+  let top =
+    Pipeline.run_ranked ~semantics:Engine.Elca ~limit (Shard_set.shard_db t 0) q
+    |> List.map (fun (_, r) -> Result_tree.root r.Pipeline.result)
+  in
+  check bool "the first shard's top holds its root" true (List.mem 0 top);
+  let all = Shard_set.run ~semantics:Engine.Elca t q in
+  let limited = Shard_set.run ~semantics:Engine.Elca ~limit t q in
+  check int "limit hits" limit (List.length limited);
+  check bool "the prefix of the unlimited answer" true
+    (List.map hit_key limited = List.map hit_key (List.filteri (fun i _ -> i < limit) all))
 
 (* ------------------------------------------------------------------ *)
 (* Ranking under a mask: a ranker takes document frequency from the
@@ -232,8 +228,8 @@ let test_mask_keeps_other_scores () =
   let mask = [| (0, g0 - 1); (last + 1, Document.node_count doc - 1) |] in
   List.iter
     (fun q ->
-      let unmasked = Shard_set.run ~parallel:false t q in
-      let masked = Shard_set.run ~mask ~parallel:false t q in
+      let unmasked = Shard_set.run t q in
+      let masked = Shard_set.run ~mask t q in
       check bool (q ^ ": the mask hides something") true
         (q = "nosuchword" || List.length masked < List.length unmasked);
       List.iter
@@ -292,7 +288,7 @@ let test_save_load_roundtrip () =
   List.iter
     (fun q ->
       let roots t =
-        Shard_set.run ~semantics:Engine.Slca ~parallel:false t q
+        Shard_set.run ~semantics:Engine.Slca t q
         |> List.map (fun h -> h.Shard_set.shard, h.Shard_set.global_root)
       in
       check bool (q ^ ": loaded answers match") true (roots t = roots t2);
@@ -300,7 +296,7 @@ let test_save_load_roundtrip () =
          included, must still equal the in-memory split's *)
       List.iter
         (fun limit ->
-          let keys t = List.map hit_key (Shard_set.run ?limit ~parallel:false t q) in
+          let keys t = List.map hit_key (Shard_set.run ?limit t q) in
           check
             Alcotest.(list (triple int exact int))
             (q ^ ": loaded ranked hits match") (keys t) (keys t2))
@@ -353,11 +349,10 @@ let suites =
       [
         case "slca equivalence" test_slca_equivalence;
         case "hits translate into shard blocks" test_hits_translate_roots;
-        case "parallel = sequential" test_parallel_equals_sequential;
         case "deadline degrades, never raises" test_run_deadline_degrades;
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
-        case "a failing shard joins every domain" test_failure_joins_every_shard;
-        case "a failed spawn joins the spawned" test_failed_spawn_joins_spawned;
+        case "a search fault surfaces" test_search_fault_surfaces;
+        case "a local root keeps the limit" test_local_root_keeps_limit;
       ] );
     ( "shard.ranking",
       [

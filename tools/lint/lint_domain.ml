@@ -1,16 +1,16 @@
 (* Domain-safety analyzer: the headline pass of extract-lint.
 
-   The server runs a pool of OCaml 5 domains (Demo_server), the pipeline
-   fans snippets out with Domain.spawn, and the load harness drives real
-   sockets from threads. Any top-level mutable state reachable from that
+   The server runs a pool of OCaml 5 domains (Demo_server), the runtime
+   collector samples from a thread of its own, and the load harness
+   drives real sockets from threads. Any top-level mutable state reachable from that
    code is shared across domains, and the OCaml memory model makes
    unguarded access a data race, not just a stale read.
 
    The pass works in three layers:
 
    1. Catalogue. Every scanned module is classified:
-      - a *domain root* spawns concurrency (contains Domain.spawn,
-        Thread.create, or Fanout.run, which spawns its jobs' domains);
+      - a *domain root* spawns concurrency (contains Domain.spawn or
+        Thread.create);
       - a *concurrency-bearing* module either uses a synchronization
         primitive (Mutex/Condition/Atomic/Domain.DLS) or is on the baked
         roster of types whose locking story lives at the use site (Lru,
@@ -96,8 +96,8 @@ let type_matches candidates tok =
   List.exists (fun c -> tok = c || Filename.check_suffix tok ("." ^ c)) candidates
 
 (* matched like a type name: exactly, or as the tail of a longer path
-   (Extract_util.Fanout.run) *)
-let spawn_tokens = [ "Domain.spawn"; "Thread.create"; "Fanout.run" ]
+   (Stdlib.Domain.spawn) *)
+let spawn_tokens = [ "Domain.spawn"; "Thread.create" ]
 
 let sync_prefixes = [ "Mutex."; "Condition."; "Atomic."; "Domain.DLS" ]
 
@@ -107,10 +107,8 @@ let bearing_roster = [ "Lru"; "Snippet_cache" ]
 
 let safe_field_types = [ "Atomic.t"; "Domain.DLS.key" ]
 
-(* Shard_set.t is on the roster because its synchronization story is
-   internal to the module: the shard array is built once and never
-   mutated, and the query fan-out spawns/joins its domains inside
-   [Shard_set.run] — holders of a shard set need no locking of their
+(* Shard_set.t is on the roster because the shard array is built once
+   and never mutated: holders of a shard set need no locking of their
    own. *)
 let internal_sync_types = [ "Sharded_lru.t"; "Snippet_cache.t"; "Shard_set.t" ]
 
@@ -762,7 +760,7 @@ let concurrency_doc ctx =
      Rule semantics and the annotation grammar: DESIGN.md §13, `extract-lint\n\
      --explain-rule domain-safety`.\n\n";
   p "## Domain roots\n\n";
-  p "Modules that spawn concurrency (`Domain.spawn` / `Thread.create` / `Fanout.run`):\n\n";
+  p "Modules that spawn concurrency (`Domain.spawn` / `Thread.create`):\n\n";
   List.iter (fun (path, line) -> p "- `%s` (first spawn at line %d)\n" path line) a.a_roots;
   p "\n## Concurrency-bearing modules\n\n";
   p
