@@ -645,10 +645,11 @@ let pack_cmd =
   Cmd.v
     (Cmd.info "pack"
        ~doc:
-         "Persist a database as a v2 mmap snapshot: block-compressed postings and a flat \
-          arena the next load maps in O(1) instead of decoding. Validate with $(b,extract \
-          check); deep verification spends the per-section checksums the fast load path \
-          skips.")
+         "Persist a database as a v2 mmap snapshot: block-compressed postings, a flat \
+          arena the next load maps in O(1) instead of decoding, and the analysis \
+          (dataguide, node kinds, keys) it adopts instead of deriving. Validate with \
+          $(b,extract check); deep verification spends the per-section checksums the fast \
+          load path skips and re-derives the analysis.")
     Term.(const run $ file_arg $ out $ shards_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -869,7 +870,8 @@ let check_cmd =
       | [] -> Printf.printf "ok: %s and %s are a sealed, matching pair\n" file index
       | issues -> fail issues));
     (* a v2 snapshot gets the deep pass load skips: every recorded
-       section digest is spent and the fingerprint re-derived *)
+       section digest is spent, the fingerprint re-derived, and the
+       stored analysis compared with a fresh derivation *)
     (match sniff_head file with
     | Some m when m = Extract_store.Snapshot.magic -> (
       match Check.check_snapshot file with

@@ -385,16 +385,78 @@ let check_pair ~arena ~index =
 (* v2 mmap snapshots                                                   *)
 
 module Snapshot = Extract_store.Snapshot
+module Node_kind = Extract_store.Node_kind
+module Schema_infer = Extract_store.Schema_infer
+module Key_miner = Extract_store.Key_miner
 
-(* The deep pass {!Snapshot.load} deliberately skips: spend every
-   recorded section digest, re-derive the arena fingerprint, then run
-   the structural document/index checks over the mapped database. *)
+let check_analysis ~derived stored =
+  let c = collector "analysis" in
+  let dkinds = Key_miner.kinds derived and skinds = Key_miner.kinds stored in
+  let dguide = Node_kind.dataguide dkinds and sguide = Node_kind.dataguide skinds in
+  let dschema = Node_kind.schema dkinds and sschema = Node_kind.schema skinds in
+  let dcol = Dataguide.path_column dguide and scol = Dataguide.path_column sguide in
+  let nodes = Bigarray.Array1.dim dcol in
+  if Bigarray.Array1.dim scol <> nodes then
+    report c "path column has %d entries stored, %d derived" (Bigarray.Array1.dim scol) nodes
+  else
+    for node = 0 to nodes - 1 do
+      if scol.{node} <> dcol.{node} then
+        report c "node %d: path %d stored, %d derived" node scol.{node} dcol.{node}
+    done;
+  let n = Dataguide.path_count dguide in
+  if Dataguide.path_count sguide <> n then
+    report c "%d paths stored, %d derived" (Dataguide.path_count sguide) n
+  else begin
+    let opt = function None -> "none" | Some p -> string_of_int p in
+    let source s p = match Schema_infer.source s p with `Dtd -> "dtd" | `Data -> "data" in
+    (* %h: equal strings mean bit-equal statistics *)
+    let candidates keys p =
+      String.concat ", "
+        (List.map
+           (fun (k : Key_miner.candidate) ->
+             Printf.sprintf "%d %h %h %b" k.Key_miner.attribute k.Key_miner.coverage
+               k.Key_miner.uniqueness k.Key_miner.strict)
+           (Key_miner.candidates keys p))
+    in
+    for p = 0 to n - 1 do
+      let field what stored derived =
+        if stored <> derived then
+          report c "path %d (%s): %s %s stored, %s derived" p (Dataguide.path_string dguide p)
+            what stored derived
+      in
+      field "parent" (opt (Dataguide.parent_path sguide p)) (opt (Dataguide.parent_path dguide p));
+      field "tag" (string_of_int (Dataguide.path_tag sguide p))
+        (string_of_int (Dataguide.path_tag dguide p));
+      field "depth" (string_of_int (Dataguide.path_depth sguide p))
+        (string_of_int (Dataguide.path_depth dguide p));
+      field "instance count" (string_of_int (Dataguide.instance_count sguide p))
+        (string_of_int (Dataguide.instance_count dguide p));
+      field "kind" (Node_kind.string_of_kind (Node_kind.kind_of_path skinds p))
+        (Node_kind.string_of_kind (Node_kind.kind_of_path dkinds p));
+      field "starred" (string_of_bool (Schema_infer.is_starred sschema p))
+        (string_of_bool (Schema_infer.is_starred dschema p));
+      field "star source" (source sschema p) (source dschema p);
+      field "key candidates" ("[" ^ candidates stored p ^ "]") ("[" ^ candidates derived p ^ "]");
+      field "key" (opt (Key_miner.key_path stored p)) (opt (Key_miner.key_path derived p));
+      field "strict key" (opt (Key_miner.strict_key_path stored p))
+        (opt (Key_miner.strict_key_path derived p))
+    done
+  end;
+  close c
+
+(* The deep pass {!Snapshot.load_analyzed} deliberately skips: spend
+   every recorded section digest, re-derive the arena fingerprint, run
+   the structural document/index checks over the mapped database, then
+   derive the analysis from the mapped arena and compare it with the
+   stored one. *)
 let check_snapshot path =
   let c = collector "snapshot" in
   match Snapshot.verify path with
   | _stats ->
-    let doc, index = Snapshot.load path in
-    close c @ check_document doc @ check_index index
+    let stored, index = Snapshot.load_analyzed path in
+    let doc = Node_kind.document (Key_miner.kinds stored) in
+    let derived = Key_miner.mine (Node_kind.classify (Dataguide.build doc)) in
+    close c @ check_document doc @ check_index index @ check_analysis ~derived stored
   | exception Codec.Corrupt msg ->
     report c "snapshot %s: %s" path msg;
     close c

@@ -82,13 +82,24 @@ val check_pair : arena:string -> index:string -> issue list
     {!Extract_snippet.Corpus.load_file} this reports corruption instead
     of rebuilding around it — fsck's job is to say the artifact is bad. *)
 
+val check_analysis :
+  derived:Extract_store.Key_miner.t -> Extract_store.Key_miner.t -> issue list
+(** [check_analysis ~derived stored] (area ["analysis"]) reports every
+    difference between two analyses of one document, typically a
+    snapshot's stored analysis and its re-derivation: every node's path;
+    every path's parent, tag, depth, instance count, kind, starred flag
+    and star source; and every entity path's key candidates (statistics
+    compared bit for bit), key and strict key. *)
+
 val check_snapshot : string -> issue list
 (** fsck for a v2 mmap snapshot (area ["snapshot"]): the deep pass
-    {!Extract_store.Snapshot.load} deliberately skips — every recorded
-    section digest is spent and the arena fingerprint re-derived
-    ({!Extract_store.Snapshot.verify}) — followed by
-    {!check_document}/{!check_index} over the mapped database. An empty
-    or truncated file is one issue naming the path and expected magic. *)
+    {!Extract_store.Snapshot.load_analyzed} deliberately skips — every
+    recorded section digest is spent and the arena fingerprint
+    re-derived ({!Extract_store.Snapshot.verify}) — followed by
+    {!check_document}/{!check_index} over the mapped database and
+    {!check_analysis} of the stored analysis against one derived from
+    the mapped arena. An empty or truncated file is one issue naming the
+    path and expected magic. *)
 
 val check_live : string -> issue list * string list
 (** fsck for a live-store directory (area ["live"]): journal readability

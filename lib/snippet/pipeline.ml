@@ -134,14 +134,21 @@ let notify_snippets t snips =
   (match !observer with Some o -> o.on_snippets t snips | None -> ());
   snips
 
-let build doc =
+(* Every constructor builds under the same span, histogram, fresh id
+   and observer, whether it derives the analysis or adopts a stored one. *)
+let constructed analysis index =
   timed build_seconds "pipeline.build" (fun () ->
       Faults.hit "pipeline.build";
-      let guide = Dataguide.build doc in
-      let kinds = Node_kind.classify guide in
-      let keys = Key_miner.mine kinds in
-      let index = Inverted_index.build doc in
+      let keys = analysis () in
+      let index = index () in
+      let kinds = Key_miner.kinds keys in
+      let guide = Node_kind.dataguide kinds in
+      let doc = Dataguide.document guide in
       notify_built { id = Atomic.fetch_and_add next_id 1; doc; guide; kinds; keys; index })
+
+let derive doc () = Key_miner.mine (Node_kind.classify (Dataguide.build doc))
+
+let build doc = constructed (derive doc) (fun () -> Inverted_index.build doc)
 
 let of_xml_string s = build (Document.load_string s)
 
@@ -149,13 +156,9 @@ let of_file path = build (Document.load_file path)
 
 (* Rebuild everything derivable cheaply (classification, keys) and reuse
    the persisted index. *)
-let of_parts doc index =
-  timed build_seconds "pipeline.build" (fun () ->
-      Faults.hit "pipeline.build";
-      let guide = Dataguide.build doc in
-      let kinds = Node_kind.classify guide in
-      let keys = Key_miner.mine kinds in
-      notify_built { id = Atomic.fetch_and_add next_id 1; doc; guide; kinds; keys; index })
+let of_parts doc index = constructed (derive doc) (fun () -> index)
+
+let of_analysis keys index = constructed (fun () -> keys) (fun () -> index)
 
 let save path t = Extract_store.Persist.save_bundle path t.doc t.index
 
@@ -163,11 +166,11 @@ let load path =
   let doc, index = Extract_store.Persist.load_bundle path in
   of_parts doc index
 
-let save_snapshot path t = Extract_store.Snapshot.save path t.doc t.index
+let save_snapshot path t = Extract_store.Snapshot.save path t.keys t.index
 
 let load_snapshot path =
-  let doc, index = Extract_store.Snapshot.load path in
-  of_parts doc index
+  let keys, index = Extract_store.Snapshot.load_analyzed path in
+  of_analysis keys index
 
 let id t = t.id
 

@@ -32,15 +32,26 @@ val of_parts : Document.t -> Extract_store.Inverted_index.t -> t
     decoding, and how {!Live_corpus} wraps the live store's segments):
     classification and keys are derived, the given index is reused. *)
 
+val of_analysis : Extract_store.Key_miner.t -> Extract_store.Inverted_index.t -> t
+(** A database from an analysis that was already derived — the keys,
+    their classification, dataguide and document — and its index, as
+    {!Extract_store.Snapshot.load_analyzed} maps them: nothing is
+    derived. Like every constructor it runs under the [pipeline.build]
+    span and histogram, takes a fresh {!id} and notifies the observer. *)
+
 val save_snapshot : string -> t -> unit
 (** Persist as a v2 mmap snapshot ({!Extract_store.Snapshot.save}) —
-    [extract pack]'s format. Unlike {!save}, {!load_snapshot} maps the
-    arena instead of decoding it, so cold-start is O(1) in the corpus. *)
+    [extract pack]'s format, which carries the analysis. Unlike {!save},
+    {!load_snapshot} maps the arena instead of decoding it and adopts
+    the analysis instead of deriving it, so cold-start is O(1) in the
+    corpus. *)
 
 val load_snapshot : string -> t
-(** Map a snapshot written by {!save_snapshot}; the cheap analysis is
-    re-derived like {!load}.
-    @raise Extract_store.Codec.Corrupt on structural damage. *)
+(** Map a snapshot written by {!save_snapshot} and adopt its analysis
+    ({!of_analysis}); none of the dataguide, the classification or the
+    keys is derived.
+    @raise Extract_store.Codec.Corrupt on structural damage, an invalid
+    analysis section or a version-1 snapshot. *)
 
 val id : t -> int
 (** Unique id of this analyzed database (process-wide, assigned at

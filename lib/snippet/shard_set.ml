@@ -203,9 +203,7 @@ let save_dir dir t =
       Codec.write_string w (shard_file i);
       Codec.write_varint w s.global_first;
       Codec.write_varint w s.global_last;
-      Snapshot.save
-        (Filename.concat dir (shard_file i))
-        (Pipeline.document s.db) (Pipeline.index s.db))
+      Snapshot.save (Filename.concat dir (shard_file i)) (Pipeline.keys s.db) (Pipeline.index s.db))
     t.shards;
   let sealed = Envelope.seal ~magic:manifest_magic (Codec.contents w) in
   let path = Filename.concat dir manifest_name in
@@ -235,8 +233,8 @@ let load_dir dir =
         let global_last = Codec.read_varint r in
         if Filename.basename file <> file then
           raise (Codec.Corrupt (Printf.sprintf "%s: shard file %S escapes the directory" path file));
-        let doc, index = Snapshot.load (Filename.concat dir file) in
-        { db = Pipeline.of_parts doc index; global_first; global_last })
+        let keys, index = Snapshot.load_analyzed (Filename.concat dir file) in
+        { db = Pipeline.of_analysis keys index; global_first; global_last })
   in
   if not (Codec.at_end r) then
     raise (Codec.Corrupt (Printf.sprintf "%s: trailing bytes after shard table" path));

@@ -88,8 +88,8 @@ val save_dir : string -> t -> unit
 
 val load_dir : string -> t
 (** Load a directory written by {!save_dir}: maps every shard snapshot
-    ({!Extract_store.Snapshot.load}) and re-derives the cheap analysis
-    ({!Pipeline.of_parts}).
+    ({!Extract_store.Snapshot.load_analyzed}) and adopts its stored
+    analysis ({!Pipeline.of_analysis}); nothing is derived.
     @raise Extract_store.Codec.Corrupt on a damaged manifest or
     snapshot, and [Codec.Truncated] on an empty manifest (path and
     magic named). *)

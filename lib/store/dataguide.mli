@@ -13,7 +13,24 @@ type t
 
 val build : Document.t -> t
 
+val adopt :
+  Document.t ->
+  node_path:Document.int_arr ->
+  parent:int array ->
+  tag:int array ->
+  depth:int array ->
+  counts:int array ->
+  t
+(** A dataguide from its stored form (what {!Snapshot} maps): the
+    per-node path column ([-1] for text nodes) and the path table, one
+    entry per path ([parent] is [-1] for the root path). Nothing is
+    checked here; the caller has validated the table. *)
+
 val document : t -> Document.t
+
+val path_column : t -> Document.int_arr
+(** The per-node path column ([-1] for text nodes), read-only: what
+    {!Snapshot} stores and [extract check] compares. *)
 
 val path_count : t -> int
 
@@ -43,7 +60,6 @@ val find_path : t -> string list -> path option
 val paths : t -> path list
 (** All paths, root first, in first-encountered (document) order. *)
 
-val iter_instances : t -> path -> (Document.node -> unit) -> unit
-(** Visit every element node with the given path, in document order. *)
-
 val instances : t -> path -> Document.node list
+(** Every element node with the given path, in document order: one scan
+    of the path column. *)

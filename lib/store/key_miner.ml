@@ -21,48 +21,6 @@ let preference_rank name =
   in
   find 0 preferred_names
 
-(* Attribute child paths of an entity path, in path (document) order. *)
-let attribute_children kinds entity =
-  let guide = Node_kind.dataguide kinds in
-  List.filter
-    (fun p ->
-      Node_kind.kind_of_path kinds p = Node_kind.Attribute
-      && Dataguide.parent_path guide p = Some entity)
-    (Dataguide.paths guide)
-
-let stats_for kinds entity attribute =
-  let guide = Node_kind.dataguide kinds in
-  let doc = Node_kind.document kinds in
-  let attr_tag = Dataguide.path_tag guide attribute in
-  let instances = Dataguide.instances guide entity in
-  let n = List.length instances in
-  let values = Hashtbl.create (max 16 n) in
-  let covered = ref 0 in
-  List.iter
-    (fun e ->
-      (* children of this entity instance on the attribute path *)
-      let hits = ref [] in
-      Document.iter_children doc e (fun c ->
-          if Document.is_element doc c && Document.tag_id doc c = attr_tag then
-            hits := c :: !hits);
-      match !hits with
-      | [ a ] ->
-        incr covered;
-        Hashtbl.replace values (Node_kind.attribute_value kinds a) ()
-      | _ -> ())
-    instances;
-  let coverage = if n = 0 then 0.0 else float_of_int !covered /. float_of_int n in
-  let uniqueness =
-    if !covered = 0 then 0.0
-    else float_of_int (Hashtbl.length values) /. float_of_int !covered
-  in
-  {
-    attribute;
-    coverage;
-    uniqueness;
-    strict = !covered = n && n > 0 && Hashtbl.length values = !covered;
-  }
-
 let better kinds a b =
   (* true when a should rank before b *)
   let guide = Node_kind.dataguide kinds in
@@ -75,28 +33,98 @@ let better kinds a b =
     if ra <> rb then ra < rb else a.attribute < b.attribute
   end
 
-let mine kinds =
+let adopt kinds entries =
   let by_entity = Hashtbl.create 16 in
   let key = Hashtbl.create 16 in
   let strict_key = Hashtbl.create 16 in
   List.iter
-    (fun entity ->
-      let cands =
-        List.map (stats_for kinds entity) (attribute_children kinds entity)
-        |> List.sort (fun a b ->
-               if better kinds a b then -1 else if better kinds b a then 1 else 0)
-      in
+    (fun (entity, cands, k, strict) ->
       Hashtbl.replace by_entity entity cands;
-      (match List.find_opt (fun c -> c.strict) cands with
-      | Some c -> Hashtbl.replace strict_key entity c.attribute
-      | None -> ());
-      match cands with
-      | best :: _ when best.strict -> Hashtbl.replace key entity best.attribute
-      | best :: _ when best.coverage >= 0.5 && best.uniqueness >= 0.5 ->
-        Hashtbl.replace key entity best.attribute
-      | _ -> ())
-    (Node_kind.entity_paths kinds);
+      Option.iter (Hashtbl.replace key entity) k;
+      Option.iter (Hashtbl.replace strict_key entity) strict)
+    entries;
   { kinds; by_entity; key; strict_key }
+
+(* One pass over the entity instances. A candidate path is an attribute
+   path whose parent path is an entity; an instance covers it when
+   exactly one of its children lies on it. Per path, [stamp] holds the
+   instance whose children were last counted there, so no per-instance
+   table is needed: the first loop over an instance's children counts
+   them, the second visits each candidate's sole child. *)
+let mine kinds =
+  let guide = Node_kind.dataguide kinds in
+  let doc = Node_kind.document kinds in
+  let n_paths = Dataguide.path_count guide in
+  let is_entity p = Node_kind.kind_of_path kinds p = Node_kind.Entity in
+  let candidate =
+    Array.init n_paths (fun p ->
+        Node_kind.kind_of_path kinds p = Node_kind.Attribute
+        && match Dataguide.parent_path guide p with Some e -> is_entity e | None -> false)
+  in
+  let values = Array.init n_paths (fun p -> Hashtbl.create (if candidate.(p) then 16 else 1)) in
+  let covered = Array.make n_paths 0 in
+  let stamp = Array.make n_paths (-1) in
+  let hits = Array.make n_paths 0 in
+  let candidate_child c =
+    if Document.is_element doc c then
+      let p = Dataguide.path_of_node guide c in
+      if candidate.(p) then p else -1
+    else -1
+  in
+  for e = 0 to Document.node_count doc - 1 do
+    if Document.is_element doc e && is_entity (Dataguide.path_of_node guide e) then begin
+      Document.iter_children doc e (fun c ->
+          let p = candidate_child c in
+          if p >= 0 then
+            if stamp.(p) = e then hits.(p) <- hits.(p) + 1
+            else begin
+              stamp.(p) <- e;
+              hits.(p) <- 1
+            end);
+      Document.iter_children doc e (fun c ->
+          let p = candidate_child c in
+          if p >= 0 && hits.(p) = 1 then begin
+            covered.(p) <- covered.(p) + 1;
+            Hashtbl.replace values.(p) (Node_kind.attribute_value kinds c) ()
+          end)
+    end
+  done;
+  let stats attribute entity =
+    let n = Dataguide.instance_count guide entity and covered = covered.(attribute) in
+    let distinct = Hashtbl.length values.(attribute) in
+    {
+      attribute;
+      coverage = (if n = 0 then 0.0 else float_of_int covered /. float_of_int n);
+      uniqueness = (if covered = 0 then 0.0 else float_of_int distinct /. float_of_int covered);
+      strict = covered = n && n > 0 && distinct = covered;
+    }
+  in
+  let children = Array.make n_paths [] in
+  for p = n_paths - 1 downto 0 do
+    if candidate.(p) then
+      Option.iter
+        (fun e -> children.(e) <- stats p e :: children.(e))
+        (Dataguide.parent_path guide p)
+  done;
+  adopt kinds
+    (List.map
+       (fun entity ->
+         let cands =
+           List.sort
+             (fun a b -> if better kinds a b then -1 else if better kinds b a then 1 else 0)
+             children.(entity)
+         in
+         let key =
+           match cands with
+           | best :: _ when best.strict || (best.coverage >= 0.5 && best.uniqueness >= 0.5) ->
+             Some best.attribute
+           | _ -> None
+         in
+         let strict = List.find_opt (fun c -> c.strict) cands in
+         entity, cands, key, Option.map (fun c -> c.attribute) strict)
+       (Node_kind.entity_paths kinds))
+
+let kinds t = t.kinds
 
 let key_path t entity = Hashtbl.find_opt t.key entity
 

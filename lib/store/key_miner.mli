@@ -25,6 +25,17 @@ type t
 
 val mine : Node_kind.t -> t
 
+val adopt :
+  Node_kind.t ->
+  (Dataguide.path * candidate list * Dataguide.path option * Dataguide.path option) list ->
+  t
+(** The stored form {!Snapshot} maps: per entity path, its candidates
+    (best first), its key and its strict key. Nothing is checked here. *)
+
+val kinds : t -> Node_kind.t
+(** The classification the keys were mined from; with it, the dataguide
+    and the document. *)
+
 val key_path : t -> Dataguide.path -> Dataguide.path option
 (** The mined key-attribute path of an entity path. *)
 

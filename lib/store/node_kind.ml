@@ -31,6 +31,8 @@ let classify ?dtd guide =
   in
   { guide; schema; kinds }
 
+let adopt schema kinds = { guide = Schema_infer.dataguide schema; schema; kinds }
+
 let of_document doc = classify (Dataguide.build doc)
 
 let dataguide t = t.guide

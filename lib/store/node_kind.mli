@@ -21,6 +21,10 @@ type t
 
 val classify : ?dtd:Extract_xml.Dtd.t -> Dataguide.t -> t
 
+val adopt : Schema_infer.t -> kind array -> t
+(** The stored form {!Snapshot} maps: one kind per path of the schema's
+    dataguide. Nothing is checked here. *)
+
 val of_document : Document.t -> t
 (** Convenience: build the dataguide and classify in one step. *)
 

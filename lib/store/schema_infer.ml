@@ -15,18 +15,16 @@ let infer ?dtd guide =
   let starred = Array.make n_paths false in
   let sources = Array.make n_paths false in
   (* Data evidence: a path is starred when some single parent has >= 2
-     children on it. Count children per path for every element node. *)
-  let seen : (Dataguide.path, int) Hashtbl.t = Hashtbl.create 16 in
-  for node = 0 to Document.node_count doc - 1 do
+     children on it. In pre-order, two consecutive element visits on one
+     path share a parent exactly when that parent has two children on it:
+     whatever lies between them is deeper, or a sibling on another path.
+     So one pass remembers, per path, the parent of its last visit. *)
+  let last_parent = Array.make n_paths (-1) in
+  for node = 1 to Document.node_count doc - 1 do
     if Document.is_element doc node then begin
-      Hashtbl.reset seen;
-      Document.iter_children doc node (fun c ->
-          if Document.is_element doc c then begin
-            let p = Dataguide.path_of_node guide c in
-            let count = 1 + Option.value ~default:0 (Hashtbl.find_opt seen p) in
-            Hashtbl.replace seen p count;
-            if count >= 2 then starred.(p) <- true
-          end)
+      let p = Dataguide.path_of_node guide node in
+      let parent = Document.parent_exn doc node in
+      if last_parent.(p) = parent then starred.(p) <- true else last_parent.(p) <- parent
     end
   done;
   (* DTD evidence overrides data evidence where the parent is declared. *)
@@ -46,6 +44,8 @@ let infer ?dtd guide =
         | None -> ())
     done);
   { guide; starred; sources }
+
+let adopt guide ~starred ~sources = { guide; starred; sources }
 
 let dataguide t = t.guide
 

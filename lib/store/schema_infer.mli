@@ -17,6 +17,10 @@ type t
 val infer : ?dtd:Extract_xml.Dtd.t -> Dataguide.t -> t
 (** [dtd] defaults to the one stored in the underlying document, if any. *)
 
+val adopt : Dataguide.t -> starred:bool array -> sources:bool array -> t
+(** The stored form {!Snapshot} maps: per path, the starred flag and
+    whether the DTD decided it. Nothing is checked here. *)
+
 val dataguide : t -> Dataguide.t
 
 val is_starred : t -> Dataguide.path -> bool

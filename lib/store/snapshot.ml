@@ -18,7 +18,9 @@ let mapped_bytes_gauge =
 
 let magic = "XTRSNAP2"
 
-let version = 1
+(* 2: the sections carry the analysis (path column and table, kinds,
+   keys); a version-1 file must be packed again *)
+let version = 2
 
 (* An asymmetric byte pattern: read back through a native-endian fixed64
    on a foreign-endian machine it comes out reversed, which is the whole
@@ -32,9 +34,11 @@ let page = 4096
 let align n = (n + page - 1) / page * page
 
 (* Section names, in file order. The int columns and the text blob are
-   the mappable bulk; kinds/meta/index are small and read conventionally. *)
+   the mappable bulk; kinds/meta/index/analysis are small and read
+   conventionally. *)
 let section_names =
-  [ "tag"; "parent"; "depth"; "size"; "kinds"; "textoff"; "textblob"; "meta"; "index" ]
+  [ "tag"; "parent"; "depth"; "size"; "path"; "kinds"; "textoff"; "textblob"; "meta"; "index";
+    "analysis" ]
 
 type section = {
   name : string;
@@ -94,6 +98,58 @@ let index_payload ~fingerprint index =
     pairs;
   Codec.contents w
 
+let kind_code = function
+  | Node_kind.Entity -> 0
+  | Node_kind.Attribute -> 1
+  | Node_kind.Connection -> 2
+
+let kind_of_code = function
+  | 0 -> Some Node_kind.Entity
+  | 1 -> Some Node_kind.Attribute
+  | 2 -> Some Node_kind.Connection
+  | _ -> None
+
+(* The Data Analyzer's output, small beside the arena: the path table
+   (parent + 1, tag, depth, instance count, kind, starred flags), then
+   per entity path its key candidates (statistics as raw float bits),
+   key and strict key (0 for none, else path + 1). The per-node path
+   column is a mapped section of its own. *)
+let analysis_payload keys =
+  let kinds = Key_miner.kinds keys in
+  let guide = Node_kind.dataguide kinds and schema = Node_kind.schema kinds in
+  let w = Codec.writer () in
+  let write_path = function None -> Codec.write_varint w 0 | Some p -> Codec.write_varint w (p + 1) in
+  let n = Dataguide.path_count guide in
+  Codec.write_varint w n;
+  for p = 0 to n - 1 do
+    write_path (Dataguide.parent_path guide p);
+    Codec.write_varint w (Dataguide.path_tag guide p);
+    Codec.write_varint w (Dataguide.path_depth guide p);
+    Codec.write_varint w (Dataguide.instance_count guide p);
+    Codec.write_varint w (kind_code (Node_kind.kind_of_path kinds p));
+    Codec.write_varint w
+      (Bool.to_int (Schema_infer.is_starred schema p)
+       lor if Schema_infer.source schema p = `Dtd then 2 else 0)
+  done;
+  let entities = Node_kind.entity_paths kinds in
+  Codec.write_varint w (List.length entities);
+  List.iter
+    (fun e ->
+      Codec.write_varint w e;
+      let cands = Key_miner.candidates keys e in
+      Codec.write_varint w (List.length cands);
+      List.iter
+        (fun (c : Key_miner.candidate) ->
+          Codec.write_varint w c.attribute;
+          Codec.write_fixed64 w (Int64.bits_of_float c.coverage);
+          Codec.write_fixed64 w (Int64.bits_of_float c.uniqueness);
+          Codec.write_varint w (Bool.to_int c.strict))
+        cands;
+      write_path (Key_miner.key_path keys e);
+      write_path (Key_miner.strict_key_path keys e))
+    entities;
+  Codec.contents w
+
 let header_bytes (h : header) =
   let w = Codec.writer () in
   Codec.write_string w magic;
@@ -117,7 +173,9 @@ let header_bytes (h : header) =
                             (String.length raw)));
   raw ^ String.make (page - String.length raw) '\000'
 
-let encode doc index =
+let encode keys index =
+  let guide = Node_kind.dataguide (Key_miner.kinds keys) in
+  let doc = Dataguide.document guide in
   let fingerprint = Persist.fingerprint doc in
   let src = Document.Flat.to_source doc in
   let bodies =
@@ -126,11 +184,13 @@ let encode doc index =
       "parent", int_arr_bytes src.Document.Flat.parent;
       "depth", int_arr_bytes src.Document.Flat.depth;
       "size", int_arr_bytes src.Document.Flat.size;
+      "path", int_arr_bytes (Dataguide.path_column guide);
       "kinds", Bytes.to_string src.Document.Flat.kinds;
       "textoff", int_arr_bytes src.Document.Flat.text_offsets;
       "textblob", char_arr_bytes src.Document.Flat.text_blob;
       "meta", meta_payload src;
       "index", index_payload ~fingerprint index;
+      "analysis", analysis_payload keys;
     ]
   in
   (* lay out: header page, then each section padded to a page boundary *)
@@ -162,10 +222,10 @@ let encode doc index =
     sections bodies;
   Buffer.contents buf
 
-let save path doc index =
+let save path keys index =
   if Faults.should_fail "snapshot.pack" then
     raise (Codec.Corrupt (Printf.sprintf "injected fault: snapshot.pack (%s)" path));
-  let data = encode doc index in
+  let data = encode keys index in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try output_string oc data
@@ -186,7 +246,10 @@ let parse_header ~path raw =
     raise (Codec.Corrupt (Printf.sprintf "%s: bad snapshot magic %S" path m));
   let v = Codec.read_varint r in
   if v <> version then
-    raise (Codec.Corrupt (Printf.sprintf "%s: unsupported snapshot version %d (want %d)" path v version));
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "%s: snapshot version %d, this build reads version %d%s" path v version
+            (if v < version then "; pack it again from its source with `extract pack`" else "")));
   let probe = Codec.read_fixed64 r in
   if probe <> endian_probe then
     raise (Codec.Corrupt (Printf.sprintf "%s: endianness mismatch (written on a foreign-endian machine)" path));
@@ -228,13 +291,23 @@ let read_header ~path ic =
   if file_len < page then
     raise (Codec.Truncated (Printf.sprintf "%s: %d bytes is too short for a snapshot header page" path file_len));
   let h = parse_header ~path (read_at ic ~offset:0 ~length:page) in
+  (* The header page carries no checksum, so every number on it is
+     range-checked before anything is mapped or read; the products and
+     sums are arranged so that none can wrap. *)
+  let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt (path ^ ": " ^ m))) fmt in
+  if h.element_count < 1 || h.element_count > h.node_count then
+    corrupt "%d element(s) in %d node(s)" h.element_count h.node_count;
+  if h.node_count > file_len / 8 then
+    corrupt "%d nodes' columns cannot fit in %d bytes" h.node_count file_len;
   List.iter
     (fun s ->
-      if s.offset + s.length > file_len then
-        raise
-          (Codec.Truncated
-             (Printf.sprintf "%s: section %S ends at %d but the file has %d bytes" path
-                s.name (s.offset + s.length) file_len)))
+      if s.offset < page || s.offset mod page <> 0 then
+        corrupt "section %S starts at %d, not on a page boundary past the header" s.name
+          s.offset;
+      if s.length < 0 then corrupt "section %S has a negative length %d" s.name s.length;
+      if s.offset > file_len || s.length > file_len - s.offset then
+        corrupt "section %S (%d bytes at %d) ends past the file's %d bytes" s.name s.length
+          s.offset file_len)
     h.sections;
   h
 
@@ -289,7 +362,94 @@ let decode_index ~doc ~fingerprint payload =
   if not (Codec.at_end r) then raise (Codec.Corrupt "snapshot index: trailing bytes");
   Inverted_index.Internal.of_packed ~doc ~tokens ~packed ~tag_tokens
 
-let load path =
+(* Load adopts the analysis without re-deriving it, so the section is
+   validated whole: every reference lands in range and the table is a
+   tree of paths that accounts for every element. Whether it equals the
+   derivation is [extract check]'s question. *)
+let decode_analysis ~path ~doc ~node_path payload =
+  let corrupt fmt =
+    Printf.ksprintf (fun m -> raise (Codec.Corrupt (path ^ ": snapshot analysis: " ^ m))) fmt
+  in
+  let r = Codec.reader payload in
+  let ntags = Extract_util.Interner.count (Document.tag_interner doc) in
+  let element_count = Document.element_count doc in
+  let n = Codec.read_count r in
+  let parent = Array.make n (-1) and tag = Array.make n 0 and depth = Array.make n 0 in
+  let counts = Array.make n 0 and kinds = Array.make n Node_kind.Connection in
+  let starred = Array.make n false and sources = Array.make n false in
+  let seen = Hashtbl.create 64 and total = ref 0 in
+  for p = 0 to n - 1 do
+    let q = Codec.read_varint r - 1 in
+    if (p = 0 && q <> -1) || (p > 0 && (q < 0 || q >= p)) then
+      corrupt "path %d has parent %d; a parent must precede its path" p q;
+    let t = Codec.read_varint r in
+    if t < 0 || t >= ntags then corrupt "path %d has tag %d of %d" p t ntags;
+    Option.iter (corrupt "path %d repeats the step of path %d" p) (Hashtbl.find_opt seen (q, t));
+    Hashtbl.add seen (q, t) p;
+    let d = Codec.read_varint r in
+    if d <> (if q < 0 then 0 else depth.(q) + 1) then corrupt "path %d has depth %d" p d;
+    let c = Codec.read_varint r in
+    if c < 0 || c > element_count - !total then
+      corrupt "instance counts exceed the %d elements" element_count;
+    let k = Codec.read_varint r in
+    let kind =
+      match kind_of_code k with Some kind -> kind | None -> corrupt "path %d has kind %d" p k
+    in
+    let flags = Codec.read_varint r in
+    if flags < 0 || flags > 3 then corrupt "path %d has star flags %d" p flags;
+    parent.(p) <- q;
+    tag.(p) <- t;
+    depth.(p) <- d;
+    counts.(p) <- c;
+    total := !total + c;
+    kinds.(p) <- kind;
+    starred.(p) <- flags land 1 <> 0;
+    sources.(p) <- flags land 2 <> 0
+  done;
+  if !total <> element_count then
+    corrupt "instance counts sum to %d, the arena has %d elements" !total element_count;
+  let attribute_of e a =
+    if a < 0 || a >= n || parent.(a) <> e || kinds.(a) <> Node_kind.Attribute then
+      corrupt "path %d is not an attribute child of entity path %d" a e;
+    a
+  in
+  let read_path e = match Codec.read_varint r with 0 -> None | v -> Some (attribute_of e (v - 1)) in
+  let ratio what e =
+    let x = Int64.float_of_bits (Codec.read_fixed64 r) in
+    if not (x >= 0.0 && x <= 1.0) then corrupt "entity path %d has %s %h" e what x;
+    x
+  in
+  let m = Codec.read_count r in
+  let last = ref (-1) in
+  let entries =
+    List.init m (fun _ ->
+        let e = Codec.read_varint r in
+        if e <= !last || e >= n || kinds.(e) <> Node_kind.Entity then
+          corrupt "entity path %d out of order or not an entity" e;
+        last := e;
+        let cands =
+          List.init (Codec.read_count r) (fun _ ->
+              let attribute = attribute_of e (Codec.read_varint r) in
+              let coverage = ratio "coverage" e in
+              let uniqueness = ratio "uniqueness" e in
+              let strict =
+                match Codec.read_varint r with
+                | 0 -> false
+                | 1 -> true
+                | v -> corrupt "entity path %d has strict flag %d" e v
+              in
+              { Key_miner.attribute; coverage; uniqueness; strict })
+        in
+        let key = read_path e in
+        let strict_key = read_path e in
+        e, cands, key, strict_key)
+  in
+  if not (Codec.at_end r) then corrupt "trailing bytes";
+  let guide = Dataguide.adopt doc ~node_path ~parent ~tag ~depth ~counts in
+  let schema = Schema_infer.adopt guide ~starred ~sources in
+  Key_miner.adopt (Node_kind.adopt schema kinds) entries
+
+let load_analyzed path =
   if Faults.should_fail "snapshot.map" then
     raise (Codec.Corrupt (Printf.sprintf "injected fault: snapshot.map (%s)" path));
   let ic = open_in_bin path in
@@ -312,16 +472,19 @@ let load path =
       and parent_s = expect "parent" (n * 8)
       and depth_s = expect "depth" (n * 8)
       and size_s = expect "size" (n * 8)
+      and path_s = expect "path" (n * 8)
       and kinds_s = expect "kinds" n
       and textoff_s = expect "textoff" ((n + 1) * 8) in
       let textblob_s = sec "textblob" and meta_s = sec "meta" and index_s = sec "index" in
+      let analysis_s = sec "analysis" in
       (* the bulk is mapped, not read: cold-start cost is the page table,
          not the corpus *)
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      let doc =
+      let doc, node_path =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
+            let node_path = map_int fd ~offset:path_s.offset ~count:n in
             let tag = map_int fd ~offset:tag_s.offset ~count:n in
             let parent = map_int fd ~offset:parent_s.offset ~count:n in
             let depth = map_int fd ~offset:depth_s.offset ~count:n in
@@ -332,29 +495,38 @@ let load path =
             let dtd_source, tag_names =
               decode_meta (read_at ic ~offset:meta_s.offset ~length:meta_s.length)
             in
-            Document.Flat.of_source
-              {
-                Document.Flat.dtd_source;
-                tag_names;
-                element_count = h.element_count;
-                kinds;
-                tag;
-                parent;
-                depth;
-                size;
-                text_offsets;
-                text_blob;
-              })
+            ( Document.Flat.of_source
+                {
+                  Document.Flat.dtd_source;
+                  tag_names;
+                  element_count = h.element_count;
+                  kinds;
+                  tag;
+                  parent;
+                  depth;
+                  size;
+                  text_offsets;
+                  text_blob;
+                },
+              node_path ))
+      in
+      let keys =
+        decode_analysis ~path ~doc ~node_path
+          (read_at ic ~offset:analysis_s.offset ~length:analysis_s.length)
       in
       let index =
         decode_index ~doc ~fingerprint:h.fingerprint
           (read_at ic ~offset:index_s.offset ~length:index_s.length)
       in
       Registry.incr maps_total;
-      let mapped = (((4 * n) + (n + 1)) * 8) + textblob_s.length in
+      let mapped = (((5 * n) + (n + 1)) * 8) + textblob_s.length in
       Registry.set mapped_bytes_gauge
         (float_of_int (Atomic.fetch_and_add mapped_bytes mapped + mapped));
-      doc, index)
+      keys, index)
+
+let load path =
+  let keys, index = load_analyzed path in
+  Node_kind.document (Key_miner.kinds keys), index
 
 (* ------------------------------------------------------------------ *)
 (* Deep verification, for [extract check]: load never checksums the

@@ -4,7 +4,10 @@
    generator (or a catalog with mixed content), a query from that
    corpus's seeded workload and an engine, and compares the ranked top
    five (root, exact score, rendered snippet) and the unranked search
-   roots across the three builds. *)
+   roots across the three builds. A snapshot adopts the analysis it
+   stores instead of deriving it, so a second test compares every
+   build's analysis with the in-memory build's, with the comparator
+   [extract check] uses. *)
 
 module Document = Extract_store.Document
 module Engine = Extract_search.Engine
@@ -14,6 +17,7 @@ module Selector = Extract_snippet.Selector
 module Snippet_tree = Extract_snippet.Snippet_tree
 module Datagen = Extract_datagen
 module Types = Extract_xml.Types
+module Check = Extract_check.Check
 
 type corpus = {
   name : string;
@@ -125,5 +129,24 @@ let prop_constructors_agree =
         answers;
       true)
 
+let test_analyses_agree () =
+  Array.iter
+    (fun corpus ->
+      let corpus = Lazy.force corpus in
+      let derived = Pipeline.keys (List.assoc "build" corpus.builds) in
+      List.iter
+        (fun (how, db) ->
+          match Check.check_analysis ~derived (Pipeline.keys db) with
+          | [] -> ()
+          | issues ->
+            Alcotest.failf "%s: the %s analysis differs from the build's:\n%s" corpus.name how
+              (String.concat "\n" (List.map Check.issue_to_string issues)))
+        corpus.builds)
+    corpora
+
 let suites =
-  [ "oracle.constructors", List.map QCheck_alcotest.to_alcotest [ prop_constructors_agree ] ]
+  [
+    ( "oracle.constructors",
+      List.map QCheck_alcotest.to_alcotest [ prop_constructors_agree ]
+      @ [ Alcotest.test_case "snapshot analysis = build analysis" `Quick test_analyses_agree ] );
+  ]

@@ -15,6 +15,7 @@ module Engine = Extract_search.Engine
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
 module Pipeline = Extract_snippet.Pipeline
+module Check = Extract_check.Check
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -235,7 +236,7 @@ let test_snapshot_roundtrip () =
   let doc = Pipeline.document db in
   let idx = Pipeline.index db in
   let path = tmp_file "extract_test_snapshot.snap" in
-  Snapshot.save path doc idx;
+  Snapshot.save path (Pipeline.keys db) idx;
   let doc', idx' = Snapshot.load path in
   check int "same packed postings" (Inverted_index.postings_bytes idx)
     (Inverted_index.postings_bytes idx');
@@ -260,13 +261,13 @@ let test_snapshot_roundtrip () =
 
 let test_snapshot_sniffable () =
   let db = Lazy.force retail_db in
-  let data = Snapshot.encode (Pipeline.document db) (Pipeline.index db) in
+  let data = Snapshot.encode (Pipeline.keys db) (Pipeline.index db) in
   check bool "sniffs as XTRSNAP2" true (Persist.sniff_magic data = Some Snapshot.magic)
 
 let test_snapshot_detects_corruption () =
   let db = Lazy.force retail_db in
   let path = tmp_file "extract_test_snapshot_corrupt.snap" in
-  Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+  Snapshot.save path (Pipeline.keys db) (Pipeline.index db);
   (* flip a byte just past the header page — deterministically inside the
      first section ("tag"), which MD5 verification must flag *)
   let ic = open_in_bin path in
@@ -312,7 +313,7 @@ let test_snapshot_empty_file_diagnostic () =
 let test_snapshot_rejects_mismatched_truncation () =
   let db = Lazy.force retail_db in
   let path = tmp_file "extract_test_snapshot_trunc.snap" in
-  Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+  Snapshot.save path (Pipeline.keys db) (Pipeline.index db);
   let ic = open_in_bin path in
   let full = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -333,7 +334,7 @@ let test_snapshot_rejects_oversized_count () =
   let db = Lazy.force retail_db in
   let doc = Pipeline.document db in
   let path = tmp_file "extract_test_snapshot_count.snap" in
-  Snapshot.save path doc (Pipeline.index db);
+  Snapshot.save path (Pipeline.keys db) (Pipeline.index db);
   let data = In_channel.with_open_bin path In_channel.input_all in
   (* the index section opens with the arena fingerprint as a Codec
      string, then the token count; the header page holds the same
@@ -356,6 +357,205 @@ let test_snapshot_rejects_oversized_count () =
     (match Snapshot.load path with
     | _ -> false
     | exception Codec.Corrupt _ -> true);
+  Sys.remove path
+
+(* ------------------------------------------------------------------ *)
+(* Crafted snapshots: the header and the analysis section *)
+
+let has msg affix =
+  let n = String.length affix in
+  let rec scan i = i + n <= String.length msg && (String.sub msg i n = affix || scan (i + 1)) in
+  scan 0
+
+let snapshot_image () =
+  let db = Lazy.force retail_db in
+  Snapshot.encode (Pipeline.keys db) (Pipeline.index db)
+
+let write_image path data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* A varint of a 63-bit int, negative ones included (nine bytes, the
+   top bit set), which [Codec.write_varint] refuses to write. *)
+let raw_varint n =
+  let b = Buffer.create 9 in
+  let rec loop n =
+    if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
+      loop (n lsr 7)
+    end
+  in
+  loop n;
+  Buffer.contents b
+
+(* The header, as Snapshot writes it: magic, version, endianness probe,
+   word size, node and element counts, fingerprint, then the section
+   table (name, offset, length, MD5). [sections] reads the table;
+   [assemble] lays a header prefix and sections out again with fresh
+   offsets and digests, so a test can alter a section consistently. *)
+let sections data =
+  let r = Codec.reader data in
+  ignore (Codec.read_string r);
+  ignore (Codec.read_varint r);
+  ignore (Codec.read_fixed64 r);
+  ignore (Codec.read_varint r);
+  ignore (Codec.read_varint r);
+  ignore (Codec.read_varint r);
+  ignore (Codec.read_string r);
+  let prefix = String.sub data 0 (Codec.pos r) in
+  ( prefix,
+    List.init (Codec.read_varint r) (fun _ ->
+        let name = Codec.read_string r in
+        let offset = Codec.read_varint r in
+        let length = Codec.read_varint r in
+        ignore (Codec.read_string r);
+        name, String.sub data offset length) )
+
+let assemble prefix sections =
+  let page = 4096 in
+  let padded n = String.make (((n + page - 1) / page * page) - n) '\000' in
+  let w = Codec.writer () in
+  Codec.write_varint w (List.length sections);
+  let offset = ref page in
+  List.iter
+    (fun (name, body) ->
+      Codec.write_string w name;
+      Codec.write_varint w !offset;
+      Codec.write_varint w (String.length body);
+      Codec.write_string w (Digest.to_hex (Digest.string body));
+      offset := !offset + String.length body + String.length (padded (String.length body)))
+    sections;
+  let header = prefix ^ Codec.contents w in
+  String.concat ""
+    ((header ^ padded (String.length header))
+    :: List.map (fun (_, body) -> body ^ padded (String.length body)) sections)
+
+(* Re-lay a snapshot with its analysis section replaced, re-digested. *)
+let with_analysis data f =
+  let prefix, secs = sections data in
+  assemble prefix
+    (List.map (fun (name, body) -> name, if name = "analysis" then f body else body) secs)
+
+(* The analysis section's layout, read as Snapshot writes it: the path
+   count, six varints per path (parent + 1, tag, depth, instance count,
+   kind, star flags), the entity count, then per entity its path, its
+   candidates (path, two raw floats, strict flag), key and strict key
+   (0 for none, else path + 1). Returns each path field's position and,
+   per entity, its candidates and the position and value of its key. *)
+let analysis_layout payload =
+  let r = Codec.reader payload in
+  let varint_at () =
+    let at = Codec.pos r in
+    at, Codec.read_varint r
+  in
+  let n = Codec.read_varint r in
+  let fields = Array.init n (fun _ -> Array.init 6 (fun _ -> fst (varint_at ()))) in
+  let entities =
+    List.init (Codec.read_varint r) (fun _ ->
+        let e = Codec.read_varint r in
+        let cands =
+          List.init (Codec.read_varint r) (fun _ ->
+              let a = Codec.read_varint r in
+              ignore (Codec.read_fixed64 r);
+              ignore (Codec.read_fixed64 r);
+              ignore (Codec.read_varint r);
+              a)
+        in
+        let key = varint_at () in
+        ignore (Codec.read_varint r);
+        e, cands, key)
+  in
+  fields, entities
+
+(* Overwrite a one-byte varint with another one-byte value. *)
+let set_byte payload at v =
+  assert (Char.code payload.[at] < 0x80 && v < 0x80);
+  let b = Bytes.of_string payload in
+  Bytes.set b at (Char.chr v);
+  Bytes.to_string b
+
+let load_fails_with ?(label = "") path affixes =
+  match Snapshot.load path with
+  | _ -> Alcotest.failf "%s: %s loaded" label path
+  | exception Codec.Corrupt msg ->
+    List.iter
+      (fun a -> if not (has msg a) then Alcotest.failf "%s: %S does not mention %S" label msg a)
+      affixes
+
+(* The header page has no checksum. A section offset of -4096 (a
+   9-byte varint with its top bit set) once escaped as [Sys_error] or
+   [Unix_error (EOVERFLOW)] from the seek or the map. *)
+let test_snapshot_rejects_negative_offset () =
+  let data = snapshot_image () in
+  let entry = "\003tag" ^ raw_varint 4096 in
+  let rec find i = if String.sub data i (String.length entry) = entry then i else find (i + 1) in
+  let at = find 0 + 4 in
+  let forged = raw_varint (-4096) in
+  let header =
+    String.sub data 0 at ^ forged
+    ^ String.sub data (at + 2) (4096 - at - String.length forged)
+  in
+  let path = tmp_file "extract_test_snapshot_offset.snap" in
+  write_image path (header ^ String.sub data 4096 (String.length data - 4096));
+  load_fails_with path [ path; "\"tag\""; "-4096" ];
+  Sys.remove path
+
+let test_snapshot_validates_analysis () =
+  let data = snapshot_image () in
+  let fields, _ = analysis_layout (List.assoc "analysis" (snd (sections data))) in
+  let path = tmp_file "extract_test_snapshot_analysis.snap" in
+  List.iter
+    (fun (label, f, affix) ->
+      write_image path (with_analysis data f);
+      load_fails_with ~label path [ path; affix ])
+    [
+      (* path 1's parent + 1 = 3: its parent would be path 2, after it *)
+      "parent after its path", (fun a -> set_byte a fields.(1).(0) 3), "must precede";
+      "kind out of range", (fun a -> set_byte a fields.(0).(4) 7), "kind 7";
+      ( "counts that miss an element",
+        (fun a ->
+          let r = Codec.reader a in
+          Codec.seek r fields.(0).(3);
+          set_byte a fields.(0).(3) (Codec.read_varint r - 1)),
+        "sum to" );
+    ];
+  Sys.remove path
+
+(* Swap an entity's key for another of its attribute children and
+   re-digest: every reference stays valid, so load adopts it, and only
+   the re-derivation in [extract check] can tell. *)
+let test_snapshot_check_rederives () =
+  let data = snapshot_image () in
+  let _, entities = analysis_layout (List.assoc "analysis" (snd (sections data))) in
+  let _, cands, (key_at, key) =
+    List.find (fun (_, cands, (_, key)) -> key > 0 && List.length cands >= 2) entities
+  in
+  let other = List.find (fun a -> a + 1 <> key) cands in
+  let path = tmp_file "extract_test_snapshot_key.snap" in
+  write_image path (with_analysis data (fun a -> set_byte a key_at (other + 1)));
+  let db = Pipeline.load_snapshot path in
+  check bool "the swapped key is adopted" true
+    (List.exists
+       (fun e -> Extract_store.Key_miner.key_path (Pipeline.keys db) e = Some other)
+       (Extract_store.Node_kind.entity_paths (Pipeline.kinds db)));
+  (match Check.check_snapshot path with
+  | [] -> Alcotest.fail "check passed a stored key that differs from its derivation"
+  | issues ->
+    check bool "the difference is the key" true
+      (List.exists
+         (fun (i : Check.issue) -> i.Check.area = "analysis" && has i.Check.what ": key ")
+         issues));
+  write_image path data;
+  check int "the untouched snapshot checks clean" 0 (List.length (Check.check_snapshot path));
+  Sys.remove path
+
+let test_snapshot_refuses_version_1 () =
+  let data = Bytes.of_string (snapshot_image ()) in
+  (* magic is a Codec string (length byte + 8 bytes); the version follows *)
+  check int "version 2 on disk" 2 (Char.code (Bytes.get data 9));
+  Bytes.set data 9 '\001';
+  let path = tmp_file "extract_test_snapshot_v1.snap" in
+  write_image path (Bytes.to_string data);
+  load_fails_with path [ path; "version 1"; "extract pack" ];
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -421,6 +621,12 @@ let suites =
         Alcotest.test_case "rejects truncation" `Quick test_snapshot_rejects_mismatched_truncation;
         Alcotest.test_case "rejects an oversized count" `Quick
           test_snapshot_rejects_oversized_count;
+        Alcotest.test_case "rejects a negative section offset" `Quick
+          test_snapshot_rejects_negative_offset;
+        Alcotest.test_case "validates the analysis section" `Quick
+          test_snapshot_validates_analysis;
+        Alcotest.test_case "check re-derives the analysis" `Quick test_snapshot_check_rederives;
+        Alcotest.test_case "refuses version 1" `Quick test_snapshot_refuses_version_1;
       ] );
     ( "packed.persist",
       [

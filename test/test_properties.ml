@@ -10,6 +10,8 @@ module Parser = Extract_xml.Parser
 module Document = Extract_store.Document
 module Dewey = Extract_store.Dewey
 module Node_kind = Extract_store.Node_kind
+module Dataguide = Extract_store.Dataguide
+module Schema_infer = Extract_store.Schema_infer
 module Inverted_index = Extract_store.Inverted_index
 module Key_miner = Extract_store.Key_miner
 module Query = Extract_search.Query
@@ -123,6 +125,31 @@ let prop_dewey_lca_agrees =
         done
       done;
       !ok)
+
+(* Schema inference finds starred paths in one pre-order pass; the
+   reference counts every element's children per path. *)
+let prop_starred_matches_child_counts =
+  Test.make ~name:"is_starred = some parent has two children on the path" ~count:300 arb_doc
+    (fun t ->
+      let d = doc_of t in
+      let guide = Dataguide.build d in
+      let schema = Schema_infer.infer guide in
+      let reference = Array.make (Dataguide.path_count guide) false in
+      for node = 0 to Document.node_count d - 1 do
+        if Document.is_element d node then begin
+          let per_path = Hashtbl.create 8 in
+          Document.iter_children d node (fun c ->
+              if Document.is_element d c then begin
+                let p = Dataguide.path_of_node guide c in
+                let count = 1 + Option.value ~default:0 (Hashtbl.find_opt per_path p) in
+                Hashtbl.replace per_path p count;
+                if count >= 2 then reference.(p) <- true
+              end)
+        end
+      done;
+      List.for_all
+        (fun p -> Schema_infer.is_starred schema p = reference.(p))
+        (Dataguide.paths guide))
 
 (* ------------------------------------------------------------------ *)
 (* Search semantics *)
@@ -574,7 +601,8 @@ let suites =
     ( "properties.xml",
       to_alcotest [ prop_print_parse_id; prop_print_parse_pretty ] );
     ( "properties.store",
-      to_alcotest [ prop_arena_invariants; prop_dewey_lca_agrees ] );
+      to_alcotest
+        [ prop_arena_invariants; prop_dewey_lca_agrees; prop_starred_matches_child_counts ] );
     ( "properties.search",
       to_alcotest
         [
