@@ -144,9 +144,184 @@ let test_analyses_agree () =
         corpus.builds)
     corpora
 
+(* ------------------------------------------------------------------ *)
+(* The live store as a backend. A drawn history of adds (a name already
+   present is replaced), removes and compactions runs against a fresh
+   store; the running store, the directory reopened and the directory
+   reopened read-only must then answer alike, and again after a final
+   compaction. Scores use each segment's own statistics (the base's and
+   every delta's), so the flat build is compared by the one rule that
+   survives that divergence: which members have hits. *)
+
+module Live_corpus = Extract_snippet.Live_corpus
+
+type op =
+  | Add of int * int (* name slot, member body *)
+  | Remove of int (* name slot *)
+  | Compact
+
+let show_op = function
+  | Add (n, b) -> Printf.sprintf "add m%d.xml=%d" n b
+  | Remove n -> Printf.sprintf "remove m%d.xml" n
+  | Compact -> "compact"
+
+(* The root's element children in [k] contiguous groups, each group one
+   member document under a copy of the root's tag. *)
+let member_bodies doc k =
+  let root = Document.root doc in
+  let children =
+    Array.of_list (List.filter (Document.is_element doc) (Document.children doc root))
+  in
+  let n = Array.length children in
+  let k = max 1 (min k n) in
+  Array.init k (fun j ->
+      let lo = j * n / k and hi = (j + 1) * n / k in
+      Extract_xml.Printer.to_string ~indent:None
+        (Types.element (Document.tag_name doc root)
+           (List.init (hi - lo) (fun i -> Document.to_xml doc children.(lo + i)))))
+
+let member_name slot = Printf.sprintf "m%d.xml" slot
+
+(* Apply one operation to the store and to the model of its visible
+   members (name, body), in the store's order. *)
+let apply lc bodies visible = function
+  | Add (slot, body) ->
+    let name = member_name slot and body = body mod Array.length bodies in
+    Live_corpus.add lc ~name ~xml:bodies.(body);
+    List.remove_assoc name visible @ [ name, body ]
+  | Remove slot ->
+    let name = member_name slot in
+    ignore (Live_corpus.remove lc name);
+    List.remove_assoc name visible
+  | Compact ->
+    ignore (Live_corpus.compact lc);
+    visible
+
+let live_answer semantics lc query =
+  Live_corpus.run ~semantics ~limit:5 lc query
+  |> List.map (fun (h : Live_corpus.hit) ->
+         ( h.Live_corpus.source,
+           Printf.sprintf "%h" h.Live_corpus.score,
+           Snippet_tree.render h.Live_corpus.snippet.Pipeline.selection.Selector.snippet ))
+
+let show_live_answer a =
+  String.concat "; " (List.map (fun (source, score, snippet) -> Printf.sprintf "%s %s %S" source score snippet) a)
+
+let hit_members semantics lc query =
+  Live_corpus.run ~semantics lc query
+  |> List.map (fun (h : Live_corpus.hit) -> h.Live_corpus.source)
+  |> List.sort_uniq String.compare
+
+(* The members a flat build over the visible members finds results in;
+   a result at the synthetic root is no member's. *)
+let flat_members semantics bodies visible query =
+  let flat =
+    Pipeline.of_xml_string
+      ("<corpus>" ^ String.concat "" (List.map (fun (_, b) -> bodies.(b)) visible) ^ "</corpus>")
+  in
+  let doc = Pipeline.document flat in
+  let roots = List.filter (Document.is_element doc) (Document.children doc (Document.root doc)) in
+  let named = List.combine (List.map fst visible) roots in
+  Pipeline.search ~semantics flat query
+  |> List.filter_map (fun r ->
+         let root = Result_tree.root r in
+         List.find_opt (fun (_, m) -> m <= root && root <= Document.subtree_last doc m) named
+         |> Option.map fst)
+  |> List.sort_uniq String.compare
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "extract_oracle_live" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let arb_live =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          5, map2 (fun n b -> Add (n, b)) (int_bound 4) (int_bound 1000);
+          2, map (fun n -> Remove n) (int_bound 4);
+          2, pure Compact;
+        ])
+  in
+  QCheck.make
+    ~print:(fun ((c, k), (ops, (q, s))) ->
+      Printf.sprintf "corpus %d in %d member(s), query %d, engine %d: %s" c k q s
+        (String.concat ", " (List.map show_op ops)))
+    QCheck.Gen.(
+      pair
+        (pair (int_bound (Array.length corpora - 1)) (int_range 2 6))
+        (pair (list_size (int_range 4 12) op)
+           (pair (int_bound 1000) (int_bound (Array.length semantics - 1)))))
+
+let prop_live_agrees =
+  QCheck.Test.make ~count:50 ~name:"running = reopened = read-only, hit members = flat"
+    arb_live (fun ((c, k), (ops, (q, s))) ->
+      let corpus = Lazy.force corpora.(c) in
+      let bodies = member_bodies (Pipeline.document (List.assoc "build" corpus.builds)) k in
+      let n = Array.length corpus.queries in
+      if n = 0 then QCheck.Test.fail_reportf "%s: the workload drew no query" corpus.name;
+      let queries = List.init 3 (fun i -> corpus.queries.((q + i) mod n)) in
+      let semantics = semantics.(s) in
+      let answers lc = List.map (fun query -> query, live_answer semantics lc query) queries in
+      let agree stage reference how lc =
+        List.iter2
+          (fun (query, want) (_, got) ->
+            if got <> want then
+              QCheck.Test.fail_reportf "%s %S under %s, %s: %s answers\n  %s\nrunning store answers\n  %s"
+                corpus.name query
+                (Engine.string_of_semantics semantics)
+                stage how (show_live_answer got) (show_live_answer want))
+          reference (answers lc)
+      in
+      let members_agree stage lc visible =
+        List.iter
+          (fun query ->
+            let live = hit_members semantics lc query
+            and flat = flat_members semantics bodies visible query in
+            if live <> flat then
+              QCheck.Test.fail_reportf "%s %S under %s, %s: members with hits [%s], flat build [%s]"
+                corpus.name query
+                (Engine.string_of_semantics semantics)
+                stage (String.concat " " live) (String.concat " " flat))
+          queries
+      in
+      (* the running store's answers against both reopenings *)
+      let reopened_agree stage dir lc =
+        let reference = answers lc in
+        Live_corpus.close lc;
+        let again = Live_corpus.open_dir dir in
+        agree stage reference "reopened" again;
+        let read_only = Live_corpus.open_dir ~read_only:true dir in
+        agree stage reference "reopened read-only" read_only;
+        Live_corpus.close read_only;
+        again
+      in
+      with_temp_dir (fun dir ->
+          let lc = Live_corpus.open_dir dir in
+          let visible = List.fold_left (apply lc bodies) [] ops in
+          members_agree "after the history" lc visible;
+          let lc = reopened_agree "after the history" dir lc in
+          ignore (Live_corpus.compact lc);
+          members_agree "after a final compaction" lc visible;
+          let lc = reopened_agree "after a final compaction" dir lc in
+          Live_corpus.close lc;
+          (match Check.check_live dir with
+          | [], _ -> ()
+          | issues, _ ->
+            QCheck.Test.fail_reportf "check after the final compaction:\n%s"
+              (String.concat "\n" (List.map Check.issue_to_string issues)));
+          true))
+
 let suites =
   [
     ( "oracle.constructors",
       List.map QCheck_alcotest.to_alcotest [ prop_constructors_agree ]
       @ [ Alcotest.test_case "snapshot analysis = build analysis" `Quick test_analyses_agree ] );
+    "oracle.live", List.map QCheck_alcotest.to_alcotest [ prop_live_agrees ];
   ]
