@@ -883,45 +883,6 @@ let e12_kernel =
          Pipeline.run_differentiated ~bound:e8_bound ~limit:1 db "apparel retailer"))
 
 (* ================================================================== *)
-(* E13 (Fig. H) — binary arena persistence vs XML parsing              *)
-
-let e13_sizes = if quick then [ 1000 ] else [ 1000; 4000; 16000 ]
-
-let e13 () =
-  let t =
-    Table.create
-      [ "target clothes"; "xml bytes"; "arena bytes"; "parse XML"; "load arena"; "speedup" ]
-  in
-  let repeat = if quick then 3 else 5 in
-  List.iter
-    (fun n ->
-      let doc = Document.of_document (Datagen.Retail.scaled n) in
-      let xml = Extract_xml.Printer.to_string (Document.to_xml doc 0) in
-      let arena = Extract_store.Persist.encode doc in
-      let parse_ns = time_median ~repeat (fun () -> Document.load_string xml) in
-      let load_ns = time_median ~repeat (fun () -> Extract_store.Persist.decode arena) in
-      Table.add_row t
-        [
-          string_of_int n;
-          string_of_int (String.length xml);
-          string_of_int (String.length arena);
-          ns_to_string parse_ns;
-          ns_to_string load_ns;
-          Printf.sprintf "%.1fx" (parse_ns /. load_ns);
-        ])
-    e13_sizes;
-  Table.print ~title:"E13 (Fig. H) — binary arena load vs XML parse" t
-
-let e13_kernel =
-  Test.make ~name:"e13_arena_decode"
-    (Staged.stage
-       (let arena =
-          lazy (Extract_store.Persist.encode (Document.of_document (Datagen.Retail.scaled 1000)))
-        in
-        fun () -> Extract_store.Persist.decode (Lazy.force arena)))
-
-
-(* ================================================================== *)
 (* E14 (Table 6) — simulated user study                                *)
 
 (* The demo's claim (§3/§4): "the user can easily judge whether a query
@@ -1218,56 +1179,6 @@ let e17_kernel =
 
 
 (* ================================================================== *)
-(* E18 (Fig. L) — index persistence: rebuild vs compressed load        *)
-
-let e18_sizes = if quick then [ 2000 ] else [ 2000; 8000; 32000 ]
-
-let e18 () =
-  let t =
-    Table.create
-      [ "target clothes"; "postings"; "index bytes"; "bytes/posting"; "rebuild"; "load";
-        "speedup" ]
-  in
-  let repeat = if quick then 3 else 5 in
-  List.iter
-    (fun n ->
-      let doc = Document.of_document (Datagen.Retail.scaled n) in
-      let index = Inverted_index.build doc in
-      let encoded = Extract_store.Persist.encode_index index in
-      let rebuild_ns = time_median ~repeat (fun () -> Inverted_index.build doc) in
-      let load_ns =
-        time_median ~repeat (fun () -> Extract_store.Persist.decode_index ~doc encoded)
-      in
-      let postings = Inverted_index.postings_size index in
-      Table.add_row t
-        [
-          string_of_int n;
-          string_of_int postings;
-          string_of_int (String.length encoded);
-          Printf.sprintf "%.2f" (float_of_int (String.length encoded) /. float_of_int postings);
-          ns_to_string rebuild_ns;
-          ns_to_string load_ns;
-          Printf.sprintf "%.1fx" (rebuild_ns /. load_ns);
-        ])
-    e18_sizes;
-  Table.print
-    ~title:"E18 (Fig. L) — inverted index: rebuild from arena vs gap-encoded load"
-    t
-
-let e18_kernel =
-  Test.make ~name:"e18_index_decode"
-    (Staged.stage
-       (let setup =
-          lazy
-            (let doc = Document.of_document (Datagen.Retail.scaled 2000) in
-             doc, Extract_store.Persist.encode_index (Inverted_index.build doc))
-        in
-        fun () ->
-          let doc, encoded = Lazy.force setup in
-          Extract_store.Persist.decode_index ~doc encoded))
-
-
-(* ================================================================== *)
 (* E20 (hotpath) — query hot-path: interval vs linear match restriction,
    limit pushdown, and the query-level snippet cache                    *)
 
@@ -1554,7 +1465,7 @@ let main () =
       [
         e1_kernel; e2_kernel; e3_kernel; e4_kernel; e5_greedy_kernel; e5_optimal_kernel;
         e6_kernel; e7_kernel; e8_kernel; e9_kernel; e10_kernel; e11_kernel; e12_kernel;
-        e13_kernel; e14_kernel; e15_kernel; e16_kernel; e17_kernel; e18_kernel;
+        e14_kernel; e15_kernel; e16_kernel; e17_kernel;
       ]
   in
   let results =
@@ -1581,19 +1492,17 @@ let main () =
   e10 ();
   e11 ();
   e12 ();
-  e13 ();
   e14 ();
   e15 ();
   e16 ();
   e17 ();
-  e18 ();
   ignore (e20 ());
   print_endline "done."
 
 (* ================================================================== *)
 (* E22 — index scale-out (EXPERIMENTS.md): block-compressed postings
-   vs what plain arrays would take, a v1 bundle's load vs a v2
-   snapshot's, and one sharded query's time per shard count. [index] mode
+   vs what plain arrays would take, a cold start from XML vs from a
+   snapshot, and one sharded query's time per shard count. [index] mode
    runs only this experiment, writes BENCH_index.json and applies the
    two-ratio floor gate CI pins via bench/index_floor.json. *)
 
@@ -1609,10 +1518,10 @@ type index_metrics = {
   ix_packed_bytes : int;
   ix_ratio : float;
   ix_pack_ns : float;
-  ix_v1_file_bytes : int;
-  ix_v2_file_bytes : int;
-  ix_v1_load_ns : float;
-  ix_v2_load_ns : float;
+  ix_xml_file_bytes : int;
+  ix_snapshot_file_bytes : int;
+  ix_xml_build_ns : float;
+  ix_snapshot_load_ns : float;
   ix_speedup : float;
   ix_shards : (int * float) list; (* shard count, ns per sharded query *)
 }
@@ -1620,7 +1529,8 @@ type index_metrics = {
 let index_measure () =
   (* ten times the default corpus (8 x 10 x 12 = 960 clothes) *)
   let clothes = if quick then 2_400 else 9_600 in
-  let doc = Document.of_document (Datagen.Retail.scaled ~seed:7 clothes) in
+  let corpus = Datagen.Retail.scaled ~seed:7 clothes in
+  let doc = Document.of_document corpus in
   let db = Pipeline.build doc in
   let idx = Pipeline.index db in
   (* every list is packed when the index is built; the baseline is what
@@ -1633,25 +1543,25 @@ let index_measure () =
     time_once (fun () -> List.map Extract_store.Packed_postings.of_array arrays)
   in
   let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
-  let v1 = tmp "extract_bench_e22.bundle" in
-  let v2 = tmp "extract_bench_e22.snap" in
-  Pipeline.save v1 db;
-  Pipeline.save_snapshot v2 db;
+  let xml = tmp "extract_bench_e22.xml" in
+  let snap = tmp "extract_bench_e22.snap" in
+  Extract_xml.Printer.write_file xml corpus;
+  Pipeline.save_snapshot snap db;
   let file_size path =
     let ic = open_in_bin path in
     let n = in_channel_length ic in
     close_in ic;
     n
   in
-  (* cold start = artifact -> analyzed, queryable database, what a
-     user waits for: the bundle is decoded and its analysis derived, the
-     snapshot is mapped and its stored analysis adopted *)
-  let v1_file_bytes = file_size v1 in
-  let v2_file_bytes = file_size v2 in
+  (* cold start = file -> analyzed, queryable database, what a user
+     waits for: the XML is parsed, analyzed and indexed, the snapshot is
+     mapped and its stored analysis adopted *)
+  let xml_file_bytes = file_size xml in
+  let snapshot_file_bytes = file_size snap in
   (* medians: a snapshot load is sub-millisecond, a single sample is all
      jitter *)
-  let v1_load_ns = time_median ~repeat:5 (fun () -> Pipeline.load v1) in
-  let v2_load_ns = time_median ~repeat:5 (fun () -> Pipeline.load_snapshot v2) in
+  let xml_build_ns = time_median ~repeat:5 (fun () -> Pipeline.of_file xml) in
+  let snapshot_load_ns = time_median ~repeat:5 (fun () -> Pipeline.load_snapshot snap) in
   let query = "store apparel" in
   let shard_runs =
     List.map
@@ -1660,8 +1570,8 @@ let index_measure () =
         k, time_median ~repeat:3 (fun () -> Shard_set.run ~limit:10 t query))
       [ 1; 2; 4 ]
   in
-  Sys.remove v1;
-  Sys.remove v2;
+  Sys.remove xml;
+  Sys.remove snap;
   {
     ix_clothes = clothes;
     ix_nodes = Document.node_count doc;
@@ -1670,11 +1580,11 @@ let index_measure () =
     ix_packed_bytes = packed_bytes;
     ix_ratio = float_of_int plain_bytes /. float_of_int (max 1 packed_bytes);
     ix_pack_ns = pack_ns;
-    ix_v1_file_bytes = v1_file_bytes;
-    ix_v2_file_bytes = v2_file_bytes;
-    ix_v1_load_ns = v1_load_ns;
-    ix_v2_load_ns = v2_load_ns;
-    ix_speedup = v1_load_ns /. Float.max 1.0 v2_load_ns;
+    ix_xml_file_bytes = xml_file_bytes;
+    ix_snapshot_file_bytes = snapshot_file_bytes;
+    ix_xml_build_ns = xml_build_ns;
+    ix_snapshot_load_ns = snapshot_load_ns;
+    ix_speedup = xml_build_ns /. Float.max 1.0 snapshot_load_ns;
     ix_shards = shard_runs;
   }
 
@@ -1695,12 +1605,12 @@ let index_json m =
        m.ix_plain_bytes m.ix_packed_bytes m.ix_ratio m.ix_pack_ns);
   Buffer.add_string b
     (Printf.sprintf
-       "  \"files\": { \"v1_bundle_bytes\": %d, \"v2_snapshot_bytes\": %d },\n"
-       m.ix_v1_file_bytes m.ix_v2_file_bytes);
+       "  \"files\": { \"xml_bytes\": %d, \"snapshot_bytes\": %d },\n"
+       m.ix_xml_file_bytes m.ix_snapshot_file_bytes);
   Buffer.add_string b
     (Printf.sprintf
-       "  \"coldstart\": { \"v1_load_ns\": %.0f, \"v2_load_ns\": %.0f, \"speedup\": %.1f },\n"
-       m.ix_v1_load_ns m.ix_v2_load_ns m.ix_speedup);
+       "  \"coldstart\": { \"xml_build_ns\": %.0f, \"snapshot_load_ns\": %.0f, \"speedup\": %.1f },\n"
+       m.ix_xml_build_ns m.ix_snapshot_load_ns m.ix_speedup);
   Buffer.add_string b "  \"shards\": [\n";
   List.iteri
     (fun i (k, run_ns) ->

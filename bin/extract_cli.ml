@@ -105,10 +105,10 @@ let apply_log_level = function
   | None -> ()
   | Some lvl -> Extract_obs.Log.set_level lvl
 
-(* Accept an XML file, a binary arena, or a bundle written by [extract
-   save]: Corpus.load_file dispatches on the leading magic and, when a
-   persisted artifact is corrupt but its XML source is still next to it,
-   rebuilds from the source with a warning. *)
+(* Accept an XML file or a snapshot written by [extract pack]:
+   Corpus.load_file dispatches on the leading magic and, when a snapshot
+   cannot be loaded but its XML source is still next to it, rebuilds
+   from the source with a warning. *)
 let load_db_raw file =
   Extract_snippet.Corpus.load_file
     ~on_warning:(fun msg -> Printf.eprintf "warning: %s\n%!" msg)
@@ -553,39 +553,6 @@ let explain_cmd =
     Term.(const run $ file_arg $ query_arg $ semantics_arg $ limit_arg)
 
 (* ------------------------------------------------------------------ *)
-(* save                                                                *)
-
-let save_cmd =
-  let out =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Output arena file.")
-  in
-  let index_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "index" ] ~docv:"FILE"
-          ~doc:
-            "Write the inverted index separately to $(docv); OUT then holds the bare \
-             arena. The pair can be validated with $(b,extract check --index).")
-  in
-  let run file out index_out =
-    let db = load_db file in
-    (match index_out with
-    | None -> Pipeline.save out db
-    | Some ipath ->
-      Extract_store.Persist.save out (Pipeline.document db);
-      Extract_store.Persist.save_index ipath (Pipeline.index db));
-    Printf.printf "wrote %s (%d nodes, %d tokens)\n" out
-      (Extract_store.Document.node_count (Pipeline.document db))
-      (Extract_store.Inverted_index.token_count (Pipeline.index db));
-    Option.iter (fun ipath -> Printf.printf "wrote %s (index)\n" ipath) index_out
-  in
-  Cmd.v
-    (Cmd.info "save"
-       ~doc:"Persist a parsed, indexed database as one binary bundle (fast reload).")
-    Term.(const run $ file_arg $ out $ index_out)
-
-(* ------------------------------------------------------------------ *)
 (* pack                                                                *)
 
 let pack_cmd =
@@ -645,11 +612,11 @@ let pack_cmd =
   Cmd.v
     (Cmd.info "pack"
        ~doc:
-         "Persist a database as a v2 mmap snapshot: block-compressed postings, a flat \
-          arena the next load maps in O(1) instead of decoding, and the analysis \
-          (dataguide, node kinds, keys) it adopts instead of deriving. Validate with \
-          $(b,extract check); deep verification spends the per-section checksums the fast \
-          load path skips and re-derives the analysis.")
+         "Persist a database as an mmap snapshot, the one stored format: \
+          block-compressed postings, a flat arena the next load maps in O(1) instead of \
+          decoding, and the analysis (dataguide, node kinds, keys) it adopts instead of \
+          deriving. Validate with $(b,extract check); deep verification spends the \
+          per-section checksums the fast load path skips and re-derives the analysis.")
     Term.(const run $ file_arg $ out $ shards_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -796,39 +763,15 @@ let check_cmd =
             "Also validate search results and snippets for $(docv) (repeatable). Without it, \
              a deterministic probe workload derived from the index vocabulary is used.")
   in
-  let index_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "index" ] ~docv:"FILE"
-          ~doc:
-            "Validate $(docv) as the index persisted for the positional arena/XML file: \
-             seals (magic, version, checksum) and the recorded arena fingerprint, catching \
-             a mismatched arena/index pair.")
-  in
   let fail issues =
     List.iter (fun i -> print_endline (Check.issue_to_string i)) issues;
     Printf.printf "FAILED: %d invariant violation(s)\n" (List.length issues);
     exit 1
   in
-  let sniff_head path =
-    let ic = open_in_bin path in
-    let head =
-      try really_input_string ic (min (in_channel_length ic) 16)
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    close_in ic;
-    Extract_store.Persist.sniff_magic head
-  in
-  let run file index queries =
+  let run file queries =
     if Shard_set.is_shard_dir file then begin
       (* a shard directory: deep-verify every snapshot, then the manifest *)
       ignore queries;
-      (match index with
-      | Some _ -> prerr_endline "note: --index is ignored for shard directories"
-      | None -> ());
       let snaps =
         Sys.readdir file |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".snap")
@@ -851,9 +794,6 @@ let check_cmd =
       (* a directory is a live store: validate journal/snapshot agreement
          and the recovered content instead of a single artifact *)
       ignore queries;
-      (match index with
-      | Some _ -> prerr_endline "note: --index is ignored for live-store directories"
-      | None -> ());
       let issues, notes = Check.check_live file in
       List.iter (fun n -> Printf.printf "note: %s\n" n) notes;
       match issues with
@@ -863,16 +803,10 @@ let check_cmd =
       | issues -> fail issues
     end
     else begin
-    (match index with
-    | None -> ()
-    | Some index -> (
-      match Check.check_pair ~arena:file ~index with
-      | [] -> Printf.printf "ok: %s and %s are a sealed, matching pair\n" file index
-      | issues -> fail issues));
-    (* a v2 snapshot gets the deep pass load skips: every recorded
-       section digest is spent, the fingerprint re-derived, and the
-       stored analysis compared with a fresh derivation *)
-    (match sniff_head file with
+    (* a snapshot gets the deep pass load skips: every recorded section
+       digest is spent, the fingerprint re-derived, and the stored
+       analysis compared with a fresh derivation *)
+    (match Extract_store.Snapshot.file_magic file with
     | Some m when m = Extract_store.Snapshot.magic -> (
       match Check.check_snapshot file with
       | [] -> Printf.printf "ok: snapshot %s passes deep verification\n" file
@@ -907,11 +841,11 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Verify structural invariants (fsck) of a dataset, arena or bundle: document order, \
-          interval nesting, posting-list sortedness and agreement, dataguide consistency, \
-          snippet well-formedness; with $(b,--index), also the seal and arena fingerprint \
-          of a persisted arena/index pair.")
-    Term.(const run $ file_arg $ index_file $ queries)
+         "Verify structural invariants (fsck) of a dataset, snapshot, shard directory or \
+          live store: document order, interval nesting, posting-list sortedness and \
+          agreement, dataguide consistency, snippet well-formedness; a snapshot's section \
+          checksums and stored analysis too.")
+    Term.(const run $ file_arg $ queries)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1047,7 +981,7 @@ let serve_cmd =
 let main_cmd =
   let doc = "snippet generation for XML keyword search (eXtract, VLDB'08)" in
   Cmd.group (Cmd.info "extract" ~version:Extract_obs.Registry.version ~doc)
-    [ gen_cmd; stats_cmd; search_cmd; snippet_cmd; explain_cmd; save_cmd; pack_cmd; demo_cmd;
+    [ gen_cmd; stats_cmd; search_cmd; snippet_cmd; explain_cmd; pack_cmd; demo_cmd;
       view_cmd; add_cmd; remove_cmd; compact_cmd; live_cmd; check_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -1,33 +1,32 @@
 (* The demo's deployment story, end to end: build an indexed database once,
-   persist it as a bundle, reload it in a "fresh server process", and
+   persist it as a snapshot, reload it in a "fresh server process", and
    answer an HTTP request against it — all the pieces the original Apache +
    PHP + C++ deployment needed, from the public API.
 
    Run with: dune exec examples/persistent_service.exe *)
 
 module Pipeline = Extract_snippet.Pipeline
-module Persist = Extract_store.Persist
 module Corpus = Extract_snippet.Corpus
 module Demo_server = Extract_server.Demo_server
 
 let () =
-  let bundle_path = Filename.temp_file "extract_movies" ".bundle" in
+  let snapshot_path = Filename.temp_file "extract_movies" ".snap" in
 
   (* 1. offline, once: generate + analyze + index + persist *)
   let db =
     Pipeline.build
       (Extract_store.Document.of_document (Extract_datagen.Movies.sized 40))
   in
-  Pipeline.save bundle_path db;
-  Printf.printf "persisted %s (%d bytes)\n" bundle_path
-    (let ic = open_in_bin bundle_path in
+  Pipeline.save_snapshot snapshot_path db;
+  Printf.printf "persisted %s (%d bytes)\n" snapshot_path
+    (let ic = open_in_bin snapshot_path in
      let n = in_channel_length ic in
      close_in ic;
      n);
 
-  (* 2. "server restart": load the bundle (no XML parsing, no index
-     rebuild) *)
-  let reloaded = Pipeline.load bundle_path in
+  (* 2. "server restart": map the snapshot (no XML parsing, no index
+     rebuild, no analysis: the stored one is adopted) *)
+  let reloaded = Pipeline.load_snapshot snapshot_path in
   Printf.printf "reloaded: %d nodes, %d index tokens\n"
     (Extract_store.Document.node_count (Pipeline.document reloaded))
     (Extract_store.Inverted_index.token_count (Pipeline.index reloaded));
@@ -46,7 +45,7 @@ let () =
   let response = Bytes.sub_string buf 0 n in
   Unix.close client;
   Unix.close listening;
-  Sys.remove bundle_path;
+  Sys.remove snapshot_path;
 
   (match String.index_opt response '\r' with
   | Some i -> Printf.printf "HTTP response: %s\n" (String.sub response 0 i)

@@ -330,60 +330,9 @@ let check_selection ?(degraded = false) (sel : Selector.selection) =
   close c
 
 (* ------------------------------------------------------------------ *)
-(* Persisted artifacts on disk                                         *)
+(* Snapshots                                                           *)
 
-module Persist = Extract_store.Persist
 module Codec = Extract_store.Codec
-
-let sniff_file path =
-  let ic = open_in_bin path in
-  let head =
-    try really_input_string ic (min (in_channel_length ic) 16)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  Persist.sniff_magic head
-
-(* Deliberately reports rather than masks: [Corpus.load_file] rebuilds
-   from XML on corruption, but fsck's job is to say the artifact is bad —
-   including the quiet failure mode where both files are individually
-   intact yet the index was built from some other arena (fingerprint
-   mismatch). *)
-let check_pair ~arena ~index =
-  let c = collector "persist" in
-  let doc =
-    try
-      match sniff_file arena with
-      | Some m when m = Persist.magic -> Some (Persist.load arena)
-      | Some m when m = Persist.bundle_magic ->
-        report c "%s is a bundle, not a bare arena (its index travels inside it)" arena;
-        None
-      | Some _ | None -> Some (Document.load_file arena)
-    with
-    | Codec.Corrupt msg ->
-      report c "arena %s: %s" arena msg;
-      None
-    | Codec.Truncated msg ->
-      report c "arena %s: truncated: %s" arena msg;
-      None
-    | Extract_xml.Error.Parse_error (pos, msg) ->
-      report c "arena %s: %s" arena (Extract_xml.Error.to_string pos msg);
-      None
-  in
-  (match doc with
-  | None -> ()
-  | Some doc -> (
-    match Persist.load_index index ~doc with
-    | _ -> ()
-    | exception Codec.Corrupt msg -> report c "index %s: %s" index msg
-    | exception Codec.Truncated msg -> report c "index %s: truncated: %s" index msg));
-  close c
-
-(* ------------------------------------------------------------------ *)
-(* v2 mmap snapshots                                                   *)
-
 module Snapshot = Extract_store.Snapshot
 module Node_kind = Extract_store.Node_kind
 module Schema_infer = Extract_store.Schema_infer
@@ -445,15 +394,17 @@ let check_analysis ~derived stored =
   close c
 
 (* The deep pass {!Snapshot.load_analyzed} deliberately skips: spend
-   every recorded section digest, re-derive the arena fingerprint, run
-   the structural document/index checks over the mapped database, then
+   every recorded section digest and the fingerprint they make, run the
+   structural document/index checks over the mapped database, then
    derive the analysis from the mapped arena and compare it with the
    stored one. *)
 let check_snapshot path =
   let c = collector "snapshot" in
-  match Snapshot.verify path with
-  | _stats ->
-    let stored, index = Snapshot.load_analyzed path in
+  match
+    ignore (Snapshot.verify path);
+    Snapshot.load_analyzed path
+  with
+  | { Snapshot.keys = stored; index; _ } ->
     let doc = Node_kind.document (Key_miner.kinds stored) in
     let derived = Key_miner.mine (Node_kind.classify (Dataguide.build doc)) in
     close c @ check_document doc @ check_index index @ check_analysis ~derived stored
@@ -495,27 +446,17 @@ let check_live dir =
     | Some _ | None -> ())
   | exception Codec.Corrupt msg -> report c "journal: %s" msg
   | exception Codec.Truncated msg -> report c "journal: truncated: %s" msg);
+  (* the generation recovery adopts gets a snapshot's deep pass; when it
+     is damaged, recovery falls back and this reports why *)
+  let newest =
+    match List.rev (Live.generations dir) with
+    | [] -> []
+    | gen :: _ -> check_snapshot (Live.snapshot_path dir gen)
+  in
   let content_issues =
     match Live.open_dir ~read_only:true ~on_warning:(fun w -> note "recovery: %s" w) dir with
     | store ->
       let view = Live.view store in
-      let doc = view.Live.doc in
-      let n = Document.node_count doc in
-      (* member table sanity: ascending disjoint element subtrees, and
-         every tombstone names a base member *)
-      let last_end = ref 0 in
-      List.iter
-        (fun (name, root) ->
-          if root <= 0 || root >= n then
-            report c "member %S root %d outside the arena (0,%d)" name root n
-          else begin
-            if not (Document.is_element doc root) then
-              report c "member %S root %d is not an element" name root;
-            if root <= !last_end then
-              report c "member %S subtree overlaps the previous member" name;
-            last_end := Document.subtree_last doc root
-          end)
-        view.Live.members;
       List.iter
         (fun name ->
           if not (List.exists (fun (m, _) -> String.equal m name) view.Live.members) then
@@ -530,7 +471,7 @@ let check_live dir =
           view.Live.deltas
       in
       Live.close store;
-      check_document doc @ check_index view.Live.index @ deltas
+      deltas
     | exception Codec.Corrupt msg ->
       report c "recovery failed: %s" msg;
       []
@@ -538,7 +479,7 @@ let check_live dir =
       report c "recovery failed: truncated: %s" msg;
       []
   in
-  close c @ content_issues, List.rev !notes
+  close c @ newest @ content_issues, List.rev !notes
 
 (* ------------------------------------------------------------------ *)
 (* Whole database + query probes                                       *)

@@ -72,16 +72,6 @@ val check_selection : ?degraded:bool -> Extract_snippet.Selector.selection -> is
     deadline-expired {!Pipeline.snippet_result}) the cost-sum identity is
     skipped: a baseline snippet's edges are bought by no covered item. *)
 
-val check_pair : arena:string -> index:string -> issue list
-(** Validate a persisted arena/index pair on disk (area ["persist"]):
-    each file's seal (magic, version, checksum) and the index's recorded
-    arena fingerprint against the arena actually given — the quiet
-    failure mode where both files are individually intact but the index
-    was built from a different arena. [arena] may also be an XML source
-    file or (reported as an issue) a bundle. Unlike
-    {!Extract_snippet.Corpus.load_file} this reports corruption instead
-    of rebuilding around it — fsck's job is to say the artifact is bad. *)
-
 val check_analysis :
   derived:Extract_store.Key_miner.t -> Extract_store.Key_miner.t -> issue list
 (** [check_analysis ~derived stored] (area ["analysis"]) reports every
@@ -92,7 +82,7 @@ val check_analysis :
     compared bit for bit), key and strict key. *)
 
 val check_snapshot : string -> issue list
-(** fsck for a v2 mmap snapshot (area ["snapshot"]): the deep pass
+(** fsck for a snapshot (area ["snapshot"]): the deep pass
     {!Extract_store.Snapshot.load_analyzed} deliberately skips — every
     recorded section digest is spent and the arena fingerprint
     re-derived ({!Extract_store.Snapshot.verify}) — followed by
@@ -103,11 +93,12 @@ val check_snapshot : string -> issue list
 
 val check_live : string -> issue list * string list
 (** fsck for a live-store directory (area ["live"]): journal readability
-    and checkpoint/snapshot-generation agreement, read-only recovery
-    (snapshot seals, generation fallback, replay), member-table sanity
-    (ascending disjoint element subtrees, tombstones that name base
-    members), and {!check_document}/{!check_index} over the recovered
-    base and every delta segment. Returns [(issues, notes)]: issues are
+    and checkpoint/snapshot-generation agreement, {!check_snapshot} of
+    the newest generation (the one recovery adopts unless it is
+    damaged), read-only recovery (section digests, generation fallback,
+    replay), tombstones that name base members, and
+    {!check_document}/{!check_index} over every delta segment. Returns
+    [(issues, notes)]: issues are
     real damage; notes are benign crash leftovers — a torn journal tail,
     a stale checkpoint, stray temp files — that the next writable
     {!Extract_store.Live.open_dir} repairs. *)

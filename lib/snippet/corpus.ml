@@ -22,31 +22,29 @@ let find t name = List.assoc_opt name t.dbs
 let size t = List.length t.dbs
 
 (* ------------------------------------------------------------------ *)
-(* Loading: accept an XML file, a binary arena, or a bundle written by
-   [extract save], dispatching on the leading magic. A corrupt persisted
-   artifact is not fatal when its XML source is still around: warn and
-   rebuild from the source instead — the artifact is only ever a cache of
-   the XML. *)
+(* Loading: accept a snapshot written by [extract pack] or XML,
+   dispatching on the leading magic. A snapshot that cannot be loaded is
+   not fatal when its XML source is still around: warn and rebuild from
+   the source instead — the snapshot is only ever a cache of the XML. *)
 
-let sniff path =
-  let ic = open_in_bin path in
-  let head =
-    try really_input_string ic (min (in_channel_length ic) 16)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  Extract_store.Persist.sniff_magic head
+module Codec = Extract_store.Codec
+module Snapshot = Extract_store.Snapshot
 
-let load_artifact path magic =
-  if magic = Extract_store.Persist.bundle_magic then Some (Pipeline.load path)
-  else if magic = Extract_store.Persist.magic then
-    Some (Pipeline.build (Extract_store.Persist.load path))
-  else if magic = Extract_store.Snapshot.magic then Some (Pipeline.load_snapshot path)
-  else None
+(* the retired version-1 arena, bundle and index files *)
+let retired_magics = [ "XTRARENA"; "XTRBUNDL"; "XTRINDEX" ]
 
-(* candidate XML sources for a corrupt artifact: `foo.bundle` → `foo.xml`,
+let load_artifact path = function
+  | Some magic when magic = Snapshot.magic -> Some (Pipeline.load_snapshot path)
+  | Some magic when List.mem magic retired_magics ->
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf
+            "a version-1 artifact (magic %S), which this build no longer reads; pack its \
+             source again with `extract pack`"
+            magic))
+  | Some _ | None -> None
+
+(* candidate XML sources for a bad snapshot: `foo.snap` → `foo.xml`,
    then bare `foo` *)
 let xml_siblings path =
   let base = Filename.remove_extension path in
@@ -61,15 +59,11 @@ let load_file ?(on_warning = fun _ -> ()) path =
       Pipeline.of_file source
     | [] -> raise original
   in
-  match sniff path with
+  match load_artifact path (Snapshot.file_magic path) with
   | None -> Pipeline.of_file path
-  | Some magic -> (
-    match load_artifact path magic with
-    | None -> Pipeline.of_file path
-    | Some db -> db
-    | exception (Extract_store.Codec.Corrupt reason as e) -> rebuild_or_reraise reason e
-    | exception (Extract_store.Codec.Truncated reason as e) ->
-      rebuild_or_reraise ("truncated: " ^ reason) e)
+  | Some db -> db
+  | exception (Codec.Corrupt reason as e) -> rebuild_or_reraise reason e
+  | exception (Codec.Truncated reason as e) -> rebuild_or_reraise ("truncated: " ^ reason) e
 
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
   Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline

@@ -51,7 +51,7 @@ let refresh ?previous (view : Live.view) =
   let base =
     match reuse_base with
     | Some base -> base
-    | None -> Pipeline.of_parts view.Live.doc view.Live.index
+    | None -> Pipeline.of_analysis view.Live.analysis view.Live.index
   in
   let previous_deltas = match previous with Some prev -> prev.deltas | None -> [] in
   let deltas =

@@ -154,23 +154,17 @@ let of_xml_string s = build (Document.load_string s)
 
 let of_file path = build (Document.load_file path)
 
-(* Rebuild everything derivable cheaply (classification, keys) and reuse
-   the persisted index. *)
+(* Derive the analysis (classification, keys) and reuse the given
+   index. *)
 let of_parts doc index = constructed (derive doc) (fun () -> index)
 
 let of_analysis keys index = constructed (fun () -> keys) (fun () -> index)
 
-let save path t = Extract_store.Persist.save_bundle path t.doc t.index
-
-let load path =
-  let doc, index = Extract_store.Persist.load_bundle path in
-  of_parts doc index
-
 let save_snapshot path t = Extract_store.Snapshot.save path t.keys t.index
 
 let load_snapshot path =
-  let keys, index = Extract_store.Snapshot.load_analyzed path in
-  of_analysis keys index
+  let s = Extract_store.Snapshot.load_analyzed path in
+  of_analysis s.Extract_store.Snapshot.keys s.Extract_store.Snapshot.index
 
 let id t = t.id
 

@@ -18,30 +18,21 @@ val of_xml_string : string -> t
 
 val of_file : string -> t
 
-val save : string -> t -> unit
-(** Persist the arena and the inverted index as one bundle
-    ({!Extract_store.Persist.save_bundle}); classification and keys are
-    rebuilt on {!load} (they are cheap and fully derived). *)
-
-val load : string -> t
-(** Load a bundle written by {!save}.
-    @raise Extract_store.Codec.Corrupt on malformed input. *)
-
 val of_parts : Document.t -> Extract_store.Inverted_index.t -> t
-(** Analyze an arena that already has its index (what {!load} does after
-    decoding, and how {!Live_corpus} wraps the live store's segments):
-    classification and keys are derived, the given index is reused. *)
+(** Analyze an arena that already has its index (how {!Live_corpus}
+    wraps the live store's delta segments): classification and keys are
+    derived, the given index is reused. *)
 
 val of_analysis : Extract_store.Key_miner.t -> Extract_store.Inverted_index.t -> t
 (** A database from an analysis that was already derived — the keys,
     their classification, dataguide and document — and its index, as
-    {!Extract_store.Snapshot.load_analyzed} maps them: nothing is
-    derived. Like every constructor it runs under the [pipeline.build]
+    {!Extract_store.Snapshot.load_analyzed} maps them and a live store's
+    base carries them: nothing is derived. Like every constructor it runs under the [pipeline.build]
     span and histogram, takes a fresh {!id} and notifies the observer. *)
 
 val save_snapshot : string -> t -> unit
-(** Persist as a v2 mmap snapshot ({!Extract_store.Snapshot.save}) —
-    [extract pack]'s format, which carries the analysis. Unlike {!save},
+(** Persist as an mmap snapshot ({!Extract_store.Snapshot.save}) —
+    [extract pack]'s format, which carries the analysis.
     {!load_snapshot} maps the arena instead of decoding it and adopts
     the analysis instead of deriving it, so cold-start is O(1) in the
     corpus. *)
@@ -51,7 +42,7 @@ val load_snapshot : string -> t
     ({!of_analysis}); none of the dataguide, the classification or the
     keys is derived.
     @raise Extract_store.Codec.Corrupt on structural damage, an invalid
-    analysis section or a version-1 snapshot. *)
+    analysis section or an older snapshot version. *)
 
 val id : t -> int
 (** Unique id of this analyzed database (process-wide, assigned at

@@ -1,6 +1,6 @@
 module Document = Extract_store.Document
 module Codec = Extract_store.Codec
-module Envelope = Extract_store.Persist.Envelope
+module Envelope = Extract_store.Codec.Envelope
 module Snapshot = Extract_store.Snapshot
 module Result_tree = Extract_search.Result_tree
 module Registry = Extract_obs.Registry
@@ -179,7 +179,7 @@ let run ?semantics ?config ?bound ?limit ?mask ?deadline t query =
          })
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: a directory of per-shard v2 snapshots plus a sealed
+(* Persistence: a directory of per-shard snapshots plus a sealed
    manifest recording the provenance intervals. *)
 
 let manifest_magic = "XTRSHRDS"
@@ -205,11 +205,9 @@ let save_dir dir t =
       Codec.write_varint w s.global_last;
       Snapshot.save (Filename.concat dir (shard_file i)) (Pipeline.keys s.db) (Pipeline.index s.db))
     t.shards;
-  let sealed = Envelope.seal ~magic:manifest_magic (Codec.contents w) in
-  let path = Filename.concat dir manifest_name in
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc sealed);
-  Sys.rename tmp path
+  Extract_store.Durable.replace_atomic
+    ~path:(Filename.concat dir manifest_name)
+    (Envelope.seal ~magic:manifest_magic (Codec.contents w))
 
 let load_dir dir =
   let path = Filename.concat dir manifest_name in
@@ -233,8 +231,8 @@ let load_dir dir =
         let global_last = Codec.read_varint r in
         if Filename.basename file <> file then
           raise (Codec.Corrupt (Printf.sprintf "%s: shard file %S escapes the directory" path file));
-        let keys, index = Snapshot.load_analyzed (Filename.concat dir file) in
-        { db = Pipeline.of_analysis keys index; global_first; global_last })
+        let s = Snapshot.load_analyzed (Filename.concat dir file) in
+        { db = Pipeline.of_analysis s.Snapshot.keys s.Snapshot.index; global_first; global_last })
   in
   if not (Codec.at_end r) then
     raise (Codec.Corrupt (Printf.sprintf "%s: trailing bytes after shard table" path));

@@ -19,7 +19,7 @@
     everything rooted strictly below the top-level children is
     identical (test [shard.query] "slca equivalence").
 
-    Persistence is a directory: one v2 {!Extract_store.Snapshot} per
+    Persistence is a directory: one {!Extract_store.Snapshot} per
     shard plus a sealed manifest ([shards.manifest], magic
     ["XTRSHRDS"]) recording each shard's file and provenance interval —
     so a sharded corpus cold-starts as N O(1) mappings. *)
@@ -82,9 +82,10 @@ val run :
 (** {1 Persistence} *)
 
 val save_dir : string -> t -> unit
-(** Write [dir/shards.manifest] plus one [dir/shard-NN.snap] v2 snapshot
-    per shard. Creates [dir] if missing; the manifest is written last
-    (temp + rename), so a complete manifest implies complete shards. *)
+(** Write [dir/shards.manifest] plus one [dir/shard-NN.snap] snapshot
+    per shard ({!Extract_store.Snapshot.save}). Creates [dir] if missing;
+    the manifest is written last (temp + fsync + rename), so a complete
+    manifest implies complete shards. *)
 
 val load_dir : string -> t
 (** Load a directory written by {!save_dir}: maps every shard snapshot

@@ -97,3 +97,32 @@ let seek r p =
 let at_end r = r.pos >= String.length r.data
 
 let block_size = 128
+
+(* A sealed envelope: magic · version · MD5(payload) · payload, so damage
+   anywhere in the payload is caught before anything is decoded from it.
+   The shard manifest is sealed this way. *)
+module Envelope = struct
+  let version = 2
+
+  let seal ~magic payload =
+    let w = writer () in
+    write_string w magic;
+    write_varint w version;
+    write_string w (Digest.string payload);
+    write_string w payload;
+    contents w
+
+  let unseal ~magic:expected ~kind data =
+    let r = reader data in
+    let m = read_string r in
+    if m <> expected then raise (Corrupt (Printf.sprintf "bad %s magic %S" kind m));
+    let v = read_varint r in
+    if v <> version then
+      raise (Corrupt (Printf.sprintf "unsupported %s version %d (want %d)" kind v version));
+    let sum = read_string r in
+    let payload = read_string r in
+    if not (at_end r) then raise (Corrupt (Printf.sprintf "trailing bytes after %s" kind));
+    if Digest.string payload <> sum then
+      raise (Corrupt (Printf.sprintf "%s checksum mismatch (payload damaged)" kind));
+    payload
+end

@@ -1,9 +1,12 @@
-(** Binary encoding primitives for {!Persist}.
+(** Binary encoding primitives for every stored format: {!Snapshot}
+    sections, {!Journal} frames and sealed {!Envelope}s.
 
     A deliberately boring format: unsigned LEB128 varints for integers
     (with a zig-zag variant for possibly-negative values) and
     length-prefixed byte strings. No [Marshal]: files are portable across
-    OCaml versions and trivially inspectable. *)
+    OCaml versions and trivially inspectable. Files are not portable
+    across architectures with different [int] widths (varints cap at 63
+    bits — every platform OCaml 5 supports). *)
 
 type writer
 
@@ -70,5 +73,21 @@ exception Truncated of string
     the signature of an interrupted write rather than bit rot. Recovery
     code ({!Journal}) treats truncation of the {e final} record of a
     journal as benign (a torn tail to discard), while {!Corrupt} mid-file
-    is always fatal; whole-file readers ({!Persist}) treat both as a bad
-    artifact. *)
+    is always fatal; whole-file readers ({!Snapshot}, {!Envelope}) treat
+    both as a bad artifact. *)
+
+(** {1 Envelopes}
+
+    A sealed envelope is magic · version · MD5(payload) · payload, so a
+    damaged or truncated file is rejected before anything is decoded
+    from it. The shard manifest is sealed this way. *)
+
+module Envelope : sig
+  val seal : magic:string -> string -> string
+
+  val unseal : magic:string -> kind:string -> string -> string
+  (** The payload of a sealed envelope. [kind] names the artifact in
+      error messages.
+      @raise Corrupt on wrong magic, version, checksum or trailing bytes.
+      @raise Truncated when the data ends prematurely. *)
+end

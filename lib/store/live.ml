@@ -26,6 +26,7 @@ type view = {
   generation : int;
   doc : Document.t;
   index : Inverted_index.t;
+  analysis : Key_miner.t;
   members : (string * Document.node) list;
   tombstones : string list;
   deltas : (string * delta) list;
@@ -66,62 +67,46 @@ let generations dir =
   |> List.sort Int.compare
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot envelope                                                   *)
+(* Generations                                                         *)
 
-let snapshot_magic = "XTRLSNAP"
+(* The base's analysis, derived once when a base is built; a recovered
+   generation adopts the one it stores. *)
+let analyze doc = Key_miner.mine (Node_kind.classify (Dataguide.build doc))
 
-let encode_snapshot view =
-  let w = Codec.writer () in
-  Codec.write_varint w view.generation;
-  Codec.write_varint w (List.length view.members);
-  List.iter
-    (fun (name, root) ->
-      Codec.write_string w name;
-      Codec.write_varint w root)
-    view.members;
-  Codec.write_string w (Persist.encode view.doc);
-  Codec.write_string w (Persist.encode_index view.index);
-  Persist.Envelope.seal ~magic:snapshot_magic (Codec.contents w)
+(* Member roots are not stored: a member's root is the synthetic root's
+   i-th element child. *)
+let member_roots doc =
+  List.filter (Document.is_element doc) (Document.children doc (Document.root doc))
 
-let decode_snapshot data =
-  let payload = Persist.Envelope.unseal ~magic:snapshot_magic ~kind:"live snapshot" data in
-  let r = Codec.reader payload in
-  let generation = Codec.read_varint r in
-  let member_count = Codec.read_varint r in
-  let rec read_members k acc =
-    if k = 0 then List.rev acc
-    else begin
-      let name = Codec.read_string r in
-      let root = Codec.read_varint r in
-      read_members (k - 1) ((name, root) :: acc)
-    end
-  in
-  let members = read_members member_count [] in
-  let doc = Persist.decode (Codec.read_string r) in
-  let index = Persist.decode_index ~doc (Codec.read_string r) in
-  if not (Codec.at_end r) then raise (Codec.Corrupt "trailing bytes in live snapshot");
-  { generation; doc; index; members; tombstones = []; deltas = [] }
-
-let read_file path =
-  let ic = open_in_bin path in
-  let data =
-    try really_input_string ic (in_channel_length ic)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  data
-
-let load_snapshot dir gen =
+(* A generation is adopted only after its section digests are spent, so
+   a damaged one falls back like an unreadable one. *)
+let load_generation dir gen =
   if Faults.should_fail "snapshot.read" then
     raise (Codec.Corrupt "injected fault: snapshot.read");
-  let view = decode_snapshot (read_file (snapshot_path dir gen)) in
-  if view.generation <> gen then
+  let path = snapshot_path dir gen in
+  ignore (Snapshot.verify path);
+  let s = Snapshot.load_analyzed path in
+  if s.Snapshot.generation <> gen then
     raise
       (Codec.Corrupt
-         (Printf.sprintf "snapshot %s claims generation %d" (snapshot_name gen) view.generation));
-  view
+         (Printf.sprintf "snapshot %s claims generation %d" (snapshot_name gen)
+            s.Snapshot.generation));
+  let doc = Node_kind.document (Key_miner.kinds s.Snapshot.keys) in
+  let roots = member_roots doc in
+  if List.compare_lengths roots s.Snapshot.members <> 0 then
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "snapshot %s names %d member(s) for %d member subtree(s)"
+            (snapshot_name gen) (List.length s.Snapshot.members) (List.length roots)));
+  {
+    generation = gen;
+    doc;
+    index = s.Snapshot.index;
+    analysis = s.Snapshot.keys;
+    members = List.combine s.Snapshot.members roots;
+    tombstones = [];
+    deltas = [];
+  }
 
 (* Fresh stores start from an empty synthetic corpus root; members are
    the root's child subtrees, so an empty corpus is just a childless
@@ -132,6 +117,7 @@ let empty_view () =
     generation = 0;
     doc;
     index = Inverted_index.build doc;
+    analysis = analyze doc;
     members = [];
     tombstones = [];
     deltas = [];
@@ -201,7 +187,7 @@ let load_base ~on_warning dir =
   let rec try_generations = function
     | [] -> None
     | gen :: older -> (
-      match load_snapshot dir gen with
+      match load_generation dir gen with
       | view -> Some view
       | exception (Codec.Corrupt reason | Codec.Truncated reason) ->
         on_warning
@@ -278,7 +264,12 @@ let recover ~read_only ~on_warning dir =
   view, List.length replay
 
 let open_dir ?(read_only = false) ?(on_warning = fun _ -> ()) dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  if not (Sys.file_exists dir) then begin
+    if read_only then
+      invalid_arg
+        (Printf.sprintf "Live.open_dir: %s does not exist (a read-only open creates nothing)" dir);
+    Unix.mkdir dir 0o755
+  end;
   if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Live.open_dir: %s is not a directory" dir);
   let view, replayed = recover ~read_only ~on_warning dir in
@@ -375,27 +366,19 @@ let rebuild view =
   in
   let named = base_trees @ delta_trees in
   let doc = Document.of_xml (Types.element "corpus" (List.map snd named)) in
-  let members =
-    List.map2 (fun (name, _) root -> (name, root)) named
-      (List.filter (Document.is_element doc) (Document.children doc (Document.root doc)))
-  in
   {
     generation = view.generation + 1;
     doc;
     index = Inverted_index.build doc;
-    members;
+    analysis = analyze doc;
+    members = List.combine (List.map fst named) (member_roots doc);
     tombstones = [];
     deltas = [];
   }
 
 let write_snapshot dir view =
-  Faults.hit "snapshot.write";
-  let path = snapshot_path dir view.generation in
-  let tmp = path ^ ".tmp" in
-  Durable.write_file_fsync tmp (encode_snapshot view);
-  Faults.hit "snapshot.rename";
-  Unix.rename tmp path;
-  Durable.fsync_dir dir
+  Snapshot.save ~generation:view.generation ~members:(List.map fst view.members)
+    (snapshot_path dir view.generation) view.analysis view.index
 
 let prune_old_generations dir keep =
   Faults.hit "live.prune";
@@ -407,6 +390,8 @@ let prune_old_generations dir keep =
 let compact t =
   if t.read_only then invalid_arg "Live: store opened read-only";
   with_lock t (fun () ->
+      (* the rebuilt arena stays in memory as the new base: a mapped one
+         would allocate a string for every text read *)
       let next = rebuild (Atomic.get t.state) in
       write_snapshot t.dir next;
       (* the new generation is durable: from here recovery prefers it

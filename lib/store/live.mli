@@ -1,13 +1,17 @@
 (** Crash-safe live corpus store.
 
-    A directory holding a generation-numbered snapshot (the {e base}: a
-    combined arena of every member document under a synthetic [corpus]
-    root, plus its index and a name → subtree-root member table) and a
+    A directory holding a generation-numbered {!Snapshot} (the {e base}:
+    a combined arena of every member document under a synthetic
+    [corpus] root, its index, its analysis and its member names — the
+    i-th name belongs to the root's i-th element child) and a
     write-ahead {!Journal}. Updates are journalled — fsync'd — before
     they touch memory, applied as an in-memory overlay (tombstoned base
     members plus per-document {e delta} segments), and folded back into
-    a new base by {!compact}, which seals a new snapshot generation
-    atomically (temp + fsync + rename) before resetting the journal.
+    a new base by {!compact}, which derives the new base's analysis once
+    and writes the next generation with {!Snapshot.save} (temp + fsync +
+    rename) before resetting the journal. Recovery spends the newest
+    generation's section digests ({!Snapshot.verify}), maps it and
+    adopts its stored analysis, deriving nothing.
 
     Crash contract: killing the process at {e any} instant — including
     between any two syscalls of an update or compaction — leaves the
@@ -21,9 +25,9 @@
     lock file.
 
     Fault points: [snapshot.read] (raises [Codec.Corrupt], exercising
-    generation fallback), [snapshot.write], [snapshot.rename],
-    [live.apply] (after the journal fsync, before the in-memory apply),
-    [live.prune], plus the {!Journal} points. *)
+    generation fallback), {!Snapshot.save}'s [snapshot.write] and
+    [snapshot.rename], [live.apply] (after the journal fsync, before the
+    in-memory apply), [live.prune], plus the {!Journal} points. *)
 
 type delta = {
   delta_doc : Document.t;
@@ -34,6 +38,10 @@ type view = {
   generation : int;  (** snapshot generation the base was loaded from *)
   doc : Document.t;  (** combined base arena, synthetic root at node 0 *)
   index : Inverted_index.t;  (** index over [doc] *)
+  analysis : Key_miner.t;
+      (** the base's analysis (keys, classification, dataguide) over
+          [doc]: derived by {!compact}, adopted from the snapshot on
+          recovery *)
   members : (string * Document.node) list;
       (** base member subtree roots, in document order — including
           tombstoned ones *)
@@ -54,10 +62,14 @@ val open_dir : ?read_only:bool -> ?on_warning:(string -> unit) -> string -> t
     records after the last checkpoint. [on_warning] receives one line
     per repair action (torn tail, fallback, skipped stale records,
     stray temp files). With [read_only] nothing on disk is modified —
-    no truncation, no self-healing, no pruning — and mutations raise
-    [Invalid_argument]; this is what [extract check] uses.
+    no directory creation, no truncation, no self-healing, no pruning —
+    and mutations raise [Invalid_argument]; this is what [extract check]
+    uses. A generation is readable when its section digests match and
+    its member names match the root's element children.
     @raise Codec.Corrupt when no snapshot generation is readable or the
-    journal is damaged before its final record. *)
+    journal is damaged before its final record.
+    @raise Invalid_argument when the path is not a directory, or does
+    not exist and [read_only] is set. *)
 
 val close : t -> unit
 (** Close the journal handle. The store stays queryable. *)

@@ -18,9 +18,11 @@ let mapped_bytes_gauge =
 
 let magic = "XTRSNAP2"
 
-(* 2: the sections carry the analysis (path column and table, kinds,
-   keys); a version-1 file must be packed again *)
-let version = 2
+(* 3: the meta section carries a live generation's number and member
+   names, and the fingerprint digests the arena sections' digests.
+   2 added the analysis (path column and table, kinds, keys). An older
+   file must be packed again. *)
+let version = 3
 
 (* An asymmetric byte pattern: read back through a native-endian fixed64
    on a foreign-endian machine it comes out reversed, which is the whole
@@ -50,8 +52,25 @@ type section = {
 type header = {
   node_count : int;
   element_count : int;
-  fingerprint : string; (* Persist.fingerprint of the arena *)
+  fingerprint : string; (* [fingerprint_of] the sections *)
   sections : section list;
+}
+
+(* The arena's identity, which the index section records so that load
+   can prove the pair belongs together: a digest of the digests of the
+   sections that hold the arena (its columns, text and meta). *)
+let arena_sections = [ "tag"; "parent"; "depth"; "size"; "kinds"; "textoff"; "textblob"; "meta" ]
+
+let fingerprint_of sections =
+  List.filter (fun s -> List.mem s.name arena_sections) sections
+  |> List.map (fun s -> s.md5)
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+type contents = {
+  keys : Key_miner.t;
+  index : Inverted_index.t;
+  generation : int;
+  members : string list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -69,7 +88,7 @@ let char_arr_bytes (a : Document.char_arr) =
   let n = Bigarray.Array1.dim a in
   String.init n (fun i -> Bigarray.Array1.unsafe_get a i)
 
-let meta_payload (src : Document.Flat.source) =
+let meta_payload (src : Document.Flat.source) ~generation ~members =
   let w = Codec.writer () in
   (match src.Document.Flat.dtd_source with
   | None -> Codec.write_varint w 0
@@ -78,6 +97,9 @@ let meta_payload (src : Document.Flat.source) =
     Codec.write_string w s);
   Codec.write_varint w (Array.length src.Document.Flat.tag_names);
   Array.iter (Codec.write_string w) src.Document.Flat.tag_names;
+  Codec.write_varint w generation;
+  Codec.write_varint w (List.length members);
+  List.iter (Codec.write_string w) members;
   Codec.contents w
 
 let index_payload ~fingerprint index =
@@ -173,35 +195,37 @@ let header_bytes (h : header) =
                             (String.length raw)));
   raw ^ String.make (page - String.length raw) '\000'
 
-let encode keys index =
+let encode ?(generation = 0) ?(members = []) keys index =
   let guide = Node_kind.dataguide (Key_miner.kinds keys) in
   let doc = Dataguide.document guide in
-  let fingerprint = Persist.fingerprint doc in
   let src = Document.Flat.to_source doc in
-  let bodies =
-    [
-      "tag", int_arr_bytes src.Document.Flat.tag;
-      "parent", int_arr_bytes src.Document.Flat.parent;
-      "depth", int_arr_bytes src.Document.Flat.depth;
-      "size", int_arr_bytes src.Document.Flat.size;
-      "path", int_arr_bytes (Dataguide.path_column guide);
-      "kinds", Bytes.to_string src.Document.Flat.kinds;
-      "textoff", int_arr_bytes src.Document.Flat.text_offsets;
-      "textblob", char_arr_bytes src.Document.Flat.text_blob;
-      "meta", meta_payload src;
-      "index", index_payload ~fingerprint index;
-      "analysis", analysis_payload keys;
-    ]
-  in
   (* lay out: header page, then each section padded to a page boundary *)
   let off = ref page in
-  let sections =
-    List.map
-      (fun (name, body) ->
-        let s = { name; offset = !off; length = String.length body; md5 = Digest.to_hex (Digest.string body) } in
-        off := align (!off + String.length body);
-        s)
-      bodies
+  let section (name, body) =
+    let s = { name; offset = !off; length = String.length body; md5 = Digest.to_hex (Digest.string body) } in
+    off := align (!off + String.length body);
+    s, body
+  in
+  let arena =
+    List.map section
+      [
+        "tag", int_arr_bytes src.Document.Flat.tag;
+        "parent", int_arr_bytes src.Document.Flat.parent;
+        "depth", int_arr_bytes src.Document.Flat.depth;
+        "size", int_arr_bytes src.Document.Flat.size;
+        "path", int_arr_bytes (Dataguide.path_column guide);
+        "kinds", Bytes.to_string src.Document.Flat.kinds;
+        "textoff", int_arr_bytes src.Document.Flat.text_offsets;
+        "textblob", char_arr_bytes src.Document.Flat.text_blob;
+        "meta", meta_payload src ~generation ~members;
+      ]
+  in
+  let fingerprint = fingerprint_of (List.map fst arena) in
+  let sections, bodies =
+    List.split
+      (arena
+      @ List.map section
+          [ "index", index_payload ~fingerprint index; "analysis", analysis_payload keys ])
   in
   let header =
     {
@@ -214,7 +238,7 @@ let encode keys index =
   let buf = Buffer.create !off in
   Buffer.add_string buf (header_bytes header);
   List.iter2
-    (fun s (_, body) ->
+    (fun s body ->
       assert (Buffer.length buf = s.offset);
       Buffer.add_string buf body;
       let padded = align (s.offset + s.length) in
@@ -222,22 +246,29 @@ let encode keys index =
     sections bodies;
   Buffer.contents buf
 
-let save path keys index =
-  if Faults.should_fail "snapshot.pack" then
-    raise (Codec.Corrupt (Printf.sprintf "injected fault: snapshot.pack (%s)" path));
-  let data = encode keys index in
+(* The one durable writer: a crash at any instant leaves the old file or
+   the new one at [path], never a torn mixture; a stray temp file is
+   all it can leave behind. *)
+let save ?generation ?members path keys index =
+  Faults.hit "snapshot.write";
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try output_string oc data
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc;
-  Sys.rename tmp path;
+  Durable.write_file_fsync tmp (encode ?generation ?members keys index);
+  Faults.hit "snapshot.rename";
+  Unix.rename tmp path;
+  Durable.fsync_dir (Filename.dirname path);
   Registry.incr packs_total
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
+
+let file_magic path =
+  let head =
+    In_channel.with_open_bin path (fun ic ->
+        really_input_string ic (min 16 (Int64.to_int (In_channel.length ic))))
+  in
+  match Codec.read_string (Codec.reader head) with
+  | magic -> Some magic
+  | exception (Codec.Corrupt _ | Codec.Truncated _) -> None
 
 let parse_header ~path raw =
   let r = Codec.reader raw in
@@ -337,8 +368,11 @@ let decode_meta payload =
   in
   let ntags = Codec.read_count r in
   let tag_names = Array.init ntags (fun _ -> Codec.read_string r) in
+  let generation = Codec.read_varint r in
+  let nmembers = Codec.read_count r in
+  let members = List.init nmembers (fun _ -> Codec.read_string r) in
   if not (Codec.at_end r) then raise (Codec.Corrupt "snapshot meta: trailing bytes");
-  dtd_source, tag_names
+  dtd_source, tag_names, generation, members
 
 let decode_index ~doc ~fingerprint payload =
   let r = Codec.reader payload in
@@ -480,7 +514,7 @@ let load_analyzed path =
       (* the bulk is mapped, not read: cold-start cost is the page table,
          not the corpus *)
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      let doc, node_path =
+      let doc, node_path, generation, members =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
@@ -492,7 +526,7 @@ let load_analyzed path =
             let text_offsets = map_int fd ~offset:textoff_s.offset ~count:(n + 1) in
             let text_blob = map_char fd ~offset:textblob_s.offset ~count:textblob_s.length in
             let kinds = Bytes.of_string (read_at ic ~offset:kinds_s.offset ~length:kinds_s.length) in
-            let dtd_source, tag_names =
+            let dtd_source, tag_names, generation, members =
               decode_meta (read_at ic ~offset:meta_s.offset ~length:meta_s.length)
             in
             ( Document.Flat.of_source
@@ -508,7 +542,9 @@ let load_analyzed path =
                   text_offsets;
                   text_blob;
                 },
-              node_path ))
+              node_path,
+              generation,
+              members ))
       in
       let keys =
         decode_analysis ~path ~doc ~node_path
@@ -522,17 +558,17 @@ let load_analyzed path =
       let mapped = (((5 * n) + (n + 1)) * 8) + textblob_s.length in
       Registry.set mapped_bytes_gauge
         (float_of_int (Atomic.fetch_and_add mapped_bytes mapped + mapped));
-      keys, index)
+      { keys; index; generation; members })
 
 let load path =
-  let keys, index = load_analyzed path in
-  Node_kind.document (Key_miner.kinds keys), index
+  let s = load_analyzed path in
+  Node_kind.document (Key_miner.kinds s.keys), s.index
 
 (* ------------------------------------------------------------------ *)
-(* Deep verification, for [extract check]: load never checksums the
-   mapped bulk (that would re-read the corpus and defeat the O(1)
-   cold-start), so the section digests recorded at pack time are only
-   spent here. *)
+(* Deep verification, for [extract check] and live recovery: load never
+   checksums the mapped bulk (that would re-read the corpus and defeat
+   the O(1) cold-start), so the section digests recorded at pack time
+   are only spent here. *)
 
 type stats = {
   v_node_count : int;
@@ -557,16 +593,14 @@ let verify path =
               (Codec.Corrupt
                  (Printf.sprintf "%s: section %S checksum mismatch (damaged)" path s.name)))
         h.sections;
-      (* pairing rule: the header fingerprint must be the fingerprint of
-         the arena the sections actually materialize *)
-      let doc, index = load path in
-      let actual = Persist.fingerprint doc in
+      (* the digests are now spent, so the fingerprint the index section
+         is paired with must be theirs *)
+      let actual = fingerprint_of h.sections in
       if actual <> h.fingerprint then
         raise
           (Codec.Corrupt
-             (Printf.sprintf "%s: header fingerprint %s but the arena materializes as %s"
+             (Printf.sprintf "%s: header fingerprint %s but the arena sections digest to %s"
                 path h.fingerprint actual));
-      ignore (Inverted_index.postings_size index);
       {
         v_node_count = h.node_count;
         v_element_count = h.element_count;

@@ -8,7 +8,6 @@ module Codec = Extract_store.Codec
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 module Packed_postings = Extract_store.Packed_postings
-module Persist = Extract_store.Persist
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
 module Pipeline = Extract_snippet.Pipeline
@@ -299,100 +298,97 @@ let test_degraded_pipeline_run_passes_observer () =
         (results <> [] && List.for_all (fun r -> r.Pipeline.degraded) results))
 
 (* ------------------------------------------------------------------ *)
-(* Persisted pair validation (check --index) *)
+(* A snapshot's arena/index pairing (check_snapshot) *)
 
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
-let in_temp_pair f =
-  let arena = Filename.temp_file "extract_arena" ".bin" in
-  let index = Filename.temp_file "extract_index" ".idx" in
+let in_temp_snapshot db f =
+  let path = Filename.temp_file "extract_check" ".snap" in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove arena;
-      Sys.remove index)
-    (fun () -> f arena index)
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Pipeline.save_snapshot path db;
+      f path)
 
 let test_check_pair_matching () =
-  let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db);
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      check_clean "matching pair" (Check.check_pair ~arena ~index))
+  in_temp_snapshot (retail_db ()) (fun path ->
+      check_clean "index paired with its own arena" (Check.check_snapshot path))
 
+(* every digest matches, but the index section comes from another arena *)
 let test_check_pair_mismatched () =
-  let db_a = retail_db () in
   let db_b =
     Pipeline.build (Document.of_document (Datagen.Movies.generate Datagen.Movies.default))
   in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db_a);
-      Extract_store.Persist.save_index index (Pipeline.index db_b);
-      let issues = Check.check_pair ~arena ~index in
-      check_flagged "mismatched pair flagged" issues;
-      check bool "mentions fingerprint" true (has_issue_about "fingerprint" issues))
+  in_temp_snapshot (retail_db ()) (fun a ->
+      in_temp_snapshot db_b (fun b ->
+          let index_b = Snapshot_image.section (Snapshot_image.read b) "index" in
+          Snapshot_image.write a
+            (Snapshot_image.with_section (Snapshot_image.read a) "index" (fun _ -> index_b));
+          let issues = Check.check_snapshot a in
+          check_flagged "mismatched pair flagged" issues;
+          check bool "mentions fingerprint" true (has_issue_about "fingerprint" issues)))
 
 let test_check_pair_corrupt_index () =
-  let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db);
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      let ic = open_in_bin index in
-      let data = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+  in_temp_snapshot (retail_db ()) (fun path ->
+      let data = Snapshot_image.read path in
       let bytes = Bytes.of_string data in
-      let pos = Bytes.length bytes - 2 in
+      let pos = Snapshot_image.section_offset data "index" + 40 in
       Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0xff));
-      write_file index (Bytes.to_string bytes);
-      check_flagged "corrupt index flagged" (Check.check_pair ~arena ~index))
+      Snapshot_image.write path (Bytes.to_string bytes);
+      let issues = Check.check_snapshot path in
+      check_flagged "corrupt index flagged" issues;
+      check bool "names the index section" true (has_issue_about "\"index\"" issues))
 
-let test_check_pair_xml_arena () =
-  (* the arena side may be plain XML: it is parsed, fingerprinted, and
-     still compared against the index *)
-  let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      write_file arena "<a><b>one two</b></a>";
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      let issues = Check.check_pair ~arena ~index in
-      check_flagged "xml arena vs foreign index flagged" issues)
-
-(* A sealed index whose seal is intact but whose list goes down: the
-   load refuses it as corrupt, like any other damaged artifact, and
-   check --index reports it. *)
+(* An index section whose digest is intact but whose longest list goes
+   down or repeats: the load adopts lists without decoding them, so the
+   deep pass reports it. *)
 let test_unsorted_index_is_corrupt () =
-  let doc = small_doc () in
-  let index_with list =
-    let payload = Buffer.create 64 in
-    let add_string s =
-      add_varint payload (String.length s);
-      Buffer.add_string payload s
-    in
-    add_string (Persist.fingerprint doc);
-    add_varint payload 1;
-    add_string "book";
-    add_varint payload 1;
-    add_varint payload (Array.length list);
-    add_gaps payload list;
-    add_varint payload 0;
-    Persist.Envelope.seal ~magic:Persist.index_magic (Buffer.contents payload)
+  let db = retail_db () in
+  let idx = Pipeline.index db in
+  let tokens = Inverted_index.vocabulary idx in
+  let longest =
+    List.fold_left
+      (fun best t ->
+        if Inverted_index.keyword_count idx t > Inverted_index.keyword_count idx best then t
+        else best)
+      (List.hd tokens) tokens
+  in
+  let tampered f =
+    List.map
+      (fun t ->
+        let list = Inverted_index.lookup idx t in
+        t, if t = longest then f (Array.copy list) else list)
+      tokens
   in
   List.iter
-    (fun (label, list) ->
-      in_temp_pair (fun arena index ->
-          Persist.save arena doc;
-          write_file index (index_with list);
-          check bool (label ^ ": load_index raises Corrupt") true
-            (match Persist.load_index index ~doc with
-            | _ -> false
-            | exception Codec.Corrupt _ -> true);
-          check bool (label ^ ": check_pair reports it") true
-            (has_issue_about "not strictly ascending" (Check.check_pair ~arena ~index))))
+    (fun (label, f, offset) ->
+      in_temp_snapshot db (fun path ->
+          let data = Snapshot_image.read path in
+          let fingerprint = Snapshot_image.index_fingerprint data in
+          Snapshot_image.write path
+            (Snapshot_image.with_section data "index" (fun _ ->
+                 Snapshot_image.index_section ~fingerprint
+                   ~pairs:(Inverted_index.Internal.tag_token_pairs idx)
+                   (tampered f)));
+          check bool (label ^ ": the load adopts it") true
+            (match Extract_store.Snapshot.load path with _ -> true);
+          let issues = Check.check_snapshot path in
+          check bool
+            (Printf.sprintf "%s: check_snapshot reports it at offset %d" label offset)
+            true
+            (has_issue_about (Printf.sprintf "not strictly ascending at offset %d" offset) issues)))
     [
-      "descending", [| 5; 2 |];
+      ( "descending",
+        (fun a ->
+          let x = a.(0) in
+          a.(0) <- a.(1);
+          a.(1) <- x;
+          a),
+        1 );
       (* a zero gap as the first entry of the second block *)
-      "duplicate across blocks", Array.init (Codec.block_size + 1) (fun i -> min i (Codec.block_size - 1));
+      ( "duplicate across blocks",
+        (fun a ->
+          a.(Codec.block_size) <- a.(Codec.block_size - 1);
+          a),
+        Codec.block_size );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -454,7 +450,6 @@ let suites =
         Alcotest.test_case "matching pair" `Quick test_check_pair_matching;
         Alcotest.test_case "mismatched pair" `Quick test_check_pair_mismatched;
         Alcotest.test_case "corrupt index" `Quick test_check_pair_corrupt_index;
-        Alcotest.test_case "xml arena" `Quick test_check_pair_xml_arena;
         Alcotest.test_case "unsorted index" `Quick test_unsorted_index_is_corrupt;
       ] );
     ( "check.all",

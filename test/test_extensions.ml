@@ -1,13 +1,13 @@
 (* Tests for the extension modules: snippet configuration and goal
    ablation, query-biased feature ordering, cross-result differentiation,
-   the XRank-style ranker, XSearch interconnection semantics, binary
+   the XRank-style ranker, XSearch interconnection semantics, snapshot
    persistence, the XPath-lite selector and the HTML view. *)
 
 module Document = Extract_store.Document
 module Node_kind = Extract_store.Node_kind
 module Key_miner = Extract_store.Key_miner
 module Inverted_index = Extract_store.Inverted_index
-module Persist = Extract_store.Persist
+module Snapshot = Extract_store.Snapshot
 module Codec = Extract_store.Codec
 module Path_query = Extract_store.Path_query
 module Query = Extract_search.Query
@@ -376,15 +376,27 @@ let test_codec_negative_varint () =
     (Invalid_argument "Codec.write_varint: negative") (fun () -> Codec.write_varint w (-1))
 
 (* ------------------------------------------------------------------ *)
-(* Persist *)
+(* Persistence: snapshots hold the arena, its index and its analysis *)
 
 let docs_equal a b =
   Document.node_count a = Document.node_count b
   && Document.to_xml a 0 = Document.to_xml b 0
 
+let with_file suffix f =
+  let path = Filename.temp_file "extract_persist" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [f] on the path of a snapshot of [doc] *)
+let with_snapshot doc f =
+  with_file ".snap" (fun path ->
+      Pipeline.save_snapshot path (Pipeline.build doc);
+      f path)
+
+let roundtrip doc = with_snapshot doc Snapshot.load
+
 let test_persist_roundtrip () =
   let doc = Document.load_string league in
-  let loaded = Persist.decode (Persist.encode doc) in
+  let loaded, _ = roundtrip doc in
   check bool "structure preserved" true (docs_equal doc loaded);
   check int "element count" (Document.element_count doc) (Document.element_count loaded)
 
@@ -392,7 +404,7 @@ let test_persist_dtd_preserved () =
   let doc =
     Document.load_string "<!DOCTYPE r [<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>]><r><a>1</a></r>"
   in
-  let loaded = Persist.decode (Persist.encode doc) in
+  let loaded, _ = roundtrip doc in
   match Document.dtd loaded with
   | None -> Alcotest.fail "dtd lost"
   | Some dtd ->
@@ -401,28 +413,34 @@ let test_persist_dtd_preserved () =
 
 let test_persist_file_roundtrip () =
   let doc = Document.of_document (Extract_datagen.Movies.sized 10) in
-  let path = Filename.temp_file "extract_persist" ".arena" in
-  Persist.save path doc;
-  let loaded = Persist.load path in
-  Sys.remove path;
-  check bool "file roundtrip" true (docs_equal doc loaded)
+  with_snapshot doc (fun path ->
+      check bool "file roundtrip" true
+        (docs_equal doc (Pipeline.document (Pipeline.load_snapshot path))))
+
+let expect_refused label path =
+  match Snapshot.load path with
+  | exception (Codec.Corrupt _ | Codec.Truncated _) -> ()
+  | _ -> Alcotest.failf "%s: expected the load to refuse" label
 
 let test_persist_rejects_garbage () =
-  (match Persist.decode "not an arena" with
-  | exception (Codec.Corrupt _ | Codec.Truncated _) -> ()
-  | _ -> Alcotest.fail "expected Corrupt");
-  (* correct magic, wrong version *)
-  let w = Codec.writer () in
-  Codec.write_string w Persist.magic;
-  Codec.write_varint w 999;
-  match Persist.decode (Codec.contents w) with
-  | exception Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected version rejection"
+  with_file ".snap" (fun path ->
+      Snapshot_image.write path "not a snapshot";
+      expect_refused "garbage" path;
+      (* correct magic, a whole header page, wrong version *)
+      let w = Codec.writer () in
+      Codec.write_string w Snapshot.magic;
+      Codec.write_varint w 999;
+      let head = Codec.contents w in
+      Snapshot_image.write path (head ^ String.make (4096 - String.length head) '\000');
+      match Snapshot.load path with
+      | exception Codec.Corrupt msg ->
+        check bool "names the version" true (contains_substring msg "version 999")
+      | _ -> Alcotest.fail "expected version rejection")
 
 let test_persist_index_roundtrip () =
   let doc = Document.of_document (Extract_datagen.Retail.generate Extract_datagen.Retail.default) in
   let index = Inverted_index.build doc in
-  let loaded = Persist.decode_index ~doc (Persist.encode_index index) in
+  let _, loaded = roundtrip doc in
   check int "token count" (Inverted_index.token_count index) (Inverted_index.token_count loaded);
   check int "postings size" (Inverted_index.postings_size index)
     (Inverted_index.postings_size loaded);
@@ -440,10 +458,7 @@ let test_persist_index_roundtrip () =
 let test_persist_index_file_and_search () =
   let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
   let index = Inverted_index.build doc in
-  let path = Filename.temp_file "extract_index" ".idx" in
-  Persist.save_index path index;
-  let loaded = Persist.load_index path ~doc in
-  Sys.remove path;
+  let _, loaded = roundtrip doc in
   let kinds = Node_kind.of_document doc in
   let q = Extract_search.Query.of_string Extract_datagen.Paper_example.query in
   let a = Extract_search.Engine.run index kinds q in
@@ -451,146 +466,145 @@ let test_persist_index_file_and_search () =
   check bool "same search results" true
     (List.map Result_tree.root a = List.map Result_tree.root b)
 
+(* The load reads the index section whole, without its digest: garbage
+   there is refused all the same *)
 let test_persist_index_rejects_garbage () =
-  let doc = Document.load_string "<r/>" in
-  (match Persist.decode_index ~doc "garbage" with
-  | exception (Codec.Corrupt _ | Codec.Truncated _) -> ()
-  | _ -> Alcotest.fail "expected Corrupt");
-  (* arena magic is not index magic *)
-  match Persist.decode_index ~doc (Persist.encode doc) with
-  | exception Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected magic mismatch"
+  with_snapshot (Document.load_string "<r><a>one</a></r>") (fun path ->
+      let data = Snapshot_image.read path in
+      let index = Snapshot_image.section data "index" in
+      let garbage = String.make (String.length index) 'g' in
+      Snapshot_image.write path (Snapshot_image.with_section data "index" (fun _ -> garbage));
+      expect_refused "garbage index" path;
+      Snapshot_image.write path (Snapshot_image.with_section data "index" (fun _ -> ""));
+      expect_refused "empty index" path)
 
 let test_persist_index_compression_wins () =
-  (* gap encoding must beat 8-byte-per-posting raw storage comfortably *)
+  (* the stored lists must beat 8-byte-per-posting raw storage comfortably *)
   let doc = Document.of_document (Extract_datagen.Retail.scaled 2000) in
   let index = Inverted_index.build doc in
-  let encoded = String.length (Persist.encode_index index) in
-  let raw = 8 * Inverted_index.postings_size index in
-  check bool
-    (Printf.sprintf "encoded %d < raw postings %d" encoded raw)
-    true (encoded < raw)
+  with_snapshot doc (fun path ->
+      let stored = List.assoc "index" (Snapshot.verify path).Snapshot.v_sections in
+      let raw = 8 * Inverted_index.postings_size index in
+      check bool (Printf.sprintf "index section %d < raw postings %d" stored raw) true
+        (stored < raw))
 
 let test_persist_pipeline_equivalent () =
   (* searching a persisted-and-reloaded database gives identical snippets *)
   let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
-  let loaded = Persist.decode (Persist.encode doc) in
   let out db =
-    Pipeline.run ~bound:8 (Pipeline.build db) Extract_datagen.Paper_example.query
+    Pipeline.run ~bound:8 db Extract_datagen.Paper_example.query
     |> List.map (fun (r : Pipeline.snippet_result) ->
            Snippet_tree.render r.Pipeline.selection.Selector.snippet)
   in
-  check bool "identical output" true (out doc = out loaded)
+  let reloaded = with_snapshot doc Pipeline.load_snapshot in
+  check bool "identical output" true (out (Pipeline.build doc) = out reloaded)
 
 (* ------------------------------------------------------------------ *)
-(* Persist: seals, fingerprints, fault injection *)
+(* Persistence: digests, fingerprints, fault injection *)
 
 let with_faults spec f =
   match Extract_util.Faults.configure spec with
   | Error e -> Alcotest.failf "configure %S: %s" spec e
   | Ok () -> Fun.protect ~finally:Extract_util.Faults.clear f
 
+(* Flip one byte inside [section] and expect [verify] to name it. *)
+let expect_flip_detected path data section =
+  let b = Bytes.of_string data in
+  let pos = Snapshot_image.section_offset data section + 1 in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+  Snapshot_image.write path (Bytes.to_string b);
+  match Snapshot.verify path with
+  | exception Codec.Corrupt msg ->
+    check bool
+      (Printf.sprintf "%s checksum named in %S" section msg)
+      true
+      (contains_substring msg "checksum" && contains_substring msg (Printf.sprintf "%S" section))
+  | _ -> Alcotest.failf "expected Corrupt on a flipped %s byte" section
+
+(* the bulk the load maps without reading *)
 let test_persist_checksum_detects_bitflip () =
-  let doc = Document.load_string league in
-  let data = Persist.encode doc in
-  (* flip a payload byte: the seal head (magic/version/digest) is at the
-     front, so bytes near the end are payload content *)
-  let b = Bytes.of_string data in
-  let pos = Bytes.length b - 2 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
-  match Persist.decode (Bytes.to_string b) with
-  | exception Codec.Corrupt msg ->
-    check bool
-      (Printf.sprintf "checksum named in %S" msg)
-      true
-      (contains_substring msg "checksum")
-  | _ -> Alcotest.fail "expected Corrupt on a flipped payload byte"
+  with_snapshot (Document.load_string league) (fun path ->
+      let data = Snapshot_image.read path in
+      List.iter (expect_flip_detected path data) [ "tag"; "textblob" ])
 
+(* the small sections a snapshot bundles with its arena *)
 let test_persist_bundle_checksum_detects_bitflip () =
-  let doc = Document.load_string league in
-  let index = Inverted_index.build doc in
-  let data = Persist.encode_bundle doc index in
-  let b = Bytes.of_string data in
-  let pos = Bytes.length b - 2 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
-  match Persist.decode_bundle (Bytes.to_string b) with
-  | exception Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt on a flipped bundle byte"
+  with_snapshot (Document.load_string league) (fun path ->
+      let data = Snapshot_image.read path in
+      List.iter (expect_flip_detected path data) [ "meta"; "index"; "analysis" ])
 
+(* the header's fingerprint must be the digest of the arena sections'
+   digests: a forged one is refused by verify, and by the load because
+   the index section no longer pairs with it *)
 let test_persist_fingerprint_mismatch () =
-  (* both files individually intact, but the index belongs to another
-     arena: historically silent nonsense postings, now a clean rejection *)
-  let doc_a = Document.of_document (Extract_datagen.Paper_example.document ()) in
-  let doc_b = Document.load_string league in
-  let encoded = Persist.encode_index (Inverted_index.build doc_a) in
-  (match Persist.decode_index ~doc:doc_a encoded with
-  | _ -> ()
-  | exception Codec.Corrupt msg -> Alcotest.failf "matching pair rejected: %s" msg);
-  match Persist.decode_index ~doc:doc_b encoded with
-  | exception Codec.Corrupt msg ->
-    check bool
-      (Printf.sprintf "fingerprint named in %S" msg)
-      true
-      (contains_substring msg "fingerprint")
-  | _ -> Alcotest.fail "mismatched arena/index pair accepted"
+  with_snapshot (Document.load_string league) (fun path ->
+      let data = Snapshot_image.read path in
+      let fingerprint = Snapshot_image.index_fingerprint data in
+      let at = Snapshot_image.section_offset data "tag" in
+      let rec find i = if String.sub data i 32 = fingerprint then i else find (i + 1) in
+      let pos = find 0 in
+      check bool "the header holds it" true (pos < at);
+      let b = Bytes.of_string data in
+      Bytes.set b pos (if Bytes.get b pos = '0' then '1' else '0');
+      Snapshot_image.write path (Bytes.to_string b);
+      (match Snapshot.verify path with
+      | exception Codec.Corrupt msg ->
+        check bool (Printf.sprintf "fingerprint named in %S" msg) true
+          (contains_substring msg "fingerprint")
+      | _ -> Alcotest.fail "verify accepted a forged header fingerprint");
+      match Snapshot.load path with
+      | exception Codec.Corrupt msg ->
+        check bool (Printf.sprintf "fingerprint named in %S" msg) true
+          (contains_substring msg "fingerprint")
+      | _ -> Alcotest.fail "load accepted an index that pairs with another fingerprint")
 
+(* both files intact, but one's index section spliced into the other:
+   every digest matches, only the pairing rule can tell *)
 let test_persist_load_index_rejects_mismatched_files () =
   let doc_a = Document.of_document (Extract_datagen.Paper_example.document ()) in
   let doc_b = Document.load_string league in
-  let path = Filename.temp_file "extract_fpr" ".idx" in
-  Persist.save_index path (Inverted_index.build doc_a);
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match Persist.load_index path ~doc:doc_a with
-      | _ -> ()
-      | exception Codec.Corrupt msg -> Alcotest.failf "matching pair rejected: %s" msg);
-      match Persist.load_index path ~doc:doc_b with
-      | exception Codec.Corrupt _ -> ()
-      | _ -> Alcotest.fail "load_index accepted an index built from another arena")
+  with_snapshot doc_a (fun a ->
+      with_snapshot doc_b (fun b ->
+          let index_b = Snapshot_image.section (Snapshot_image.read b) "index" in
+          Snapshot_image.write a
+            (Snapshot_image.with_section (Snapshot_image.read a) "index" (fun _ -> index_b));
+          (match Snapshot.verify a with
+          | _ -> ()
+          | exception Codec.Corrupt msg -> Alcotest.failf "digests re-laid, yet %s" msg);
+          match Snapshot.load a with
+          | exception Codec.Corrupt msg ->
+            check bool
+              (Printf.sprintf "fingerprint named in %S" msg)
+              true
+              (contains_substring msg "fingerprint")
+          | _ -> Alcotest.fail "an index from another arena was accepted"))
 
 let test_persist_read_fault_point () =
-  let doc = Document.load_string league in
-  let path = Filename.temp_file "extract_fault" ".arena" in
-  Persist.save path doc;
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      with_faults "persist.read:fail" (fun () ->
-          (match Persist.load path with
+  with_snapshot (Document.load_string league) (fun path ->
+      with_faults "snapshot.map:fail" (fun () ->
+          (match Snapshot.load path with
           | exception Codec.Corrupt msg ->
             check bool "names the injection" true (contains_substring msg "injected")
-          | _ -> Alcotest.fail "persist.read fault did not fire");
-          check bool "fired counted" true (Extract_util.Faults.fired "persist.read" >= 1));
+          | _ -> Alcotest.fail "snapshot.map fault did not fire");
+          check bool "fired counted" true (Extract_util.Faults.fired "snapshot.map" >= 1));
       (* disarmed again: the same file loads *)
-      match Persist.load path with
+      match Snapshot.load path with
       | _ -> ()
       | exception Codec.Corrupt msg -> Alcotest.failf "clean load failed: %s" msg)
 
 let test_persist_write_fault_point () =
-  let doc = Document.load_string league in
-  let path = Filename.temp_file "extract_fault" ".arena" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      with_faults "persist.write:once" (fun () ->
-          (match Persist.save path doc with
-          | exception Codec.Corrupt _ -> ()
-          | _ -> Alcotest.fail "persist.write fault did not fire");
+  let db = Pipeline.of_xml_string league in
+  with_file ".snap" (fun path ->
+      with_faults "snapshot.write:once" (fun () ->
+          (match Pipeline.save_snapshot path db with
+          | exception Extract_util.Faults.Injected _ -> ()
+          | () -> Alcotest.fail "snapshot.write fault did not fire");
+          check bool "no temp file left" false (Sys.file_exists (path ^ ".tmp"));
           (* [once]: the retry goes through *)
-          Persist.save path doc;
-          match Persist.load path with
+          Pipeline.save_snapshot path db;
+          match Snapshot.load path with
           | _ -> ()
           | exception Codec.Corrupt msg -> Alcotest.failf "retried write unreadable: %s" msg))
-
-let test_index_load_fault_point () =
-  let doc = Document.load_string league in
-  let encoded = Persist.encode_index (Inverted_index.build doc) in
-  with_faults "index.load:fail" (fun () ->
-      match Persist.decode_index ~doc encoded with
-      | exception Codec.Corrupt msg ->
-        check bool "names the injection" true (contains_substring msg "index.load")
-      | _ -> Alcotest.fail "index.load fault did not fire")
 
 (* ------------------------------------------------------------------ *)
 (* Path_query *)
@@ -745,7 +759,6 @@ let suites =
           test_persist_load_index_rejects_mismatched_files;
         Alcotest.test_case "read fault" `Quick test_persist_read_fault_point;
         Alcotest.test_case "write fault" `Quick test_persist_write_fault_point;
-        Alcotest.test_case "index.load fault" `Quick test_index_load_fault_point;
       ] );
     ( "ext.path_query",
       [

@@ -1,9 +1,10 @@
 (* Tests for the crash-safe live corpus: journal framing and torn-tail
    recovery, snapshot generations, the visibility mask, fault-injected
-   crash windows, and envelope damage edge cases. *)
+   crash windows, and generation damage edge cases. *)
 
 module Codec = Extract_store.Codec
-module Persist = Extract_store.Persist
+module Snapshot = Extract_store.Snapshot
+module Check = Extract_check.Check
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 module Journal = Extract_store.Journal
@@ -45,6 +46,19 @@ let flip_byte path pos =
 let doc_a = "<doc><title>alpha storm</title><body>rivers and rain</body></doc>"
 let doc_b = "<doc><title>beta storm</title><body>sunshine</body></doc>"
 let doc_c = "<doc><title>gamma calm</title><body>rivers again</body></doc>"
+
+(* a small retail corpus, large enough for entities with keys *)
+let retail_xml seed =
+  let cfg =
+    {
+      Extract_datagen.Retail.default with
+      seed;
+      retailers = 2;
+      stores_per_retailer = 5;
+      clothes_per_store = 3;
+    }
+  in
+  Extract_xml.Printer.document_to_string (Extract_datagen.Retail.generate cfg)
 
 let sample_records =
   [
@@ -201,45 +215,64 @@ let test_journal_replay_helpers () =
           [ Journal.Remove_doc "x"; Journal.Remove_doc "y" ]))
 
 (* ------------------------------------------------------------------ *)
-(* Envelope damage edge cases *)
+(* Generation damage edge cases *)
+
+let has s sub =
+  let ls = String.length s and lb = String.length sub in
+  let rec loop i = i + lb <= ls && (String.sub s i lb = sub || loop (i + 1)) in
+  loop 0
+
+(* A store compacted to generation 1, holding doc_a. *)
+let compacted_store () =
+  let dir = temp_dir () in
+  let lc = Extract_snippet.Live_corpus.open_dir dir in
+  Extract_snippet.Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
+  ignore (Extract_snippet.Live_corpus.compact lc);
+  Extract_snippet.Live_corpus.close lc;
+  dir
+
+let recovery_error dir =
+  match Extract_snippet.Live_corpus.open_dir ~on_warning:(fun _ -> ()) dir with
+  | _ -> Alcotest.fail "recovery adopted a damaged generation"
+  | exception Codec.Corrupt reason -> reason
 
 let test_envelope_zero_length_file () =
-  let path = Filename.temp_file "extract_live" ".arena" in
+  let dir = compacted_store () in
+  let path = Live.snapshot_path dir 1 in
   write_file path "";
-  check bool "truncated" true
-    (match Persist.load path with
-    | _ -> false
-    | exception Codec.Truncated _ -> true)
+  let reason = recovery_error dir in
+  check bool (Printf.sprintf "%S names the file and the magic" reason) true
+    (has reason path && has reason Snapshot.magic)
 
 let test_envelope_magic_only () =
-  let path = Filename.temp_file "extract_live" ".arena" in
+  let dir = compacted_store () in
+  let path = Live.snapshot_path dir 1 in
   let w = Codec.writer () in
-  Codec.write_string w Persist.magic;
+  Codec.write_string w Snapshot.magic;
   write_file path (Codec.contents w);
   check bool "truncated" true
-    (match Persist.load path with
+    (match Snapshot.load path with
     | _ -> false
-    | exception Codec.Truncated _ -> true)
+    | exception Codec.Truncated _ -> true);
+  ignore (recovery_error dir)
 
 let test_envelope_fingerprint_mismatch_with_valid_seals () =
-  (* both artifacts seal correctly; only the cross-file fingerprint
-     disagrees — the last line of defence against mixed-up pairs *)
-  let doc1 = Document.load_string doc_a in
-  let doc2 = Document.load_string doc_b in
-  let encoded = Persist.encode_index (Inverted_index.build doc1) in
-  check bool "own doc accepted" true
-    (match Persist.decode_index ~doc:doc1 encoded with _ -> true);
-  check bool "foreign doc rejected" true
-    (match Persist.decode_index ~doc:doc2 encoded with
-    | _ -> false
-    | exception Codec.Corrupt reason ->
-      (* the message should blame the pairing, not the bytes *)
-      let has s sub =
-        let ls = String.length s and lb = String.length sub in
-        let rec loop i = i + lb <= ls && (String.sub s i lb = sub || loop (i + 1)) in
-        loop 0
-      in
-      has reason "fingerprint")
+  (* every section digest matches; only the index section comes from
+     another arena — the last line of defence against mixed-up pairs *)
+  let dir = compacted_store () in
+  let other = temp_dir () in
+  let lc = Extract_snippet.Live_corpus.open_dir other in
+  Extract_snippet.Live_corpus.add lc ~name:"a.xml" ~xml:doc_b;
+  ignore (Extract_snippet.Live_corpus.compact lc);
+  Extract_snippet.Live_corpus.close lc;
+  let foreign = Snapshot_image.section (read_file (Live.snapshot_path other 1)) "index" in
+  let path = Live.snapshot_path dir 1 in
+  write_file path (Snapshot_image.with_section (read_file path) "index" (fun _ -> foreign));
+  check bool "digests still match" true
+    (match Snapshot.verify path with _ -> true | exception Codec.Corrupt _ -> false);
+  (* the message should blame the pairing, not the bytes *)
+  let reason = recovery_error dir in
+  check bool (Printf.sprintf "%S blames the fingerprint" reason) true (has reason "fingerprint")
 
 (* ------------------------------------------------------------------ *)
 (* Crash fault specs *)
@@ -492,13 +525,36 @@ let test_live_generation_fallback () =
   Live_corpus.close lc;
   (* a later generation that never finished decoding: recovery must warn
      and fall back to generation 1 *)
-  write_file (Live.snapshot_path dir 2) "garbage, not an envelope";
+  write_file (Live.snapshot_path dir 2) "garbage, not a snapshot";
   let warnings = ref [] in
   let lc = Live_corpus.open_dir ~on_warning:(fun w -> warnings := w :: !warnings) dir in
   check int "fell back" 1 (Live_corpus.generation lc);
   check string_list "content intact" [ "a.xml" ] (Live_corpus.names lc);
   check bool "fallback reported" true (!warnings <> []);
-  Live_corpus.close lc
+  (* a complete generation 2 with one byte flipped inside a bulk section:
+     the header and every structure check pass, only the digest tells *)
+  let view = Live.view (Live_corpus.store lc) in
+  Live_corpus.close lc;
+  let path = Live.snapshot_path dir 2 in
+  Snapshot.save ~generation:2 ~members:(List.map fst view.Live.members) path
+    view.Live.analysis view.Live.index;
+  let image = read_file path in
+  List.iter
+    (fun section ->
+      write_file path image;
+      flip_byte path (Snapshot_image.section_offset image section + 1);
+      let warnings = ref [] in
+      let lc = Live_corpus.open_dir ~on_warning:(fun w -> warnings := w :: !warnings) dir in
+      check int (section ^ ": fell back") 1 (Live_corpus.generation lc);
+      check string_list (section ^ ": content intact") [ "a.xml" ] (Live_corpus.names lc);
+      check bool (section ^ ": the warning names the checksum") true
+        (List.exists (fun w -> has w "checksum") !warnings);
+      Live_corpus.close lc;
+      check bool (section ^ ": check reports the damage") true
+        (List.exists
+           (fun (i : Check.issue) -> has i.Check.what "checksum")
+           (fst (Check.check_live dir))))
+    [ "tag"; "textblob" ]
 
 let test_live_all_snapshots_corrupt_is_fatal () =
   let dir = temp_dir () in
@@ -506,11 +562,70 @@ let test_live_all_snapshots_corrupt_is_fatal () =
   Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
   ignore (Live_corpus.compact lc);
   Live_corpus.close lc;
-  flip_byte (Live.snapshot_path dir 1) 40;
-  check bool "corrupt" true
-    (match Live_corpus.open_dir ~on_warning:(fun _ -> ()) dir with
+  let path = Live.snapshot_path dir 1 in
+  let image = read_file path in
+  (* in the header page, then inside the bulk sections only the digests
+     cover *)
+  List.iter
+    (fun (label, pos) ->
+      write_file path image;
+      flip_byte path pos;
+      check bool (label ^ ": corrupt") true
+        (match Live_corpus.open_dir ~on_warning:(fun _ -> ()) dir with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true);
+      check bool (label ^ ": check reports it") true (fst (Check.check_live dir) <> []))
+    [
+      "header", 40;
+      "tag", Snapshot_image.section_offset image "tag" + 1;
+      "textblob", Snapshot_image.section_offset image "textblob" + 1;
+    ]
+
+(* A read-only open promises to modify nothing: on a missing directory
+   it fails, naming the path, instead of creating it. *)
+let test_live_read_only_missing_dir_creates_nothing () =
+  let dir = Filename.concat (temp_dir ()) "absent" in
+  check bool "refused" true
+    (match Live.open_dir ~read_only:true dir with
     | _ -> false
-    | exception Codec.Corrupt _ -> true)
+    | exception Invalid_argument msg -> has msg dir);
+  check bool "nothing created" false (Sys.file_exists dir)
+
+(* A key swapped for another candidate of its entity, re-digested: every
+   reference stays valid, so recovery adopts it, and only the deep check
+   of the generation can tell. *)
+let test_live_check_rederives_generation () =
+  let dir = temp_dir () in
+  let lc = Live_corpus.open_dir dir in
+  Live_corpus.add lc ~name:"m0.xml" ~xml:(retail_xml 0);
+  Live_corpus.add lc ~name:"m1.xml" ~xml:(retail_xml 1);
+  ignore (Live_corpus.compact lc);
+  Live_corpus.close lc;
+  check bool "clean before" true (fst (Check.check_live dir) = []);
+  let path = Live.snapshot_path dir 1 in
+  let image = read_file path in
+  let _, entities =
+    Snapshot_image.analysis_layout (Snapshot_image.section image "analysis")
+  in
+  let _, cands, (key_at, key) =
+    List.find (fun (_, cands, (_, key)) -> key > 0 && List.length cands >= 2) entities
+  in
+  let other = List.find (fun a -> a + 1 <> key) cands in
+  write_file path
+    (Snapshot_image.with_section image "analysis" (fun a ->
+         Snapshot_image.set_byte a key_at (other + 1)));
+  let lc = Live_corpus.open_dir ~read_only:true dir in
+  check string_list "the swapped generation loads" [ "m0.xml"; "m1.xml" ] (Live_corpus.names lc);
+  check bool "its key is adopted" true
+    (let keys = (Live.view (Live_corpus.store lc)).Live.analysis in
+     List.exists
+       (fun e -> Extract_store.Key_miner.key_path keys e = Some other)
+       (Extract_store.Node_kind.entity_paths (Extract_store.Key_miner.kinds keys)));
+  Live_corpus.close lc;
+  check bool "check reports the key" true
+    (List.exists
+       (fun (i : Check.issue) -> i.Check.area = "analysis" && has i.Check.what ": key ")
+       (fst (Check.check_live dir)))
 
 let test_live_rejects_bad_input () =
   let dir = temp_dir () in
@@ -582,18 +697,6 @@ let test_mask_filters_postings () =
 (* Ranked answers over several databases: every segment is ranked
    before any snippet is made, so a limit only cuts the ranked list and
    a deadline only degrades the snippets of the hits kept. *)
-
-let retail_xml seed =
-  let cfg =
-    {
-      Extract_datagen.Retail.default with
-      seed;
-      retailers = 2;
-      stores_per_retailer = 5;
-      clothes_per_store = 3;
-    }
-  in
-  Extract_xml.Printer.document_to_string (Extract_datagen.Retail.generate cfg)
 
 (* a base of three members with one tombstoned, plus two deltas *)
 let ranked_store () =
@@ -729,6 +832,10 @@ let suites =
         Alcotest.test_case "rejects bad input" `Quick test_live_rejects_bad_input;
         Alcotest.test_case "read-only rejects updates" `Quick
           test_live_read_only_store_rejects_updates;
+        Alcotest.test_case "read-only open creates nothing" `Quick
+          test_live_read_only_missing_dir_creates_nothing;
+        Alcotest.test_case "check re-derives the generation's analysis" `Quick
+          test_live_check_rederives_generation;
       ] );
     ( "live.mask",
       [ Alcotest.test_case "filters postings" `Quick test_mask_filters_postings ] );

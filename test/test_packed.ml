@@ -7,7 +7,6 @@ module Codec = Extract_store.Codec
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 module Packed_postings = Extract_store.Packed_postings
-module Persist = Extract_store.Persist
 module Snapshot = Extract_store.Snapshot
 module Tokenizer = Extract_store.Tokenizer
 module Types = Extract_xml.Types
@@ -164,10 +163,12 @@ let test_build_parent_after_child () =
   check ints "slca red" [ 2 ] (roots Engine.Slca "red");
   check ints "elca x" [ 5; 6 ] (roots Engine.Elca "x");
   check ints "xseek red x" [ 0 ] (roots Engine.Xseek "red x");
-  let reloaded =
-    Persist.decode_index ~doc:(Pipeline.document db) (Persist.encode_index idx)
-  in
-  check ints "v1 index roundtrip" [ 1; 2 ] (Array.to_list (Inverted_index.lookup reloaded "red"))
+  let path = tmp_file "extract_test_parent_after_child.snap" in
+  Pipeline.save_snapshot path db;
+  let _, reloaded = Snapshot.load path in
+  Sys.remove path;
+  check ints "snapshot index roundtrip" [ 1; 2 ]
+    (Array.to_list (Inverted_index.lookup reloaded "red"))
 
 (* The reference lists: every element under the tokens of its tag and of
    each of its text children, ascending and without duplicates. *)
@@ -240,7 +241,6 @@ let test_snapshot_roundtrip () =
   let doc', idx' = Snapshot.load path in
   check int "same packed postings" (Inverted_index.postings_bytes idx)
     (Inverted_index.postings_bytes idx');
-  check string "fingerprint survives" (Persist.fingerprint doc) (Persist.fingerprint doc');
   check int "node count" (Document.node_count doc) (Document.node_count doc');
   check int "element count" (Document.element_count doc) (Document.element_count doc');
   (* full structural equality via the persist repr *)
@@ -256,13 +256,18 @@ let test_snapshot_roundtrip () =
     queries;
   let stats = Snapshot.verify path in
   check int "verify node count" (Document.node_count doc) stats.Snapshot.v_node_count;
-  check string "verify fingerprint" (Persist.fingerprint doc) stats.Snapshot.v_fingerprint;
+  check string "the index section pairs with the verified fingerprint"
+    (Snapshot_image.index_fingerprint (Snapshot_image.read path))
+    stats.Snapshot.v_fingerprint;
   Sys.remove path
 
 let test_snapshot_sniffable () =
   let db = Lazy.force retail_db in
   let data = Snapshot.encode (Pipeline.keys db) (Pipeline.index db) in
-  check bool "sniffs as XTRSNAP2" true (Persist.sniff_magic data = Some Snapshot.magic)
+  let path = tmp_file "extract_test_snapshot_sniff.snap" in
+  Snapshot_image.write path data;
+  check bool "sniffs as XTRSNAP2" true (Snapshot.file_magic path = Some Snapshot.magic);
+  Sys.remove path
 
 let test_snapshot_detects_corruption () =
   let db = Lazy.force retail_db in
@@ -332,22 +337,12 @@ let test_snapshot_rejects_mismatched_truncation () =
    here 2^55 tokens, above [Sys.max_array_length]. *)
 let test_snapshot_rejects_oversized_count () =
   let db = Lazy.force retail_db in
-  let doc = Pipeline.document db in
   let path = tmp_file "extract_test_snapshot_count.snap" in
   Snapshot.save path (Pipeline.keys db) (Pipeline.index db);
   let data = In_channel.with_open_bin path In_channel.input_all in
   (* the index section opens with the arena fingerprint as a Codec
-     string, then the token count; the header page holds the same
-     string, so the search starts past it *)
-  let fingerprint =
-    let w = Codec.writer () in
-    Codec.write_string w (Persist.fingerprint doc);
-    Codec.contents w
-  in
-  let rec find i =
-    if String.sub data i (String.length fingerprint) = fingerprint then i else find (i + 1)
-  in
-  let count = find 4096 + String.length fingerprint in
+     string (a length byte and 32 hex digits), then the token count *)
+  let count = Snapshot_image.section_offset data "index" + 33 in
   let w = Codec.writer () in
   Codec.write_varint w (1 lsl 55);
   let crafted = Bytes.of_string data in
@@ -373,105 +368,16 @@ let snapshot_image () =
 
 let write_image path data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-(* A varint of a 63-bit int, negative ones included (nine bytes, the
-   top bit set), which [Codec.write_varint] refuses to write. *)
-let raw_varint n =
-  let b = Buffer.create 9 in
-  let rec loop n =
-    if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
-      loop (n lsr 7)
-    end
-  in
-  loop n;
-  Buffer.contents b
+let raw_varint = Snapshot_image.raw_varint
 
-(* The header, as Snapshot writes it: magic, version, endianness probe,
-   word size, node and element counts, fingerprint, then the section
-   table (name, offset, length, MD5). [sections] reads the table;
-   [assemble] lays a header prefix and sections out again with fresh
-   offsets and digests, so a test can alter a section consistently. *)
-let sections data =
-  let r = Codec.reader data in
-  ignore (Codec.read_string r);
-  ignore (Codec.read_varint r);
-  ignore (Codec.read_fixed64 r);
-  ignore (Codec.read_varint r);
-  ignore (Codec.read_varint r);
-  ignore (Codec.read_varint r);
-  ignore (Codec.read_string r);
-  let prefix = String.sub data 0 (Codec.pos r) in
-  ( prefix,
-    List.init (Codec.read_varint r) (fun _ ->
-        let name = Codec.read_string r in
-        let offset = Codec.read_varint r in
-        let length = Codec.read_varint r in
-        ignore (Codec.read_string r);
-        name, String.sub data offset length) )
-
-let assemble prefix sections =
-  let page = 4096 in
-  let padded n = String.make (((n + page - 1) / page * page) - n) '\000' in
-  let w = Codec.writer () in
-  Codec.write_varint w (List.length sections);
-  let offset = ref page in
-  List.iter
-    (fun (name, body) ->
-      Codec.write_string w name;
-      Codec.write_varint w !offset;
-      Codec.write_varint w (String.length body);
-      Codec.write_string w (Digest.to_hex (Digest.string body));
-      offset := !offset + String.length body + String.length (padded (String.length body)))
-    sections;
-  let header = prefix ^ Codec.contents w in
-  String.concat ""
-    ((header ^ padded (String.length header))
-    :: List.map (fun (_, body) -> body ^ padded (String.length body)) sections)
+let sections = Snapshot_image.sections
 
 (* Re-lay a snapshot with its analysis section replaced, re-digested. *)
-let with_analysis data f =
-  let prefix, secs = sections data in
-  assemble prefix
-    (List.map (fun (name, body) -> name, if name = "analysis" then f body else body) secs)
+let with_analysis data f = Snapshot_image.with_section data "analysis" f
 
-(* The analysis section's layout, read as Snapshot writes it: the path
-   count, six varints per path (parent + 1, tag, depth, instance count,
-   kind, star flags), the entity count, then per entity its path, its
-   candidates (path, two raw floats, strict flag), key and strict key
-   (0 for none, else path + 1). Returns each path field's position and,
-   per entity, its candidates and the position and value of its key. *)
-let analysis_layout payload =
-  let r = Codec.reader payload in
-  let varint_at () =
-    let at = Codec.pos r in
-    at, Codec.read_varint r
-  in
-  let n = Codec.read_varint r in
-  let fields = Array.init n (fun _ -> Array.init 6 (fun _ -> fst (varint_at ()))) in
-  let entities =
-    List.init (Codec.read_varint r) (fun _ ->
-        let e = Codec.read_varint r in
-        let cands =
-          List.init (Codec.read_varint r) (fun _ ->
-              let a = Codec.read_varint r in
-              ignore (Codec.read_fixed64 r);
-              ignore (Codec.read_fixed64 r);
-              ignore (Codec.read_varint r);
-              a)
-        in
-        let key = varint_at () in
-        ignore (Codec.read_varint r);
-        e, cands, key)
-  in
-  fields, entities
+let analysis_layout = Snapshot_image.analysis_layout
 
-(* Overwrite a one-byte varint with another one-byte value. *)
-let set_byte payload at v =
-  assert (Char.code payload.[at] < 0x80 && v < 0x80);
-  let b = Bytes.of_string payload in
-  Bytes.set b at (Char.chr v);
-  Bytes.to_string b
+let set_byte = Snapshot_image.set_byte
 
 let load_fails_with ?(label = "") path affixes =
   match Snapshot.load path with
@@ -548,42 +454,45 @@ let test_snapshot_check_rederives () =
   check int "the untouched snapshot checks clean" 0 (List.length (Check.check_snapshot path));
   Sys.remove path
 
+(* Versions 1 and 2 lack the stored analysis and the live meta fields:
+   both are refused with the same pointer to [extract pack]. *)
 let test_snapshot_refuses_version_1 () =
-  let data = Bytes.of_string (snapshot_image ()) in
+  let image = snapshot_image () in
   (* magic is a Codec string (length byte + 8 bytes); the version follows *)
-  check int "version 2 on disk" 2 (Char.code (Bytes.get data 9));
-  Bytes.set data 9 '\001';
+  check int "version 3 on disk" 3 (Char.code image.[9]);
   let path = tmp_file "extract_test_snapshot_v1.snap" in
-  write_image path (Bytes.to_string data);
-  load_fails_with path [ path; "version 1"; "extract pack" ];
+  List.iter
+    (fun v ->
+      let data = Bytes.of_string image in
+      Bytes.set data 9 (Char.chr v);
+      write_image path (Bytes.to_string data);
+      load_fails_with path [ path; Printf.sprintf "version %d" v; "extract pack" ])
+    [ 1; 2 ];
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Persist empty-file regression (the PR's satellite bugfix) *)
+(* Empty-file regression: an empty file is what a crash during create or
+   a full disk leaves behind; every reader names the path and the magic
+   it expected *)
 
 let test_persist_empty_file_diagnostic () =
-  let path = tmp_file "extract_test_empty.xtr" in
+  let path = tmp_file "extract_test_empty.snap" in
   let oc = open_out_bin path in
   close_out oc;
-  let has msg affix =
-    let n = String.length affix in
-    let rec scan i = i + n <= String.length msg && (String.sub msg i n = affix || scan (i + 1)) in
-    scan 0
-  in
   List.iter
-    (fun (label, magic, run) ->
+    (fun (label, run) ->
       check bool label true
         (match run () with
         | _ -> false
-        | exception Codec.Truncated msg -> has msg path && has msg magic))
+        | exception Codec.Truncated msg -> has msg path && has msg Snapshot.magic))
     [
-      "load", Persist.magic, (fun () -> ignore (Persist.load path));
-      "load_bundle", Persist.bundle_magic, (fun () -> ignore (Persist.load_bundle path));
-      ( "load_index",
-        Persist.index_magic,
-        fun () ->
-          ignore (Persist.load_index path ~doc:(Pipeline.document (Lazy.force retail_db))) );
+      "load", (fun () -> ignore (Snapshot.load path));
+      "load_analyzed", (fun () -> ignore (Snapshot.load_analyzed path));
+      "verify", (fun () -> ignore (Snapshot.verify path));
     ];
+  (match Check.check_snapshot path with
+  | [ i ] -> check bool "check names path and magic" true (has i.Check.what path && has i.Check.what Snapshot.magic)
+  | issues -> Alcotest.failf "check reported %d issue(s), expected one" (List.length issues));
   Sys.remove path
 
 let properties = List.map QCheck_alcotest.to_alcotest

@@ -503,21 +503,22 @@ let prop_strict_prefix_no_better =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
+(* A snapshot holds the arena and its index: both come back equal. *)
 let prop_persist_roundtrip =
   Test.make ~name:"persist decode . encode = id" ~count:200 arb_doc (fun t ->
       let d = doc_of t in
-      let d2 = Extract_store.Persist.decode (Extract_store.Persist.encode d) in
-      Document.node_count d = Document.node_count d2
-      && Document.to_xml d 0 = Document.to_xml d2 0)
-
-let prop_bundle_roundtrip =
-  Test.make ~name:"bundle decode . encode = id" ~count:60 arb_doc (fun t ->
-      let d = doc_of t in
-      let idx = Inverted_index.build d in
+      let db = Extract_snippet.Pipeline.build d in
+      let path = Filename.temp_file "extract_prop" ".snap" in
       let d2, idx2 =
-        Extract_store.Persist.decode_bundle (Extract_store.Persist.encode_bundle d idx)
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Extract_snippet.Pipeline.save_snapshot path db;
+            Extract_store.Snapshot.load path)
       in
-      Document.to_xml d 0 = Document.to_xml d2 0
+      let idx = Extract_snippet.Pipeline.index db in
+      Document.node_count d = Document.node_count d2
+      && Document.to_xml d 0 = Document.to_xml d2 0
       && List.for_all
            (fun tok -> Inverted_index.lookup idx tok = Inverted_index.lookup idx2 tok)
            (Inverted_index.vocabulary idx))
@@ -636,7 +637,7 @@ let suites =
           prop_sax_element_count;
         ] );
     ( "properties.persist",
-      to_alcotest [ prop_persist_roundtrip; prop_bundle_roundtrip; prop_codec_int_roundtrip ] );
+      to_alcotest [ prop_persist_roundtrip; prop_codec_int_roundtrip ] );
     ( "properties.path_query",
       to_alcotest [ prop_path_descendant_equals_scan; prop_path_child_equals_children ] );
     ( "properties.stemmer", to_alcotest [ prop_stemmer_total_and_shrinking ] );

@@ -806,33 +806,33 @@ let test_corpus_rebuilds_corrupt_artifact () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let xml = Filename.concat dir "league.xml" in
-  let bundle = Filename.concat dir "league.bundle" in
+  let snap = Filename.concat dir "league.snap" in
   let oc = open_out xml in
   output_string oc league;
   close_out oc;
   let db = Pipeline.of_file xml in
-  Pipeline.save bundle db;
-  (* flip one payload byte: the magic still sniffs but the seal no longer
-     verifies *)
-  let ic = open_in_bin bundle in
+  Pipeline.save_snapshot snap db;
+  (* flip the header's version byte (after the magic's length byte and
+     8 bytes): the magic still sniffs but the load refuses the header *)
+  let ic = open_in_bin snap in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let bytes = Bytes.of_string data in
-  let pos = Bytes.length bytes - 2 in
+  let pos = 9 in
   Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0xff));
   let corrupt = Bytes.to_string bytes in
-  let oc = open_out_bin bundle in
+  let oc = open_out_bin snap in
   output_string oc corrupt;
   close_out oc;
   let warnings = ref [] in
   Fun.protect
     ~finally:(fun () ->
       Sys.remove xml;
-      Sys.remove bundle;
+      Sys.remove snap;
       Unix.rmdir dir)
     (fun () ->
       let rebuilt =
-        Corpus.load_file ~on_warning:(fun w -> warnings := w :: !warnings) bundle
+        Corpus.load_file ~on_warning:(fun w -> warnings := w :: !warnings) snap
       in
       check int "one warning" 1 (List.length !warnings);
       check bool "warning names the source" true
@@ -847,7 +847,7 @@ let test_corpus_rebuilds_corrupt_artifact () =
         | _ -> false);
       check bool "rebuilt database answers" true (Pipeline.run rebuilt "guard" <> []));
   (* with no sibling XML the corruption is fatal *)
-  let lone = Filename.temp_file "extract_lone" ".bundle" in
+  let lone = Filename.temp_file "extract_lone" ".snap" in
   let oc = open_out_bin lone in
   output_string oc corrupt;
   close_out oc;
