@@ -10,7 +10,8 @@
 
     Three consumers:
 
-    - the [extract check] CLI verb, over any persisted index/dataset;
+    - the [extract check] CLI verb, over any dataset, snapshot, shard
+      directory or live store;
     - the test suite, which runs {!all} against every bundled generator;
     - opt-in debug assertions at pipeline stage boundaries, enabled by
       setting the [EXTRACT_CHECK] environment variable

@@ -22,8 +22,8 @@
       set) its document statistics, as one JSON object;
     - [GET /metrics] — the {!Extract_obs.Registry} snapshot in the
       Prometheus text exposition format: per-stage latency histograms,
-      cache hit/miss/eviction series, persistence IO bytes, degraded and
-      shed counts, transport outcomes;
+      cache hit/miss/eviction series, snapshot packs, maps and mapped
+      bytes, degraded and shed counts, transport outcomes;
     - [GET /explain?data=NAME&q=QUERY&bound=N&format=json|text] — the
       {!Extract_snippet.Explain} bundle for the query: per-IList-entry
       selection fates, dominance scores, edge-budget accounting,

@@ -31,7 +31,7 @@ val of_analysis : Extract_store.Key_miner.t -> Extract_store.Inverted_index.t ->
     span and histogram, takes a fresh {!id} and notifies the observer. *)
 
 val save_snapshot : string -> t -> unit
-(** Persist as an mmap snapshot ({!Extract_store.Snapshot.save}) —
+(** Write an mmap snapshot ({!Extract_store.Snapshot.save}) —
     [extract pack]'s format, which carries the analysis.
     {!load_snapshot} maps the arena instead of decoding it and adopts
     the analysis instead of deriving it, so cold-start is O(1) in the

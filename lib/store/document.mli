@@ -47,7 +47,7 @@ val dtd : t -> Extract_xml.Dtd.t option
 val dtd_source : t -> string option
 (** The DTD internal-subset text the document was loaded with (or a
     re-rendering of the element declarations when only a parsed DTD was
-    supplied). Used by {!Persist}. *)
+    supplied). Stored in a {!Snapshot}'s meta section. *)
 
 (** {1 Size and structure} *)
 
@@ -166,7 +166,8 @@ end
 
 (**/**)
 
-(** Internal representation access, for {!Persist} only. *)
+(** Internal representation access, for shard splitting and the checker's
+    tests only. *)
 module Internal : sig
   type repr = {
     dtd_source : string option;

@@ -5,8 +5,8 @@
     or in its direct text children. Postings are element ids in document
     (pre-)order, deduplicated, which is exactly what the SLCA/ELCA merge
     algorithms consume. Every list is held block-compressed
-    ({!Packed_postings}), however the index was made: {!build}, a
-    {!Persist} artifact or a mapped {!Snapshot}. *)
+    ({!Packed_postings}), however the index was made: {!build} or a
+    mapped {!Snapshot}. *)
 
 type t
 
@@ -62,8 +62,8 @@ val complete : t -> ?limit:int -> string -> (string * int) list
 
 (**/**)
 
-(** Internal representation access, for {!Persist}, {!Snapshot} and the
-    checker only. *)
+(** Internal representation access, for {!Snapshot} and the checker
+    only. *)
 module Internal : sig
   val token_names : t -> string array
   (** Vocabulary in token-id order. *)
@@ -82,6 +82,6 @@ module Internal : sig
     tag_tokens:(int * int) array ->
     t
   (** Assemble an index from its decoded parts: the one constructor
-      besides {!build}, shared by {!Persist} and {!Snapshot}.
+      besides {!build}, used by {!Snapshot}.
       @raise Invalid_argument on token/list count mismatch. *)
 end

@@ -6,7 +6,7 @@
     artifact IO, index loading, each snippet pipeline stage — as {e fault
     points}, and arms them from a single environment variable:
 
-    {v EXTRACT_FAULTS="persist.read:fail,pipeline.snippet:nth=2" v}
+    {v EXTRACT_FAULTS="snapshot.map:fail,pipeline.snippet:nth=2" v}
 
     Each entry is [point:spec] where spec is one of
 
@@ -23,11 +23,12 @@
       mid-update at a named point deterministically.
 
     Unarmed, a fault point costs a single flag read. Consumers either call
-    {!hit} (raise {!Injected} at the point — used where the surrounding
-    code already translates exceptions, e.g. {!Extract_store.Persist}
-    turns it into [Codec.Corrupt] so the injected failure exercises
-    exactly the corrupt-artifact path) or branch on {!should_fail} (used
-    by the pipeline to degrade a snippet in place). Counters record how
+    {!hit} (raise {!Injected} at the point — the write paths of the live
+    store and its journal, whose crash windows the tests cut there) or
+    branch on {!should_fail} (used where the caller raises its own error,
+    e.g. {!Extract_store.Snapshot}'s map fault becomes [Codec.Corrupt] so
+    the injected failure exercises exactly the corrupt-artifact path,
+    and by the pipeline to degrade a snippet in place). Counters record how
     often each point was passed and how often it fired, so tests can
     prove a degradation path actually ran.
 
