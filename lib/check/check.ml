@@ -428,13 +428,13 @@ let check_live dir =
   let c = collector "live" in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
+  let newest = match List.rev (Live.generations dir) with [] -> 0 | g :: _ -> g in
   (match Journal.read (Live.journal_path dir) with
   | records, tail ->
     (match tail with
     | Journal.Complete -> ()
     | Journal.Torn { offset; reason } ->
       note "journal: torn tail at byte %d (%s); truncated on next writable open" offset reason);
-    let newest = match List.rev (Live.generations dir) with [] -> 0 | g :: _ -> g in
     (match Journal.last_checkpoint records with
     | Some g when g > newest ->
       report c "journal checkpoint references generation %d but newest snapshot is %d" g
@@ -448,10 +448,8 @@ let check_live dir =
   | exception Codec.Truncated msg -> report c "journal: truncated: %s" msg);
   (* the generation recovery adopts gets a snapshot's deep pass; when it
      is damaged, recovery falls back and this reports why *)
-  let newest =
-    match List.rev (Live.generations dir) with
-    | [] -> []
-    | gen :: _ -> check_snapshot (Live.snapshot_path dir gen)
+  let generation_issues =
+    if newest = 0 then [] else check_snapshot (Live.snapshot_path dir newest)
   in
   let content_issues =
     match Live.open_dir ~read_only:true ~on_warning:(fun w -> note "recovery: %s" w) dir with
@@ -479,7 +477,7 @@ let check_live dir =
       report c "recovery failed: truncated: %s" msg;
       []
   in
-  close c @ newest @ content_issues, List.rev !notes
+  close c @ generation_issues @ content_issues, List.rev !notes
 
 (* ------------------------------------------------------------------ *)
 (* Whole database + query probes                                       *)

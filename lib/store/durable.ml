@@ -1,5 +1,5 @@
-(* Durability primitives shared by the journal and the live store's
-   snapshot generations. Everything here is about making a write either
+(* Durability primitives shared by the journal, every snapshot writer
+   (Snapshot.save) and the shard manifest. Everything here is about making a write either
    fully visible after a crash or not visible at all:
 
    - data reaches the disk before we depend on it (fsync the file);

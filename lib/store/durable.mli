@@ -1,7 +1,8 @@
 (** Crash-safe file IO primitives.
 
-    {!Journal} and the {!Live} store's snapshot generations share one
-    durability story, built from three facts about POSIX filesystems:
+    {!Journal}, {!Snapshot.save} (packed corpora, shards and the {!Live}
+    store's generations) and the shard manifest share one durability
+    story, built from three facts about POSIX filesystems:
     data is only guaranteed on disk after [fsync] of the file; a rename
     is only guaranteed to survive a crash after [fsync] of the containing
     directory; and [rename] over an existing name is atomic — a reader

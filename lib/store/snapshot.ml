@@ -206,7 +206,8 @@ let encode ?(generation = 0) ?(members = []) keys index =
     off := align (!off + String.length body);
     s, body
   in
-  let arena =
+  (* the index section records the fingerprint of the sections before it *)
+  let leading =
     List.map section
       [
         "tag", int_arr_bytes src.Document.Flat.tag;
@@ -220,10 +221,10 @@ let encode ?(generation = 0) ?(members = []) keys index =
         "meta", meta_payload src ~generation ~members;
       ]
   in
-  let fingerprint = fingerprint_of (List.map fst arena) in
+  let fingerprint = fingerprint_of (List.map fst leading) in
   let sections, bodies =
     List.split
-      (arena
+      (leading
       @ List.map section
           [ "index", index_payload ~fingerprint index; "analysis", analysis_payload keys ])
   in
