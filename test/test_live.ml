@@ -225,14 +225,14 @@ let has s sub =
 (* A store compacted to generation 1, holding doc_a. *)
 let compacted_store () =
   let dir = temp_dir () in
-  let lc = Extract_snippet.Live_corpus.open_dir dir in
-  Extract_snippet.Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
-  ignore (Extract_snippet.Live_corpus.compact lc);
-  Extract_snippet.Live_corpus.close lc;
+  let lc = Live_corpus.open_dir dir in
+  Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
+  ignore (Live_corpus.compact lc);
+  Live_corpus.close lc;
   dir
 
 let recovery_error dir =
-  match Extract_snippet.Live_corpus.open_dir ~on_warning:(fun _ -> ()) dir with
+  match Live_corpus.open_dir ~on_warning:(fun _ -> ()) dir with
   | _ -> Alcotest.fail "recovery adopted a damaged generation"
   | exception Codec.Corrupt reason -> reason
 
@@ -261,10 +261,10 @@ let test_envelope_fingerprint_mismatch_with_valid_seals () =
      another arena — the last line of defence against mixed-up pairs *)
   let dir = compacted_store () in
   let other = temp_dir () in
-  let lc = Extract_snippet.Live_corpus.open_dir other in
-  Extract_snippet.Live_corpus.add lc ~name:"a.xml" ~xml:doc_b;
-  ignore (Extract_snippet.Live_corpus.compact lc);
-  Extract_snippet.Live_corpus.close lc;
+  let lc = Live_corpus.open_dir other in
+  Live_corpus.add lc ~name:"a.xml" ~xml:doc_b;
+  ignore (Live_corpus.compact lc);
+  Live_corpus.close lc;
   let foreign = Snapshot_image.section (read_file (Live.snapshot_path other 1)) "index" in
   let path = Live.snapshot_path dir 1 in
   write_file path (Snapshot_image.with_section (read_file path) "index" (fun _ -> foreign));

@@ -366,7 +366,7 @@ let snapshot_image () =
   let db = Lazy.force retail_db in
   Snapshot.encode (Pipeline.keys db) (Pipeline.index db)
 
-let write_image path data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+let write_image = Snapshot_image.write
 
 let raw_varint = Snapshot_image.raw_varint
 
