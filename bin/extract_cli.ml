@@ -51,17 +51,28 @@ let file_arg =
 let query_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc:"Keyword query.")
 
+(* An int of at least [least]: anything smaller is cmdliner's usage error
+   (exit 124, naming the option), not a failure deep in the pipeline. *)
+let int_at_least least =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= least -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below %d" s least))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let bound_arg =
   Arg.(
     value
-    & opt int Pipeline.default_bound
-    & info [ "b"; "bound" ] ~docv:"EDGES" ~doc:"Snippet size bound in edges.")
+    & opt (int_at_least 0) Pipeline.default_bound
+    & info [ "b"; "bound" ] ~docv:"EDGES" ~doc:"Snippet size bound in edges (at least 0).")
 
 let limit_arg =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "n"; "limit" ] ~docv:"N" ~doc:"Show at most $(docv) results.")
+    & opt (some (int_at_least 1)) None
+    & info [ "n"; "limit" ] ~docv:"N" ~doc:"Show at most $(docv) results (at least 1).")
 
 let semantics_conv =
   let parse s =

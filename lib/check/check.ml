@@ -19,8 +19,6 @@ exception Violation of issue list
 
 let issue_to_string i = Printf.sprintf "[%s] %s" i.area i.what
 
-let pp_issue ppf i = Format.pp_print_string ppf (issue_to_string i)
-
 let assert_ok = function
   | [] -> ()
   | issues -> raise (Violation issues)

@@ -26,15 +26,10 @@ type issue = {
 }
 
 exception Violation of issue list
-(** Raised by {!assert_ok} (and hence by the [EXTRACT_CHECK] stage
-    assertions) when issues were found. *)
-
-val pp_issue : Format.formatter -> issue -> unit
+(** Raised by the [EXTRACT_CHECK] stage assertions when issues were
+    found. *)
 
 val issue_to_string : issue -> string
-
-val assert_ok : issue list -> unit
-(** No-op on [[]]; raises {!Violation} otherwise. *)
 
 (** {1 Artifact checkers}
 
@@ -42,28 +37,25 @@ val assert_ok : issue list -> unit
     are truncated per area after a fixed cap so a systematically corrupt
     artifact reports a digest, not millions of lines. *)
 
+(* lint: allow unused-export *)
 val check_document : Document.t -> issue list
 (** Arena structure: root/parent/depth agreement, subtree intervals that
     nest and partition, text nodes as leaves — plus Dewey labels: strict
     document order of consecutive labels, label length = node depth, and
-    label-based LCA agreeing with the parent-walk LCA. *)
+    label-based LCA agreeing with the parent-walk LCA. A seam of the [check_*]
+    family that {!all} composes: test/test_check.ml feeds it corrupted arenas
+    directly. *)
 
+(* lint: allow unused-export *)
 val check_index : Extract_store.Inverted_index.t -> issue list
 (** Posting lists sorted strictly ascending (hence deduplicated), every
     posting a live element node that actually matches its token, and
     postings↔document agreement: the index is rebuilt from the document
     and compared token by token, so both missing and phantom postings are
-    reported. *)
+    reported. A seam of the [check_*] family that {!all} composes:
+    test/test_check.ml feeds it corrupted indexes directly. *)
 
-val check_dataguide : Extract_store.Dataguide.t -> issue list
-(** Per-node path agreement (tag, depth, parent path), instance counts
-    that sum to the element count, and [path_string]/[find_path]
-    round-tripping for every path. *)
-
-val check_result : Extract_search.Result_tree.t -> issue list
-(** Result-tree shape: members sorted strictly ascending, inside the
-    root's subtree interval, and ancestor-closed up to the root. *)
-
+(* lint: allow unused-export *)
 val check_selection : ?degraded:bool -> Extract_snippet.Selector.selection -> issue list
 (** Snippet output: connected (every node's parent present, up to the
     result root), rooted at the result root, within the edge bound
@@ -71,8 +63,11 @@ val check_selection : ?degraded:bool -> Extract_snippet.Selector.selection -> is
     the edge count, and every covered item's instance present in the
     snippet ("all features present"). With [~degraded:true] (a
     deadline-expired {!Pipeline.snippet_result}) the cost-sum identity is
-    skipped: a baseline snippet's edges are bought by no covered item. *)
+    skipped: a baseline snippet's edges are bought by no covered item. A seam
+    of the [check_*] family: test/test_check.ml feeds it corrupted selections
+    directly. *)
 
+(* lint: allow unused-export *)
 val check_analysis :
   derived:Extract_store.Key_miner.t -> Extract_store.Key_miner.t -> issue list
 (** [check_analysis ~derived stored] (area ["analysis"]) reports every
@@ -80,7 +75,9 @@ val check_analysis :
     snapshot's stored analysis and its re-derivation: every node's path;
     every path's parent, tag, depth, instance count, kind, starred flag
     and star source; and every entity path's key candidates (statistics
-    compared bit for bit), key and strict key. *)
+    compared bit for bit), key and strict key. A seam of the [check_*] family
+    that {!check_snapshot} runs: test/test_oracle.ml compares analyses with
+    it. *)
 
 val check_snapshot : string -> issue list
 (** fsck for a snapshot (area ["snapshot"]): the deep pass
@@ -106,9 +103,7 @@ val check_live : string -> issue list * string list
 
 (** {1 Whole-database checks} *)
 
-val check_db : Pipeline.t -> issue list
-(** {!check_document} + {!check_index} + {!check_dataguide}. *)
-
+(* lint: allow unused-export *)
 val check_query :
   ?semantics:Extract_search.Engine.semantics ->
   ?bound:int ->
@@ -116,27 +111,29 @@ val check_query :
   string ->
   issue list
 (** Run the full snippet pipeline for one query and validate every result
-    tree and every selection. *)
+    tree and every selection. A seam of the [check_*] family that {!all}
+    composes: test/test_check.ml runs it on degraded queries. *)
 
 val probe_queries : Pipeline.t -> string list
 (** Deterministic default workload for {!all}: the two most frequent
     indexed tokens as single-keyword queries plus their conjunction. *)
 
 val all : ?queries:string list -> Pipeline.t -> issue list
-(** {!check_db} plus {!check_query} over [queries] (default
+(** {!check_document}, {!check_index} and the dataguide checks, plus
+    {!check_query} over [queries] (default
     {!probe_queries}). The test suite runs this against every bundled
     generator; [extract check] runs it over any loaded database. *)
 
 (** {1 Pipeline stage assertions} *)
 
+(* lint: allow unused-export *)
 val install_pipeline_observer : unit -> unit
-(** Install a {!Pipeline.set_observer} hook that runs {!check_db} after
-    every build/load, {!check_result} on every search result and
-    {!check_selection} on every produced snippet, raising {!Violation} on
-    the first corrupt stage. *)
-
-val env_var : string
-(** ["EXTRACT_CHECK"]. *)
+(** Install a {!Pipeline.set_observer} hook that checks the document, index
+    and dataguide after every build/load, every search result's tree
+    shape and every produced snippet ({!check_selection}), raising
+    {!Violation} on
+    the first corrupt stage. Test seam: test/test_check.ml installs it
+    directly. *)
 
 val install_from_env : unit -> unit
 (** {!install_pipeline_observer} when [EXTRACT_CHECK] is set to anything

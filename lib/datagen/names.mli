@@ -15,14 +15,6 @@ val fittings : string array
 
 val situations : string array
 
-val first_names : string array
-
-val last_names : string array
-
-val movie_adjectives : string array
-
-val movie_nouns : string array
-
 val genres : string array
 
 val studios : string array

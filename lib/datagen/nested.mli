@@ -17,10 +17,17 @@ type config = {
   fanout : int;       (** max subsections per section *)
 }
 
+(* lint: allow unused-export *)
 val default : config
-(** seed 29, 6 top sections, depth 4, fanout 3. *)
+(** seed 29, 6 top sections, depth 4, fanout 3. The oracle's deep-nesting
+    generator: test/test_oracle.ml and test/test_datagen.ml build from it. *)
 
+(* lint: allow unused-export *)
 val generate : config -> Extract_xml.Types.document
+(** The oracle's deep-nesting generator: test/test_oracle.ml and
+    test/test_datagen.ml. *)
 
+(* lint: allow unused-export *)
 val sized : ?seed:int -> int -> Extract_xml.Types.document
-(** [sized n] targets roughly [n] sections. *)
+(** [sized n] targets roughly [n] sections. Test use only:
+    test/test_datagen.ml ["sized"]. *)

@@ -8,16 +8,6 @@ let expected_ilist =
     "outwear"; "man"; "casual"; "suit"; "woman";
   ]
 
-let expected_scores =
-  [
-    "Houston", 3.0;
-    "outwear", 220.0 /. (1070.0 /. 11.0);
-    "man", 1.8;
-    "casual", 1.4;
-    "suit", 120.0 /. (1070.0 /. 11.0);
-    "woman", 360.0 /. (1000.0 /. 3.0);
-  ]
-
 let store_count = 10
 
 let clothes_count = 1070

@@ -23,19 +23,12 @@
 val query : string
 (** ["Texas apparel retailer"]. *)
 
+(* lint: allow unused-export *)
 val expected_ilist : string list
 (** Fig. 3: Texas, apparel, retailer, clothes, store, Brook Brothers,
-    Houston, outwear, man, casual, suit, woman. *)
-
-val expected_scores : (string * float) list
-(** The §2.3 hand-computed dominance scores, keyed by feature value
-    (two-decimal precision: Houston 3.0, outwear 2.21, man 1.8, casual
-    1.4, suit 1.21, woman 1.08). *)
+    Houston, outwear, man, casual, suit, woman. The Fig. 3 ground truth of
+    test/test_paper_example.ml and test/test_integration.ml. *)
 
 val document : ?with_dtd:bool -> unit -> Extract_xml.Types.document
 (** The full document. [with_dtd] (default true) attaches the DTD internal
     subset so the *-node inference can be exercised through either path. *)
-
-val store_count : int
-
-val clothes_count : int

@@ -96,9 +96,3 @@ let scaled ?(seed = 42) n =
   let retailers = max 1 (stores_total / default.stores_per_retailer) in
   let stores_per_retailer = max 1 (stores_total / retailers) in
   generate { default with seed; retailers; stores_per_retailer }
-
-let approx_nodes cfg =
-  (* clothes ≈ 7 nodes, store overhead ≈ 8, retailer overhead ≈ 5 *)
-  let clothes = cfg.retailers * cfg.stores_per_retailer * cfg.clothes_per_store in
-  let stores = cfg.retailers * cfg.stores_per_retailer in
-  (clothes * 7) + (stores * 8) + (cfg.retailers * 5) + 1

@@ -25,6 +25,3 @@ val generate : config -> Extract_xml.Types.document
 val scaled : ?seed:int -> int -> Extract_xml.Types.document
 (** [scaled n] targets roughly [n] clothes entities total, keeping the
     default shape otherwise. *)
-
-val approx_nodes : config -> int
-(** Rough node-count estimate for a configuration (for sweep planning). *)

@@ -102,5 +102,3 @@ let debug name fields = event Debug name fields
 let info name fields = event Info name fields
 
 let warn name fields = event Warn name fields
-
-let error name fields = event Error name fields

@@ -34,7 +34,7 @@ val set_level : level option -> unit
 
 val enabled : level -> bool
 (** Would an event at this level be emitted? Use to skip expensive field
-    computation; {!event} already checks it. *)
+    computation; the emitters already check it. *)
 
 val level_of_string : string -> level option
 (** ["debug"|"info"|"warn"|"warning"|"error"] (case-insensitive) to a
@@ -43,15 +43,13 @@ val level_of_string : string -> level option
 
 val level_name : level -> string
 
+(* lint: allow unused-export *)
 val set_sink : (string -> unit) option -> unit
 (** Replace the line sink ([None] restores the stderr default). The sink
     receives one rendered line at a time, without the newline, under the
-    log mutex — keep it fast and non-reentrant. *)
-
-val file_sink : string -> string -> unit
-(** [file_sink path] opens [path] in append mode and returns a sink that
-    writes and flushes each line. The channel stays open for the process
-    lifetime. *)
+    log mutex — keep it fast and non-reentrant. Test use only:
+    test/test_obs.ml and test/test_server.ml capture the emitted lines through
+    it. *)
 
 val install_from_env : unit -> unit
 (** Parse [EXTRACT_LOG] ([level] or [level:FILE]) and configure level and
@@ -59,15 +57,12 @@ val install_from_env : unit -> unit
     @raise Invalid_argument on a malformed value (the CLI reports it and
     exits 2, like [EXTRACT_FAULTS]). *)
 
-val event : level -> string -> (string * Jsonv.t) list -> unit
-(** [event lvl name fields] emits one line when [lvl] passes the
-    threshold. [name] goes in the ["event"] field; [fields] are appended
-    after the standard [ts]/[level]/[event]/[rid] prefix. *)
-
 val debug : string -> (string * Jsonv.t) list -> unit
+(** [debug name fields] emits one line when the level passes the
+    threshold. [name] goes in the ["event"] field; [fields] are appended
+    after the standard [ts]/[level]/[event]/[rid] prefix. {!info} and
+    {!warn} are the same at their levels. *)
 
 val info : string -> (string * Jsonv.t) list -> unit
 
 val warn : string -> (string * Jsonv.t) list -> unit
-
-val error : string -> (string * Jsonv.t) list -> unit

@@ -42,14 +42,10 @@ val histogram :
   histogram
 (** Register (or fetch) a histogram. [buckets] are the inclusive upper
     bounds of the finite buckets, strictly increasing; an implicit [+Inf]
-    overflow bucket is always appended. Default:
-    {!default_latency_buckets}.
+    overflow bucket is always appended. Default: 10µs … 10s, roughly
+    logarithmic — suitable for request and stage latencies in seconds.
     @raise Invalid_argument on empty or non-increasing [buckets], or when
     re-registering an existing histogram with different buckets. *)
-
-val default_latency_buckets : float array
-(** 10µs … 10s, roughly logarithmic — suitable for request and stage
-    latencies in seconds. *)
 
 val incr : counter -> unit
 
@@ -57,17 +53,16 @@ val add : counter -> int -> unit
 (** [add c n] adds [n] (≥ 0; negative deltas raise [Invalid_argument] —
     counters are monotonic). *)
 
+(* lint: allow unused-export *)
 val counter_value : counter -> int
+(** Test use only: test/test_obs.ml and test/test_hotpath.ml read counters
+    back. *)
 
 val set : gauge -> float -> unit
 
-val pin : gauge -> float -> unit
-(** [pin g v] sets [g] to [v] and marks it pinned: {!reset} restores [v]
-    instead of zeroing it. For process facts ({!val-version}, start
-    time) that must survive test-isolation resets. Re-pinning replaces
-    the pinned value. *)
-
+(* lint: allow unused-export *)
 val gauge_value : gauge -> float
+(** Test use only: test/test_obs.ml reads gauges back. *)
 
 val observe : histogram -> float -> unit
 (** Record one observation (typically seconds). *)
@@ -96,10 +91,12 @@ val render_json : unit -> string
     entry carrying name, labels and values (histograms: count, sum and
     p50/p95/p99 estimates). *)
 
+(* lint: allow unused-export *)
 val reset : unit -> unit
 (** Zero every registered metric's value, keeping registrations (module
-    initializers hold metric handles) and restoring pinned gauges (see
-    {!pin}). Test isolation only. *)
+    initializers hold metric handles) and restoring the pinned process
+    facts ({!val-version}, start time). Test use only: test/test_obs.ml
+    isolates its cases with it. *)
 
 val version : string
 (** The release version baked into [extract_build_info] and reported by

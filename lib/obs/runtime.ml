@@ -13,16 +13,11 @@ let collectors : (string * (unit -> unit)) list ref = ref []
 
 let thread : Thread.t option ref = ref None (* guarded-by: state_lock *)
 
-let running_flag = Atomic.make false
-
-let period = Atomic.make 5.0
+let period_s = 5.0
 
 let register_collector name f =
   Mutex.protect state_lock (fun () ->
       collectors := List.remove_assoc name !collectors @ [ (name, f) ])
-
-let collector_names () =
-  Mutex.protect state_lock (fun () -> List.map fst !collectors)
 
 let set_gauge name help v = Registry.set (Registry.gauge ~help name) v
 
@@ -47,40 +42,20 @@ let sample () =
   let cbs = Mutex.protect state_lock (fun () -> !collectors) in
   List.iter (fun (_, f) -> try f () with _ -> ()) cbs
 
-let loop () =
-  while Atomic.get running_flag do
-    sample ();
-    let until = Unix.gettimeofday () +. Atomic.get period in
-    while Atomic.get running_flag && Unix.gettimeofday () < until do
-      Thread.delay 0.05
-    done
-  done
+let rec loop () =
+  sample ();
+  Thread.delay period_s;
+  loop ()
 
-let start ?(period_s = 5.0) () =
-  Atomic.set period (Float.max 0.05 period_s);
+let start () =
   Mutex.protect state_lock (fun () ->
-      match !thread with
-      | Some _ -> false
-      | None ->
-        Atomic.set running_flag true;
-        thread := Some (Thread.create loop ());
-        true)
-
-let running () = Atomic.get running_flag
-
-let stop () =
-  let t =
-    Mutex.protect state_lock (fun () ->
-        Atomic.set running_flag false;
-        let t = !thread in
-        thread := None;
-        t)
-  in
-  Option.iter Thread.join t
+      if Option.is_none !thread then thread := Some (Thread.create loop ()))
 
 let json () =
   let s = gc_sample () in
-  let cbs = Mutex.protect state_lock (fun () -> !collectors) in
+  let cbs, running =
+    Mutex.protect state_lock (fun () -> !collectors, Option.is_some !thread)
+  in
   List.iter (fun (_, f) -> try f () with _ -> ()) cbs;
   Jsonv.Obj
     [
@@ -105,8 +80,8 @@ let json () =
       ( "collector",
         Jsonv.Obj
           [
-            ("running", Jsonv.Bool (Atomic.get running_flag));
-            ("period_s", Jsonv.Float (Atomic.get period));
+            ("running", Jsonv.Bool running);
+            ("period_s", Jsonv.Float period_s);
             ("names", Jsonv.Arr (List.map (fun (n, _) -> Jsonv.Str n) cbs));
           ] );
     ]

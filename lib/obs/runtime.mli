@@ -1,6 +1,6 @@
 (** Runtime collector: GC and subsystem gauges.
 
-    One {!sample} reads {!Gc.quick_stat} and publishes it as
+    One sample reads {!Gc.quick_stat} and publishes it as
     [extract_gc_*] registry gauges (minor/major collections,
     compactions, heap words), then runs every registered subsystem
     collector — small callbacks the server and stores install to refresh
@@ -8,38 +8,24 @@
     snapshot residency). Collector registration is {b idempotent by
     name}: registering a name again replaces its callback, so re-created
     servers don't stack stale closures, and gauges are registered inside
-    {!sample} (the registry deduplicates), so repeated sampling never
+    each sample (the registry deduplicates), so repeated sampling never
     duplicates a family.
 
-    {!start} runs [sample] on a background systhread every [period_s]
-    seconds — a thread, not a domain: it sleeps almost always and only
+    {!start} samples on a background systhread every 5 s — a thread, not
+    a domain: it sleeps almost always and only
     touches thread-safe state. Collector callbacks that raise are
     swallowed, so one failing subsystem cannot kill the sampler. *)
 
 val register_collector : string -> (unit -> unit) -> unit
-(** [register_collector name f]: run [f] on every {!sample}. Replaces
-    any collector previously registered under [name]. *)
+(** [register_collector name f]: run [f] on every sample. Replaces any
+    collector previously registered under [name]. *)
 
-val collector_names : unit -> string list
-(** Registered collector names, in registration order. *)
-
-val sample : unit -> unit
-(** Publish GC gauges and run all registered collectors now. *)
-
-val start : ?period_s:float -> unit -> bool
-(** Start the background sampling thread (default every 5 s; clamped to
-    ≥ 50 ms). Returns false (and changes only the period) when it is
+val start : unit -> unit
+(** Start the background sampling thread (every 5 s). No-op when it is
     already running. *)
 
-val running : unit -> bool
-
-val stop : unit -> unit
-(** Stop and join the background thread. No-op when not running. *)
-
-val json : unit -> Jsonv.t
-(** A fresh sample as a JSON value: the [gc] block, the current and
-    recommended domain counts, and the collector inventory — the
-    [/debug/runtime] payload. Also refreshes the registry gauges. *)
-
 val render_json : unit -> string
-(** {!json} rendered compactly. *)
+(** A fresh sample, rendered compactly: the [gc] block, the current and
+    recommended domain counts, and the collector inventory — the
+    [/debug/runtime] payload. Also publishes the GC gauges and runs
+    every registered collector, as a background sample does. *)

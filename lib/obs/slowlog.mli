@@ -30,16 +30,22 @@ val record : entry -> unit
 (** Consider [entry] for both retentions. Cheap (list insert under a
     mutex) — call once per query. *)
 
+(* lint: allow unused-export *)
 val snapshot : unit -> entry list * entry list
-(** [(slowest, degraded)] — slowest first, resp. most recent first. *)
+(** [(slowest, degraded)] — slowest first, resp. most recent first. Test use
+    only: test/test_obs.ml, test_pool.ml and test_server.ml inspect the
+    retentions. *)
 
 val render_json : unit -> string
 (** Both retentions as pretty JSON:
     [{"slowest": [...], "degraded": [...]}]. *)
 
+(* lint: allow unused-export *)
 val configure : ?slowest:int -> ?ring:int -> unit -> unit
 (** Set capacities (defaults 16 and 64), truncating current contents.
-    @raise Invalid_argument on a negative capacity. *)
+    @raise Invalid_argument on a negative capacity. Test use only:
+    test/test_obs.ml shrinks the retentions. *)
 
+(* lint: allow unused-export *)
 val reset : unit -> unit
-(** Drop all entries, keeping capacities. Test isolation. *)
+(** Drop all entries, keeping capacities. Test isolation. Test use only. *)

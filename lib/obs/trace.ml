@@ -24,8 +24,6 @@ let on = Atomic.make false
 
 let set_enabled v = Atomic.set on v
 
-let enabled () = Atomic.get on
-
 (* Per-scope recording: lets the server sample individual requests while
    process-wide tracing stays off. *)
 let recording_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
@@ -61,8 +59,6 @@ let default_capacity = 512
 let capacity = Atomic.make default_capacity
 
 let set_buffer_capacity n = Atomic.set capacity (max 1 n)
-
-let buffer_capacity () = Atomic.get capacity
 
 let rec take n = function
   | [] -> []
@@ -147,17 +143,16 @@ let with_span ?(args = []) name f =
       raise e
   end
 
-let add_span ?(args = []) ?rid name ~start ~duration =
+let add_span name ~start ~duration =
   if recording () then begin
-    let rid = match rid with Some _ as r -> r | None -> Reqid.current () in
     let s =
       {
         name;
         start;
         duration = Float.max 0.0 duration;
-        rid;
+        rid = Reqid.current ();
         dom = (Domain.self () :> int);
-        args;
+        args = [];
         children = [];
       }
     in
@@ -176,8 +171,6 @@ let sample_counter = Atomic.make 0
 let set_sample_interval n =
   Atomic.set sample_n (max 0 n);
   Atomic.set sample_counter 0
-
-let sample_interval () = Atomic.get sample_n
 
 let sampled () =
   let n = Atomic.get sample_n in

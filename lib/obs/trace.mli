@@ -35,12 +35,6 @@ val set_enabled : bool -> unit
 (** Turn tracing on or off process-wide. Turning it off does not clear
     already-collected roots. *)
 
-val enabled : unit -> bool
-
-val recording : unit -> bool
-(** True when spans opened now would be recorded: tracing is enabled
-    process-wide {e or} this domain is inside {!with_recording}. *)
-
 val with_recording : (unit -> 'a) -> 'a
 (** [with_recording f] records spans opened by [f] on this domain even
     while process-wide tracing is off — the per-request sampling hook
@@ -48,21 +42,17 @@ val with_recording : (unit -> 'a) -> 'a
     on exceptions. *)
 
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f], recording a span when {!recording}. The
+(** [with_span name f] runs [f], recording a span when tracing is enabled
+    process-wide or this domain is inside {!with_recording}. The
     span is recorded (and the stack unwound) even when [f] raises. *)
 
-val add_span :
-  ?args:(string * string) list ->
-  ?rid:string ->
-  string ->
-  start:float ->
-  duration:float ->
-  unit
+val add_span : string -> start:float -> duration:float -> unit
 (** Record an already-measured interval as a span — work that happened
     before any span could be opened, like the time a connection sat in
     the accept queue. Attaches to the currently open span on this domain
-    (or becomes a root). [rid] defaults to the current {!Reqid};
-    negative durations clamp to [0.]. No-op unless {!recording}. *)
+    (or becomes a root), under the current {!Reqid} and with no args;
+    negative durations clamp to [0.]. No-op unless spans are being
+    recorded. *)
 
 val finished : unit -> span list
 (** The root spans completed so far, oldest first, and clears them. Spans
@@ -72,22 +62,25 @@ val recent : ?last:int -> unit -> span list
 (** Like {!finished} but non-destructive: the buffered roots, oldest
     first, optionally only the newest [last]. *)
 
+(* lint: allow unused-export *)
 val clear : unit -> unit
-(** Drop collected roots and this domain's open-span stack. *)
+(** Drop collected roots and this domain's open-span stack. Test use only:
+    test/test_obs.ml, test_pool.ml and test_server.ml isolate their cases with
+    it. *)
 
+(* lint: allow unused-export *)
 val set_buffer_capacity : int -> unit
 (** Cap the root buffer at [n] (≥ 1) spans; older roots are dropped as
     new ones complete. Default 512 — a server under sampling keeps a
-    bounded window instead of leaking. *)
+    bounded window instead of leaking. Test use only: test/test_obs.ml
+    ["bounded buffer"] shrinks the window. *)
 
-val buffer_capacity : unit -> int
-
+(* lint: allow unused-export *)
 val set_sample_interval : int -> unit
 (** [set_sample_interval n]: make {!sampled} return true once every [n]
     calls ([0] disables sampling, the default). Resets the phase so the
-    next call samples. *)
-
-val sample_interval : unit -> int
+    next call samples. Test use only beyond {!install_from_env}:
+    test/test_obs.ml and test/test_pool.ml set the interval directly. *)
 
 val sampled : unit -> bool
 (** Deterministic 1-in-N sampling decision (atomic counter, so exactly
@@ -97,10 +90,6 @@ val sampled : unit -> bool
 val install_from_env : unit -> unit
 (** Read [EXTRACT_TRACE_SAMPLE] ("1/N" or plain "N") and set the sample
     interval. Malformed or missing values leave it unchanged. *)
-
-val pp_duration : float -> string
-(** Human form of a duration in seconds: ["1.24ms"], ["16.0us"],
-    ["2.1s"]. *)
 
 val render : span list -> string
 (** The span forest as an indented tree, one line per span: two spaces

@@ -11,9 +11,6 @@
     so the server's pool workers render as parallel tracks. The request
     id and span labels appear in each event's [args]. *)
 
-val json : Trace.span list -> Jsonv.t
-(** The trace document as a JSON value. *)
-
 val render : Trace.span list -> string
-(** {!json} rendered compactly — the payload written by
+(** The trace document, rendered compactly — the payload written by
     [extract snippet --trace-out] and served at [/debug/trace]. *)

@@ -87,5 +87,3 @@ let lists t = List.map snd t.resolved
 let matches_under t node =
   let doc = document t in
   List.concat_map (fun (_, arr) -> Postings.in_subtree doc arr node) t.resolved
-
-let restrict t result keyword = Result_tree.restrict_matches result (postings t keyword)

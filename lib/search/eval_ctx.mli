@@ -40,7 +40,3 @@ val matches_under : t -> Document.node -> Document.node list
 (** Matches of any query keyword inside the node's subtree (concatenated
     per keyword; each keyword's block is in document order). Binary
     search per keyword — never a scan of the posting lists. *)
-
-val restrict : t -> Result_tree.t -> string -> Document.node list
-(** [restrict t result k] = {!Result_tree.restrict_matches} over the
-    cached posting list of [k]. *)

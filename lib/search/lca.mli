@@ -6,9 +6,12 @@
 
 module Document = Extract_store.Document
 
+(* lint: allow unused-export *)
 val covering_nodes : Document.t -> Document.node array list -> Document.node list
 (** Elements whose subtree contains at least one match from {e every}
-    list, in document order. Empty when any list is empty. *)
+    list, in document order. Empty when any list is empty. The reference the
+    SLCA merge is checked against: test/test_properties.ml and
+    test/test_search.ml. *)
 
 val slca_reference : Document.t -> Document.node array list -> Document.node list
 (** Smallest LCAs: covering nodes none of whose proper descendants is also

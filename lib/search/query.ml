@@ -33,5 +33,3 @@ let is_empty t = t.keywords = []
 let mem t k = List.mem (Tokenizer.normalize k) t.keywords
 
 let to_string t = String.concat " " t.keywords
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -23,5 +23,3 @@ val mem : t -> string -> bool
 (** Membership after normalization. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,11 @@
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 
+(* per-level attenuation of a match's contribution below the result root *)
+let decay = 0.8
+
 type t = {
   ctx : Eval_ctx.t;
-  decay : float;
   keywords : (Document.node array * float) list;
       (* per query keyword: its resolved posting list and its idf *)
 }
@@ -13,14 +15,13 @@ let idf_in ctx keyword =
   let df = float_of_int (Inverted_index.keyword_count (Eval_ctx.index ctx) keyword) in
   log (1.0 +. (n /. (1.0 +. df)))
 
-let make ?(decay = 0.8) ctx =
-  if decay <= 0.0 || decay > 1.0 then invalid_arg "Ranker.make: decay must be in (0, 1]";
+let make ctx =
   let keywords =
     List.map
       (fun k -> Eval_ctx.postings ctx k, idf_in ctx k)
       (Query.keywords (Eval_ctx.query ctx))
   in
-  { ctx; decay; keywords }
+  { ctx; keywords }
 
 let idf t keyword = idf_in t.ctx keyword
 
@@ -35,7 +36,7 @@ let score t result =
         List.fold_left
           (fun best m ->
             let dist = Document.depth doc m - root_depth in
-            max best (t.decay ** float_of_int dist))
+            max best (decay ** float_of_int dist))
           0.0 matches
       in
       let tf = log (1.0 +. float_of_int (List.length matches)) in

@@ -30,14 +30,15 @@
 
 type t
 
-val make : ?decay:float -> Eval_ctx.t -> t
-(** A ranker for the context's query. [decay] is the per-level
-    attenuation in (0, 1], default 0.8. *)
+val make : Eval_ctx.t -> t
+(** A ranker for the context's query. A match's contribution decays by
+    0.8 per level below the result root. *)
 
+(* lint: allow unused-export *)
 val idf : t -> string -> float
 (** [ln (1 + elements / (1 + df))], where [df] is the keyword's posting
     count in the whole index (any mask ignored). Unknown keywords get the
-    maximum IDF. *)
+    maximum IDF. Test use only: test/test_extensions.ml ["idf ordering"]. *)
 
 val score : t -> Result_tree.t -> float
 (** The result's score for the ranker's query. *)

@@ -1,5 +1,4 @@
 module Document = Extract_store.Document
-module Pretty = Extract_util.Pretty
 
 type t = {
   doc : Document.t;
@@ -56,8 +55,6 @@ let size t = Array.length t.members
 let element_size t =
   Array.fold_left (fun acc n -> if Document.is_element t.doc n then acc + 1 else acc) 0 t.members
 
-let edge_count t = element_size t - 1
-
 let members t = t.members
 
 let children t n =
@@ -65,16 +62,6 @@ let children t n =
 
 let iter_elements t f =
   Array.iter (fun n -> if Document.is_element t.doc n then f n) t.members
-
-let fold_elements t f acc =
-  Array.fold_left (fun acc n -> if Document.is_element t.doc n then f acc n else acc) acc t.members
-
-let parent_in t n =
-  if n = t.root then None
-  else
-    match Document.parent t.doc n with
-    | Some p when mem t p -> Some p
-    | _ -> None
 
 (* The members all lie in [root, subtree_last root], so only the postings
    in that interval can qualify: binary-search the range instead of
@@ -99,23 +86,6 @@ let text_of t =
       end)
     t.members;
   Buffer.contents buf
-
-let label t n =
-  let doc = t.doc in
-  if Document.has_only_text_children doc n then
-    Printf.sprintf "%s \"%s\"" (Document.tag_name doc n)
-      (String.trim (Document.immediate_text doc n))
-  else Document.tag_name doc n
-
-let rec pretty_of t n =
-  let kids =
-    children t n
-    |> List.filter (fun c -> Document.is_element t.doc c)
-    |> List.map (pretty_of t)
-  in
-  Pretty.Node (label t n, kids)
-
-let to_pretty t = pretty_of t t.root
 
 let rec xml_of t n =
   if Document.is_element t.doc n then

@@ -18,11 +18,6 @@ type t
 val full : Document.t -> Document.node -> t
 (** The whole subtree rooted at the node. *)
 
-val of_members : Document.t -> root:Document.node -> Document.node list -> t
-(** A pruned view: [members] may omit the root and ancestors; the set is
-    closed upward to the root automatically. All members must lie in the
-    root's subtree. @raise Invalid_argument otherwise. *)
-
 val match_paths : Document.t -> root:Document.node -> matches:Document.node list -> t
 (** Root-to-match paths only. *)
 
@@ -37,9 +32,6 @@ val size : t -> int
 
 val element_size : t -> int
 
-val edge_count : t -> int
-(** Edges between member element nodes. *)
-
 val members : t -> Document.node array
 (** Sorted (document order). Do not mutate. *)
 
@@ -48,13 +40,6 @@ val children : t -> Document.node -> Document.node list
 
 val iter_elements : t -> (Document.node -> unit) -> unit
 (** Member element nodes in document order. *)
-
-val fold_elements : t -> ('a -> Document.node -> 'a) -> 'a -> 'a
-
-val parent_in : t -> Document.node -> Document.node option
-(** Parent within the result ([None] for the result root). Because member
-    sets are ancestor-closed, this is the document parent for any member
-    except the root. *)
 
 val restrict_matches : t -> Document.node array -> Document.node list
 (** Posting-list entries that are members, in document order. The sorted
@@ -65,7 +50,6 @@ val text_of : t -> string
 (** All member text, document order, space-joined (for the text-snippet
     baseline). *)
 
-val to_pretty : t -> Extract_util.Pretty.tree
-(** Render (element tags, attribute values inline). *)
-
+(* lint: allow unused-export *)
 val to_xml : t -> Extract_xml.Types.t
+(** Test use only: test/test_search.ml ["to_xml"]. *)

@@ -13,6 +13,7 @@ val compute : Document.t -> Document.node array list -> Document.node list
 (** SLCAs in document order. Empty when any list is empty (conjunctive
     semantics) or no list is given. *)
 
+(* lint: allow unused-export *)
 val closest_in : Document.node array -> lo:int -> hi:int -> Document.node option
 (** Exposed for testing: some element of the sorted array within
-    [[lo, hi]], or [None]. *)
+    [[lo, hi]], or [None]. Test use only: test/test_search.ml ["closest_in"]. *)

@@ -87,8 +87,3 @@ let compute_lists ?limit doc lists =
       else loop acc rest
   in
   loop [] (Slca.compute doc lists)
-
-let compute index query =
-  let doc = Inverted_index.document index in
-  let lists = List.map (Inverted_index.lookup index) (Query.keywords query) in
-  compute_lists doc lists

@@ -15,10 +15,12 @@
 
 module Document = Extract_store.Document
 
+(* lint: allow unused-export *)
 val interconnected : Document.t -> Document.node -> Document.node -> bool
 (** Is the path between the two nodes (through their LCA) free of two
     distinct equal-tag interior nodes? The end nodes themselves may share
-    a tag. *)
+    a tag. Test use only: test/test_extensions.ml and the brute-force
+    comparison in test/test_properties.ml. *)
 
 val compute_lists :
   ?limit:int -> Document.t -> Document.node array list -> Result_tree.t list
@@ -26,7 +28,3 @@ val compute_lists :
     surviving SLCA, as match-path result trees in document order. With
     [limit], stops materializing answers once that many have been
     accepted. *)
-
-val compute :
-  Extract_store.Inverted_index.t -> Query.t -> Result_tree.t list
-(** [compute_lists] over the keywords' posting lists. *)

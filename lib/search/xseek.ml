@@ -31,8 +31,3 @@ let roots kinds lists =
   let doc = Node_kind.document kinds in
   let slcas = Slca.compute doc lists in
   dedupe_outermost doc (List.map (return_node kinds) slcas)
-
-let compute index kinds query =
-  let doc = Inverted_index.document index in
-  let lists = List.map (Inverted_index.lookup index) (Query.keywords query) in
-  List.map (Result_tree.full doc) (roots kinds lists)

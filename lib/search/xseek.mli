@@ -9,10 +9,11 @@
 
 module Document = Extract_store.Document
 
+(* lint: allow unused-export *)
 val return_node :
   Extract_store.Node_kind.t -> Document.node -> Document.node
 (** Nearest entity ancestor-or-self; the node itself when no ancestor (or
-    self) is an entity. *)
+    self) is an entity. Test use only: test/test_search.ml ["return node"]. *)
 
 val roots : Extract_store.Node_kind.t -> Document.node array list -> Document.node list
 (** Return nodes for pre-resolved posting lists: SLCAs, mapped to return
@@ -20,11 +21,3 @@ val roots : Extract_store.Node_kind.t -> Document.node array list -> Document.no
     nodes merged into the outermost. Document order, no subtrees
     materialized — the engine expands only as many as the caller's limit
     asks for. *)
-
-val compute :
-  Extract_store.Inverted_index.t ->
-  Extract_store.Node_kind.t ->
-  Query.t ->
-  Result_tree.t list
-(** Run the query: {!roots} of the keywords' posting lists, each expanded
-    to its full subtree. Document order. *)

@@ -1310,7 +1310,7 @@ let serve ?(config = default_config) t ~port =
   ensure_sigpipe_ignored ();
   install_sigterm_dump config;
   (* background GC/subsystem sampler feeding /metrics and /debug/runtime *)
-  ignore (Runtime.start ());
+  Runtime.start ();
   let sock = listen ~port in
   let _pool = start_pool ~config t sock in
   let workers = max 1 config.workers in

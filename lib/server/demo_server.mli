@@ -179,10 +179,12 @@ val snippet_cache_stats : t -> int * int
     ({!Extract_snippet.Snippet_cache}) sitting under the page cache. Both
     counters also appear on the [/stats] page. *)
 
+(* lint: allow unused-export *)
 val degraded_served : t -> int
 (** Deadline-degraded snippets served since startup on every search
     route (also on [/stats]). Pages containing any are cached at neither
-    cache level. *)
+    cache level. Test use only: test/test_server.ml reads the counter
+    directly. *)
 
 (** {1 Transport} *)
 
@@ -231,13 +233,15 @@ val serve_once : ?config:config -> t -> Unix.file_descr -> unit
 type pool
 (** A running acceptor + worker-domain pool (see {!start_pool}). *)
 
+(* lint: allow unused-export *)
 val check_domain_budget : workers:int -> unit
 (** Refuse a pool OCaml cannot run. [workers] workers hold 2 +
     [workers] live domains: the main domain, the acceptor and the
     workers. OCaml 5.1 runs at most 128 on 64-bit builds and 16 on
     32-bit ones.
     @raise Invalid_argument naming the numbers when the pool needs
-    more. *)
+    more. Test use only beyond {!start_pool}: test/test_pool.ml checks the
+    budget without spawning a domain. *)
 
 val start_pool : ?config:config -> t -> Unix.file_descr -> pool
 (** Start the domain pool on an already-listening socket and return
@@ -266,16 +270,21 @@ val serve : ?config:config -> t -> port:int -> unit
 
 (** {1 Parsing helpers (exposed for tests)} *)
 
+(* lint: allow unused-export *)
 val url_decode : string -> string
 (** Decode [%XX] escapes and [+] as space; malformed escapes are kept
-    verbatim. *)
+    verbatim. Test use only: test/test_server.ml ["decode"]. *)
 
+(* lint: allow unused-export *)
 val parse_target : string -> string * (string * string) list
-(** Split a request target into path and decoded query parameters. *)
+(** Split a request target into path and decoded query parameters. Test use
+    only: test/test_server.ml ["parse target"]. *)
 
+(* lint: allow unused-export *)
 val max_request_line : int
 (** 8192 — the byte bound on the request line, terminator excluded;
-    {!read_request_line} reads not one byte past it. *)
+    {!read_request_line} reads not one byte past it. Test use only:
+    test/test_server.ml ["request line bound"]. *)
 
 type read_outcome =
   | Line of string  (** a complete request line, terminator stripped *)
@@ -284,7 +293,9 @@ type read_outcome =
   | Too_long  (** no terminator within {!max_request_line} bytes *)
   | Bad_cr  (** a CR not immediately followed by LF *)
 
+(* lint: allow unused-export *)
 val read_request_line : Unix.file_descr -> read_outcome
 (** Read one LF- or CRLF-terminated line, byte-bounded. A bare CR inside
     the line is rejected as {!Bad_cr} (answered 400), not silently
-    dropped. *)
+    dropped. Test use only: test/test_server.ml ["request line forms"] and
+    ["request line bound"]. *)

@@ -19,8 +19,6 @@ let names t = List.map fst t.dbs
 
 let find t name = List.assoc_opt name t.dbs
 
-let size t = List.length t.dbs
-
 (* ------------------------------------------------------------------ *)
 (* Loading: accept a snapshot written by [extract pack] or XML,
    dispatching on the leading magic. A snapshot that cannot be loaded is

@@ -29,8 +29,6 @@ val names : t -> string list
 
 val find : t -> string -> Pipeline.t option
 
-val size : t -> int
-
 val load_file : ?on_warning:(string -> unit) -> string -> Pipeline.t
 (** Load one database from [path], whatever it holds: a snapshot written
     by [extract pack] or XML (dispatch on the leading magic; anything
@@ -45,6 +43,7 @@ val load_file : ?on_warning:(string -> unit) -> string -> Pipeline.t
     rebuilt from the source. With no sibling to rebuild from, the
     original exception is re-raised. *)
 
+(* lint: allow unused-export *)
 val run :
   ?semantics:Extract_search.Engine.semantics ->
   ?config:Config.t ->
@@ -59,4 +58,7 @@ val run :
     [limit], and only then snippet the hits kept
     ({!Pipeline.run_merged}). [deadline] is shared across the member
     databases and checked before each kept hit's snippet in rank order:
-    once it expires, the remaining snippets degrade. *)
+    once it expires, the remaining snippets degrade. Test use only:
+    test/test_validation.ml ["snippet.corpus"], test_snippet.ml and
+    test_live.ml compare merged runs with it; the server searches one named
+    database. *)

@@ -14,8 +14,6 @@ let make analyses =
     analyses;
   { results = List.length analyses; frequency }
 
-let result_count t = t.results
-
 let result_frequency t f = Option.value ~default:0 (Hashtbl.find_opt t.frequency f)
 
 let distinctiveness t f =

@@ -20,10 +20,10 @@ val make : Feature.analysis list -> t
 (** [make analyses] over the feature analyses of all results of one
     query. *)
 
-val result_count : t -> int
-
+(* lint: allow unused-export *)
 val result_frequency : t -> Feature.t -> int
-(** Number of results whose analysis contains the feature. *)
+(** Number of results whose analysis contains the feature. Test use only:
+    test/test_extensions.ml ["idf"] (ext.differentiator). *)
 
 val distinctiveness : t -> Feature.t -> float
 (** >= 1 for features absent from other results; lower the more results

@@ -82,25 +82,11 @@ val run :
     under the enclosing {!Extract_obs.Reqid} scope when one is active,
     else a fresh id. *)
 
-val of_results :
-  request_id:string ->
-  query:string ->
-  semantics:string ->
-  bound:int ->
-  seconds:float ->
-  sections:(string * Extract_obs.Jsonv.t) list ->
-  Pipeline.snippet_result list ->
-  t
-(** Assemble a bundle from results produced elsewhere (the server builds
-    one around its cache lookup). *)
-
 val result_explain_of : index:int -> Pipeline.snippet_result -> result_explain
 (** The per-result accounting alone — {!Html_view}'s explain panel. *)
 
-val to_json : t -> Extract_obs.Jsonv.t
-
 val render_json : t -> string
-(** {!to_json}, pretty-printed: one line per IList entry. *)
+(** The bundle as pretty-printed JSON: one line per IList entry. *)
 
 val to_text : t -> string
 (** Terminal form: a header line, one line per result, one indented line

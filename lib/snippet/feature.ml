@@ -125,7 +125,3 @@ let feature_count analysis = Hashtbl.length analysis.features
 let type_count analysis = Hashtbl.length analysis.types
 
 let pp ppf f = Format.fprintf ppf "(%s, %s, %s)" f.entity f.attribute f.value
-
-let pp_stats ppf s =
-  Format.fprintf ppf "N=%d N(e,a)=%d D=%d DS=%.2f" s.occurrences s.type_total s.domain_size
-    s.score

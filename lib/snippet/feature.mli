@@ -36,10 +36,11 @@ type analysis
 
 val analyze : Extract_store.Node_kind.t -> Extract_search.Result_tree.t -> analysis
 
+(* lint: allow unused-export *)
 val analyze_calls : unit -> int
 (** Number of {!analyze} invocations since program start (monotone,
     atomic). Instrumentation hook: the tests assert that pipeline runs
-    analyze each result exactly once. *)
+    analyze each result exactly once. Test use only: test/test_hotpath.ml. *)
 
 val all : analysis -> (t * stats) list
 (** Every feature of the result, ordered by first occurrence. *)
@@ -48,9 +49,14 @@ val dominant : analysis -> (t * stats) list
 (** Dominant features, by decreasing score; ties broken by first
     occurrence in the result. *)
 
+(* lint: allow unused-export *)
 val stats_of : analysis -> t -> stats option
+(** Test use only: the Fig. 1–3 regression tests (test/test_paper_example.ml)
+    and test/test_snippet.ml read the paper's statistics with it. *)
 
+(* lint: allow unused-export *)
 val is_dominant : stats -> bool
+(** Test use only: test/test_paper_example.ml and test/test_snippet.ml. *)
 
 val instances : analysis -> t -> Extract_store.Document.node list
 (** Attribute element nodes of the result carrying this feature, document
@@ -63,5 +69,3 @@ val type_count : analysis -> int
 
 val pp : Format.formatter -> t -> unit
 (** [(store, city, Houston)]. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -127,13 +127,9 @@ let entries t = Array.to_list t.entries
 
 let length t = Array.length t.entries
 
-let get t i = t.entries.(i)
-
 let coverable t = entries t |> List.filter (fun e -> Array.length e.instances > 0)
 
 let to_string t = String.concat ", " (List.map (fun e -> display e.item) (entries t))
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let reorder_features ~score t =
   (* Stable partition: non-feature entries keep their relative order and

@@ -57,8 +57,6 @@ val entries : t -> entry list
 
 val length : t -> int
 
-val get : t -> int -> entry
-
 val coverable : t -> entry list
 (** Entries with at least one instance. *)
 
@@ -73,5 +71,3 @@ val reorder_features : score:(Feature.t -> Feature.stats -> float) -> t -> t
 (** Re-rank only the dominant-feature block by a replacement score
     (descending), keeping keywords, entity names and the key in place and
     renumbering ranks. Used by {!Differentiator} and ablations. *)
-
-val pp : Format.formatter -> t -> unit

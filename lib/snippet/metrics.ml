@@ -23,7 +23,7 @@ let covers tokens value =
 
 let ratio hits total = if total = 0 then 1.0 else float_of_int hits /. float_of_int total
 
-let coverage ?(top_features = 3) ~tokens ilist =
+let coverage ~tokens ilist =
   let keywords = ref [] and entities = ref [] and key = ref None and features = ref [] in
   List.iter
     (fun (e : Ilist.entry) ->
@@ -35,7 +35,7 @@ let coverage ?(top_features = 3) ~tokens ilist =
     (Ilist.entries ilist);
   let keywords = List.rev !keywords and entities = List.rev !entities in
   let features =
-    List.filteri (fun i _ -> i < top_features) (List.rev !features)
+    List.filteri (fun i _ -> i < 3) (List.rev !features)
   in
   let count xs = List.length (List.filter (covers tokens) xs) in
   let displays =
@@ -57,8 +57,3 @@ let coverage ?(top_features = 3) ~tokens ilist =
     all_items = ratio (count displays) (List.length displays);
     rank_weighted = (if ideal > 0.0 then dcg (covers tokens) /. ideal else 1.0);
   }
-
-let pp ppf c =
-  Format.fprintf ppf
-    "kw=%.2f entities=%.2f key=%.2f features=%.2f all=%.2f weighted=%.2f" c.keywords
-    c.entity_names c.result_key c.features c.all_items c.rank_weighted

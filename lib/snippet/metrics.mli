@@ -20,13 +20,12 @@ val snippet_tokens : Pipeline.t -> Snippet_tree.t -> string list
 (** The tokens a tree snippet displays: tags and immediate text of its
     nodes, normalized like index tokens. *)
 
+(* lint: allow unused-export *)
 val covers : string list -> string -> bool
 (** Does a token list display a (possibly multi-token) value? All of the
-    value's tokens must appear. *)
+    value's tokens must appear. Test use only: test/test_snippet.ml
+    ["multi-token covers"]. *)
 
-val coverage : ?top_features:int -> tokens:string list -> Ilist.t -> coverage
-(** Score a snippet's token list against an IList. [top_features] is the
-    number of leading dominant features scored in [features]
-    (default 3). *)
-
-val pp : Format.formatter -> coverage -> unit
+val coverage : tokens:string list -> Ilist.t -> coverage
+(** Score a snippet's token list against an IList. [features] scores the
+    three leading dominant features. *)

@@ -45,8 +45,8 @@ val load_snapshot : string -> t
     analysis section or an older snapshot version. *)
 
 val id : t -> int
-(** Unique id of this analyzed database (process-wide, assigned at
-    {!build}/{!load}). {!Snippet_cache} keys embed it so one cache can
+(** Unique id of this analyzed database (process-wide, assigned when it
+    is built or loaded). {!Snippet_cache} keys embed it so one cache can
     serve several databases without collisions. *)
 
 val document : t -> Document.t
@@ -80,7 +80,7 @@ type snippet_result = {
 
 type observer = {
   on_built : t -> unit;
-      (** After {!build}/{!load}: the analyzed database is complete. *)
+      (** After a build or load: the analyzed database is complete. *)
   on_results : t -> Extract_search.Result_tree.t list -> unit;
       (** After the search engine, before snippet generation. *)
   on_snippets : t -> snippet_result list -> unit;

@@ -22,9 +22,10 @@ val make :
 (** With [ctx], keyword posting lists come from the per-query evaluation
     context (resolved once per query) instead of fresh index lookups. *)
 
+(* lint: allow unused-export *)
 val hot_entities : t -> Extract_store.Document.node list
 (** Entity instances of the result containing a keyword match, document
-    order. *)
+    order. Test use only: test/test_extensions.ml ["hot entities"]. *)
 
 val affinity : t -> Feature.analysis -> Feature.t -> float
 (** In [0, 1]; 0 when the feature has no instance (or no hot entity

@@ -13,8 +13,10 @@
 
 module Document = Extract_store.Document
 
+(* lint: allow unused-export *)
 val matches_name : Extract_search.Query.t -> string -> bool
-(** Token-level test: does a tag name match one of the keywords? *)
+(** Token-level test: does a tag name match one of the keywords? Test use
+    only: test/test_snippet.ml ["token matching"]. *)
 
 val return_entities :
   Extract_store.Node_kind.t ->
@@ -24,13 +26,17 @@ val return_entities :
 (** Return-entity instances in the result, document order. Empty only when
     the result contains no entity instance at all. *)
 
+(* lint: allow unused-export *)
 val highest_entities :
   Extract_store.Node_kind.t -> Extract_search.Result_tree.t -> Document.node list
-(** Entity instances with no entity ancestor inside the result. *)
+(** Entity instances with no entity ancestor inside the result. Test use only:
+    test/test_snippet.ml ["highest"]. *)
 
+(* lint: allow unused-export *)
 val supporting_entities :
   Extract_store.Node_kind.t ->
   Extract_search.Result_tree.t ->
   Extract_search.Query.t ->
   Document.node list
-(** Entity instances that are not return entities. *)
+(** Entity instances that are not return entities. Test use only:
+    test/test_snippet.ml ["supporting"]. *)

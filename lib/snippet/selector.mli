@@ -34,5 +34,7 @@ val greedy :
 
 val covered_count : selection -> int
 
+(* lint: allow unused-export *)
 val coverage : selection -> float
-(** covered / coverable items, in [0, 1]; 1.0 when nothing is coverable. *)
+(** covered / coverable items, in [0, 1]; 1.0 when nothing is coverable. Test
+    use only: test/test_snippet.ml ["coverage metric"]. *)

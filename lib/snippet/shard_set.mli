@@ -40,17 +40,21 @@ val provenance : t -> int -> int * int
 (** [(global_first, global_last)] — the inclusive global node-id block
     shard [i]'s local ids [1..] map onto. *)
 
+(* lint: allow unused-export *)
 val to_global : t -> shard:int -> int -> int
 (** Translate a shard-local node id to the global id (local 0 — the
-    copied root — maps to global 0). *)
+    copied root — maps to global 0). Test use only: test/test_shard.ml checks
+    the id translation directly. *)
 
+(* lint: allow unused-export *)
 val translate_mask : t -> shard:int -> (int * int) array -> (int * int) array
 (** Project a global visibility mask (see {!Extract_search.Eval_ctx})
     onto one shard: intersect with the shard's block, shift to local
     ids, and keep the local root visible iff the global root is. A mask
     that hides the whole block yields [[|(0, 0)|]] — every posting
     filtered, no results, matching the global evaluation of that
-    region. *)
+    region. Test use only: test/test_shard.ml checks the mask projection
+    directly. *)
 
 type hit = {
   shard : int;

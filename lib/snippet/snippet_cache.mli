@@ -60,4 +60,6 @@ val shard_stats : t -> Extract_util.Sharded_lru.shard_stats array
 (** Per-shard hit/miss/eviction/occupancy counters (index = shard); the
     demo server aggregates these into the metrics registry. *)
 
+(* lint: allow unused-export *)
 val clear : t -> unit
+(** Test use only: test/test_hotpath.ml ["clear resets"]. *)

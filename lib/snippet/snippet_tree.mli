@@ -14,8 +14,10 @@ type t
 val create : Extract_search.Result_tree.t -> t
 (** The minimal snippet: just the result root, 0 edges. *)
 
+(* lint: allow unused-export *)
 val copy : t -> t
-(** Independent copy (used by the exact selector's search). *)
+(** Independent copy (used by the exact selector's search). Test use only:
+    test/test_snippet.ml ["copy"]. *)
 
 val result : t -> Extract_search.Result_tree.t
 
@@ -43,16 +45,14 @@ val remove : t -> Document.node list -> unit
 val nodes : t -> Document.node list
 (** Member element nodes, document order. *)
 
+(* lint: allow unused-export *)
 val contains_any : t -> Document.node array -> bool
-(** Is any of the candidate instances already in the snippet? *)
-
-val to_pretty : ?max_value:int -> t -> Extract_util.Pretty.tree
-(** ASCII-tree rendition with leaf values inline — the Fig. 2 / Fig. 5
-    presentation. [max_value] truncates values longer than that many bytes
-    with an ellipsis (snippets should stay small even when a value is a
-    paragraph); omitted = no truncation. *)
+(** Is any of the candidate instances already in the snippet? Test use only:
+    test/test_snippet.ml ["contains_any"]. *)
 
 val render : ?max_value:int -> t -> string
 
+(* lint: allow unused-export *)
 val to_xml : t -> Extract_xml.Types.t
-(** XML rendition; leaf (attribute) elements keep their text value. *)
+(** XML rendition; leaf (attribute) elements keep their text value. Test use
+    only: test/test_snippet.ml ["xml values"]. *)

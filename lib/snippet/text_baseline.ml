@@ -63,10 +63,6 @@ let generate ~window_tokens result query =
     }
   end
 
-let covers s token =
-  let tok = Tokenizer.normalize token in
-  tok <> "" && List.mem tok s.window
-
 let to_string s =
   let body = String.concat " " s.window in
   if s.start_offset > 0 then "… " ^ body ^ " …" else body ^ " …"

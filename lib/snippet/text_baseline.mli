@@ -26,9 +26,6 @@ val window_for_bound : int -> int
 (** The conventional token budget for an edge bound: [2 × bound], at
     least 1. *)
 
-val covers : snippet -> string -> bool
-(** Does the window contain the (normalized) token? *)
-
 val to_string : snippet -> string
 (** The window joined with spaces, with ellipses when it does not touch
     the text's boundaries. *)

@@ -17,16 +17,9 @@ let write_varint w n =
   in
   loop n
 
-(* zig-zag: maps 0,-1,1,-2,... to 0,1,2,3,... *)
-let write_int w n = write_varint w ((n lsl 1) lxor (n asr 62))
-
 let write_string w s =
   write_varint w (String.length s);
   Buffer.add_string w.buf s
-
-let write_bytes_raw w b =
-  write_varint w (Bytes.length b);
-  Buffer.add_bytes w.buf b
 
 (* fixed-width native-endian word: the {!Snapshot} header's endianness
    probe — a varint is endian-agnostic, so it cannot detect a snapshot
@@ -57,10 +50,6 @@ let read_varint r =
   in
   loop 0 0
 
-let read_int r =
-  let z = read_varint r in
-  (z lsr 1) lxor (- (z land 1))
-
 let read_string r =
   let n = read_varint r in
   if n < 0 || n > String.length r.data - r.pos then raise (Truncated "string overruns input");
@@ -79,7 +68,6 @@ let read_count r =
          (Printf.sprintf "count %d exceeds the %d bytes left" n (String.length r.data - r.pos)));
   n
 
-let read_bytes_raw r = Bytes.of_string (read_string r)
 
 let read_fixed64 r =
   if r.pos + 8 > String.length r.data then raise (Truncated "fixed64 overruns input");

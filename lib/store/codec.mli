@@ -1,8 +1,7 @@
 (** Binary encoding primitives for every stored format: {!Snapshot}
     sections, {!Journal} frames and sealed {!Envelope}s.
 
-    A deliberately boring format: unsigned LEB128 varints for integers
-    (with a zig-zag variant for possibly-negative values) and
+    A deliberately boring format: unsigned LEB128 varints for integers and
     length-prefixed byte strings. No [Marshal]: files are portable across
     OCaml versions and trivially inspectable. Files are not portable
     across architectures with different [int] widths (varints cap at 63
@@ -15,13 +14,7 @@ val writer : unit -> writer
 val write_varint : writer -> int -> unit
 (** Non-negative integers. @raise Invalid_argument on negatives. *)
 
-val write_int : writer -> int -> unit
-(** Any integer (zig-zag encoded). *)
-
 val write_string : writer -> string -> unit
-
-val write_bytes_raw : writer -> bytes -> unit
-(** Length-prefixed raw bytes. *)
 
 val write_fixed64 : writer -> int64 -> unit
 (** A raw native-endian 64-bit word, no length prefix. Unlike a varint
@@ -37,8 +30,6 @@ val reader : string -> reader
 
 val read_varint : reader -> int
 
-val read_int : reader -> int
-
 val read_string : reader -> string
 
 val read_count : reader -> int
@@ -47,12 +38,12 @@ val read_count : reader -> int
     fit in the bytes left.
     @raise Corrupt when it is negative or does not fit. *)
 
-val read_bytes_raw : reader -> bytes
-
 val read_fixed64 : reader -> int64
 
+(* lint: allow unused-export *)
 val pos : reader -> int
-(** Current byte position, for consumers that record offsets. *)
+(** Current byte position, for consumers that record offsets. Test use only:
+    test/snapshot_image.ml locates a snapshot's sections with it. *)
 
 val seek : reader -> int -> unit
 (** Jump to an absolute byte position (a previously recorded offset).

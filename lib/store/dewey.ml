@@ -43,13 +43,3 @@ let lca t a b =
   let d = common_prefix_depth t a b in
   (* The LCA is the ancestor-or-self of [a] at depth [d]. *)
   Document.ancestor_at_depth t.doc a (min d (Document.depth t.doc a))
-
-let pp_label t ppf n =
-  let l = t.labels.(n) in
-  if Array.length l = 0 then Format.pp_print_string ppf "ε"
-  else
-    Array.iteri
-      (fun i x ->
-        if i > 0 then Format.pp_print_char ppf '.';
-        Format.pp_print_int ppf x)
-      l

@@ -16,11 +16,5 @@ val label : t -> Document.node -> int array
 val compare_nodes : t -> Document.node -> Document.node -> int
 (** Lexicographic order of labels; equals document (pre)order. *)
 
-val common_prefix_depth : t -> Document.node -> Document.node -> int
-(** Length of the longest common label prefix = depth of the LCA. *)
-
 val lca : t -> Document.node -> Document.node -> Document.node
 (** LCA via labels; agrees with {!Document.lca}. *)
-
-val pp_label : t -> Format.formatter -> Document.node -> unit
-(** e.g. [1.0.2]. *)

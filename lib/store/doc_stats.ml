@@ -41,8 +41,6 @@ let compute kinds =
     attribute_instances = count_instances Node_kind.Attribute;
   }
 
-let of_document doc = compute (Node_kind.of_document doc)
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>nodes: %d (elements %d, text %d)@,tags: %d, paths: %d, max depth: %d@,\

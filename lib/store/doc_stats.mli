@@ -17,8 +17,6 @@ type t = {
 
 val compute : Node_kind.t -> t
 
-val of_document : Document.t -> t
-
 val pp : Format.formatter -> t -> unit
 
 val pp_json : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@ module Xml = Extract_xml.Types
 
 type node = int
 
-type kind = Element | Text
-
 type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type char_arr = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -211,10 +209,6 @@ let element_count t = t.element_count
 
 let root _ = 0
 
-let kind t n =
-  check t n;
-  if Bytes.get t.kinds n = '\000' then Element else Text
-
 let is_element t n =
   check t n;
   Bytes.get t.kinds n = '\000'
@@ -271,33 +265,10 @@ let children t n =
   iter_children t n (fun c -> acc := c :: !acc);
   List.rev !acc
 
-let first_child t n =
-  check t n;
-  if t.size.{n} > 1 then Some (n + 1) else None
-
-let next_sibling t n =
-  check t n;
-  let p = t.parent.{n} in
-  if p < 0 then None
-  else begin
-    let candidate = n + t.size.{n} in
-    if candidate <= subtree_last t p then Some candidate else None
-  end
-
-let fold_subtree t n f acc =
-  check t n;
-  let acc = ref acc in
-  for i = n to subtree_last t n do
-    acc := f !acc i
-  done;
-  !acc
-
 let is_ancestor_or_self t ~anc ~desc =
   check t anc;
   check t desc;
   anc <= desc && desc <= subtree_last t anc
-
-let is_ancestor t ~anc ~desc = anc <> desc && is_ancestor_or_self t ~anc ~desc
 
 let rec lca t a b =
   if a = b then a
@@ -310,17 +281,6 @@ let lca t a b =
   check t b;
   lca t a b
 
-let ancestors t n =
-  check t n;
-  let rec up acc n =
-    match t.parent.{n} with
-    | -1 -> List.rev acc
-    | p -> up (p :: acc) p
-  in
-  (* acc is pushed farthest-last, so the single reverse yields nearest
-     ancestor first. *)
-  up [] n
-
 let ancestor_at_depth t n d =
   check t n;
   if d < 0 || d > t.depth.{n} then
@@ -332,17 +292,6 @@ let immediate_text t n =
   let buf = Buffer.create 16 in
   iter_children t n (fun c ->
       if Bytes.get t.kinds c = '\001' then Buffer.add_string buf (text_at t c));
-  Buffer.contents buf
-
-let subtree_text t n =
-  check t n;
-  let buf = Buffer.create 32 in
-  for i = n to subtree_last t n do
-    if Bytes.get t.kinds i = '\001' then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf ' ';
-      Buffer.add_string buf (text_at t i)
-    end
-  done;
   Buffer.contents buf
 
 let has_only_text_children t n =
@@ -363,11 +312,6 @@ let rec to_xml t n =
     let kids = List.map (to_xml t) (children t n) in
     Xml.Element { Xml.tag = tag_name t n; attrs = []; children = kids }
   end
-
-let pp_node t ppf n =
-  check t n;
-  if Bytes.get t.kinds n = '\001' then Format.fprintf ppf "#%d text %S" n (text_at t n)
-  else Format.fprintf ppf "#%d <%s> depth=%d size=%d" n (tag_name t n) t.depth.{n} t.size.{n}
 
 let dtd_source t =
   match t.dtd_source, t.dtd with

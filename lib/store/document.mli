@@ -12,10 +12,6 @@
 type node = int
 (** Pre-order rank. *)
 
-type kind =
-  | Element
-  | Text
-
 type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Node columns are untagged-int bigarrays, so a {!Snapshot} can back
     them directly with [Unix.map_file] — no per-node decode on load. *)
@@ -44,11 +40,6 @@ val load_file : string -> t
 
 val dtd : t -> Extract_xml.Dtd.t option
 
-val dtd_source : t -> string option
-(** The DTD internal-subset text the document was loaded with (or a
-    re-rendering of the element declarations when only a parsed DTD was
-    supplied). Stored in a {!Snapshot}'s meta section. *)
-
 (** {1 Size and structure} *)
 
 val node_count : t -> int
@@ -57,8 +48,6 @@ val element_count : t -> int
 
 val root : t -> node
 (** Always [0]. *)
-
-val kind : t -> node -> kind
 
 val is_element : t -> node -> bool
 
@@ -91,27 +80,14 @@ val subtree_last : t -> node -> node
 
 val children : t -> node -> node list
 
-val first_child : t -> node -> node option
-
-val next_sibling : t -> node -> node option
-
 val iter_children : t -> node -> (node -> unit) -> unit
 
-val fold_subtree : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-(** Pre-order fold over the subtree, including the root. *)
-
 (** {1 Relations} *)
-
-val is_ancestor : t -> anc:node -> desc:node -> bool
-(** Proper ancestorship (a node is not its own ancestor). *)
 
 val is_ancestor_or_self : t -> anc:node -> desc:node -> bool
 
 val lca : t -> node -> node -> node
 (** Lowest common ancestor, O(depth). *)
-
-val ancestors : t -> node -> node list
-(** Strict ancestors, nearest first; [[]] for the root. *)
 
 val ancestor_at_depth : t -> node -> int -> node
 (** The unique ancestor-or-self at the given depth.
@@ -122,9 +98,6 @@ val ancestor_at_depth : t -> node -> int -> node
 val immediate_text : t -> node -> string
 (** Concatenated direct text children of an element. *)
 
-val subtree_text : t -> node -> string
-(** All text in the subtree, document order, space-joined. *)
-
 val has_only_text_children : t -> node -> bool
 (** True when the element has at least one child and all children are text
     nodes — the shape of a paper "attribute". *)
@@ -132,9 +105,6 @@ val has_only_text_children : t -> node -> bool
 val to_xml : t -> node -> Extract_xml.Types.t
 (** Rebuild the subtree as an XML tree (inverse of {!of_xml} up to
     attribute conversion). *)
-
-val pp_node : t -> Format.formatter -> node -> unit
-(** One-line description, for debugging and error messages. *)
 
 (** {1 Flat column access}
 

@@ -110,10 +110,6 @@ let keyword_count t keyword =
   | Some id -> list_length t id
   | None -> 0
 
-let matches t keyword = Array.to_list (lookup t keyword)
-
-let contains t keyword = keyword_count t keyword > 0
-
 let vocabulary t =
   let acc = ref [] in
   Interner.iter (fun _ s -> acc := s :: !acc) t.tokens;

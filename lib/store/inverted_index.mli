@@ -41,10 +41,6 @@ val keyword_count : t -> string -> int
     keyword's document frequency, read from the list header: O(1) and no
     decode. 0 when the keyword is absent. *)
 
-val matches : t -> string -> Document.node list
-
-val contains : t -> string -> bool
-
 val vocabulary : t -> string list
 (** All tokens, in first-indexed order. *)
 

@@ -93,8 +93,6 @@ let open_append path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let path w = w.path
-
 let append w record =
   Faults.hit "journal.append";
   let payload = encode_record record in

@@ -43,8 +43,6 @@ val open_append : string -> writer
     appending. Single-writer: callers serialise through the live
     store's lock. *)
 
-val path : writer -> string
-
 val append : writer -> record -> unit
 (** Encode, frame, write, [fsync]. On return the record is durable. *)
 

@@ -285,8 +285,6 @@ let open_dir ?(read_only = false) ?(on_warning = fun _ -> ()) dir =
 
 let pending_updates t = Atomic.get t.pending
 
-let dir t = t.dir
-
 let view t = Atomic.get t.state
 
 (* ------------------------------------------------------------------ *)

@@ -74,8 +74,6 @@ val open_dir : ?read_only:bool -> ?on_warning:(string -> unit) -> string -> t
 val close : t -> unit
 (** Close the journal handle. The store stays queryable. *)
 
-val dir : t -> string
-
 val view : t -> view
 (** The current view — one atomic read, safe from any domain. *)
 
@@ -94,8 +92,6 @@ val mask : view -> (int * int) array
 
 val member_names : view -> string list
 (** Visible member names: base minus tombstones, then deltas. *)
-
-val mem : view -> string -> bool
 
 (** {1 Updates (single writer, readers never block)} *)
 

@@ -54,8 +54,6 @@ let filter_paths t k =
 
 let entity_paths t = filter_paths t Entity
 
-let attribute_paths t = filter_paths t Attribute
-
 let entity_of_attribute t path =
   if t.kinds.(path) <> Attribute then None
   else begin
@@ -83,5 +81,3 @@ let string_of_kind = function
   | Entity -> "entity"
   | Attribute -> "attribute"
   | Connection -> "connection"
-
-let pp_kind ppf k = Format.pp_print_string ppf (string_of_kind k)

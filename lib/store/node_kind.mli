@@ -36,21 +36,18 @@ val schema : t -> Schema_infer.t
 
 val kind_of_path : t -> Dataguide.path -> kind
 
-val kind_of_node : t -> Document.node -> kind
-(** @raise Invalid_argument for text nodes. *)
-
 val is_entity : t -> Document.node -> bool
 
 val is_attribute : t -> Document.node -> bool
 
 val entity_paths : t -> Dataguide.path list
 
-val attribute_paths : t -> Dataguide.path list
-
+(* lint: allow unused-export *)
 val entity_of_attribute : t -> Dataguide.path -> Dataguide.path option
 (** The nearest entity ancestor path of an attribute path — the entity [e]
     of the paper's feature triplet [(e, a, v)]. [None] when no ancestor
-    path is an entity (attributes of the root, for instance). *)
+    path is an entity (attributes of the root, for instance). Test use only:
+    test/test_store.ml ["entity of attribute"]. *)
 
 val nearest_entity_ancestor : t -> Document.node -> Document.node option
 (** Nearest proper ancestor node that is an entity. *)
@@ -59,5 +56,3 @@ val attribute_value : t -> Document.node -> string
 (** The (trimmed) text value of an attribute node instance. *)
 
 val string_of_kind : kind -> string
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -178,8 +178,3 @@ let select doc t =
     contexts
 
 let select_string doc s = select doc (parse s)
-
-let first doc s =
-  match select_string doc s with
-  | n :: _ -> Some n
-  | [] -> None

@@ -16,16 +16,16 @@
 
 type t
 
+(* lint: allow unused-export *)
 val parse : string -> t
-(** @raise Invalid_argument on syntax errors, with a description. *)
+(** @raise Invalid_argument on syntax errors, with a description. Test use
+    only beyond {!select_string}: test/test_extensions.ml ["to_string"] parses
+    canonical paths. *)
 
+(* lint: allow unused-export *)
 val to_string : t -> string
-(** Canonical rendition of the parsed path. *)
-
-val select : Document.t -> t -> Document.node list
-(** Matching element nodes, document order, without duplicates. *)
+(** Canonical rendition of the parsed path. Test use only:
+    test/test_extensions.ml ["to_string"]. *)
 
 val select_string : Document.t -> string -> Document.node list
 (** [select] ∘ [parse]. *)
-
-val first : Document.t -> string -> Document.node option

@@ -33,7 +33,3 @@ let in_subtree doc arr root =
     out := arr.(i) :: !out
   done;
   !out
-
-let count_in_subtree doc arr root =
-  let lo, hi = subtree_range doc arr root in
-  hi - lo

@@ -7,11 +7,6 @@
     SLCA merge, result shaping, match restriction and the ranker; they used
     to live privately in [Slca]. *)
 
-val lower_bound : Document.node array -> Document.node -> int
-(** [lower_bound arr x] — smallest index [i] with [arr.(i) >= x], or
-    [Array.length arr] when every element is smaller. [arr] must be
-    sorted ascending. *)
-
 val closest_in : Document.node array -> lo:Document.node -> hi:Document.node -> Document.node option
 (** Some element of the sorted array within [[lo, hi]], or [None]. *)
 
@@ -28,6 +23,3 @@ val subtree_range : Document.t -> Document.node array -> Document.node -> int * 
 val in_subtree : Document.t -> Document.node array -> Document.node -> Document.node list
 (** The postings inside [root]'s subtree, in document order. O(log |arr|)
     plus the output size — never a scan of the whole list. *)
-
-val count_in_subtree : Document.t -> Document.node array -> Document.node -> int
-(** [List.length (in_subtree doc arr root)], without building the list. *)

@@ -25,7 +25,9 @@ val dataguide : t -> Dataguide.t
 
 val is_starred : t -> Dataguide.path -> bool
 
+(* lint: allow unused-export *)
 val starred_paths : t -> Dataguide.path list
+(** Test use only: test/test_store.ml ["starred list"]. *)
 
 val source : t -> Dataguide.path -> [ `Dtd | `Data ]
 (** Which evidence decided the path's star status. *)

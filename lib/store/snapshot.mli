@@ -36,24 +36,17 @@
 val magic : string
 (** ["XTRSNAP2"], a {!Codec} string at the head of the file. *)
 
-val version : int
-(** [3]. An older snapshot is refused with a message naming
-    [extract pack]. *)
-
-val encode :
-  ?generation:int -> ?members:string list -> Key_miner.t -> Inverted_index.t -> string
-(** The complete snapshot image (header page + padded sections) of the
-    keys' document, its analysis (the keys, their classification and
-    dataguide) and its index. [generation] and [members] (default [0]
-    and [[]], what [extract pack] writes) are a live-store generation's
-    number and member names, stored in the meta section. *)
-
 val save :
   ?generation:int -> ?members:string list -> string -> Key_miner.t -> Inverted_index.t -> unit
-(** Write {!encode}'s image durably: to a [.tmp] sibling, fsync'd,
-    renamed over the path, then the directory fsync'd. A crash at any
-    instant leaves the old file or the new one, plus at most the temp
-    file. The index section stores the index's packed lists as they are.
+(** Write the complete snapshot image (header page + padded sections)
+    of the keys' document, its analysis (the keys, their classification
+    and dataguide) and its index. [generation] and [members] (default [0]
+    and [[]], what [extract pack] writes) are a live-store generation's
+    number and member names, stored in the meta section. The write is
+    durable: to a [.tmp] sibling, fsync'd, renamed over the path, then
+    the directory fsync'd. A crash at any instant leaves the old file or
+    the new one, plus at most the temp file. The index section stores
+    the index's packed lists as they are.
     @raise Sys_error or [Unix.Unix_error] on IO failure. *)
 
 type contents = {

@@ -61,35 +61,7 @@ let iteri f t =
     f i t.data.(i)
   done
 
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let map f t =
-  if t.len = 0 then { data = [||]; len = 0 }
-  else begin
-    let data = Array.make t.len (f t.data.(0)) in
-    for i = 0 to t.len - 1 do
-      data.(i) <- f t.data.(i)
-    done;
-    { data; len = t.len }
-  end
-
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
 let to_array t = Array.sub t.data 0 t.len
-
-let to_list t = Array.to_list (to_array t)
-
-let of_list xs =
-  let t = create () in
-  List.iter (push t) xs;
-  t
 
 let sort cmp t =
   let a = to_array t in

@@ -7,8 +7,10 @@ val create : ?capacity:int -> unit -> 'a t
 (** [create ()] is an empty array list. [capacity] pre-sizes the backing
     store (default 16); it is a hint only. *)
 
+(* lint: allow unused-export *)
 val make : int -> 'a -> 'a t
-(** [make n x] is an array list of length [n] filled with [x]. *)
+(** [make n x] is an array list of length [n] filled with [x]. Test use
+    only: [util.arraylist "make"]. *)
 
 val length : 'a t -> int
 
@@ -25,32 +27,28 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 (** [push t x] appends [x] at the end. *)
 
+(* lint: allow unused-export *)
 val pop : 'a t -> 'a
 (** [pop t] removes and returns the last element.
-    @raise Invalid_argument on an empty array list. *)
+    @raise Invalid_argument on an empty array list. Test use only:
+    test/test_util.ml ["pop"]. *)
 
 val last : 'a t -> 'a
 (** [last t] is the last element. @raise Invalid_argument if empty. *)
 
+(* lint: allow unused-export *)
 val clear : 'a t -> unit
-(** [clear t] removes all elements (keeps the backing store). *)
+(** [clear t] removes all elements (keeps the backing store). Test use only:
+    test/test_util.ml ["clear/reuse"]. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val exists : ('a -> bool) -> 'a t -> bool
-
 val to_array : 'a t -> 'a array
 (** [to_array t] is a fresh array with the elements of [t] in order. *)
 
-val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
-
+(* lint: allow unused-export *)
 val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** [sort cmp t] sorts [t] in place. *)
+(** [sort cmp t] sorts [t] in place. Test use only:
+    [util.arraylist "sort"]. *)

@@ -44,9 +44,3 @@ let of_ms_opt = function
   | Some ms -> after_ms ms
 
 let expired t = (not (is_never t)) && now () >= t
-
-let remaining t = if is_never t then infinity else Float.max 0. (t -. now ())
-
-let remaining_ms t =
-  let r = remaining t in
-  if r = infinity then max_int else int_of_float (Float.ceil (r *. 1000.))

@@ -18,29 +18,21 @@ type t
 val never : t
 (** The absent deadline: {!expired} is always [false]. *)
 
-val is_never : t -> bool
-
 val after : float -> t
 (** [after s] expires [s] seconds from now. *)
 
-val after_ms : int -> t
-(** [after_ms ms] expires [ms] milliseconds from now. *)
-
 val of_ms_opt : int option -> t
-(** [of_ms_opt (Some ms)] is [after_ms ms]; [None] is {!never}. *)
+(** [of_ms_opt (Some ms)] expires [ms] milliseconds from now; [None] is
+    {!never}. *)
 
 val expired : t -> bool
-
-val remaining : t -> float
-(** Seconds left, clamped to 0; [infinity] for {!never}. *)
-
-val remaining_ms : t -> int
-(** Milliseconds left, rounded up; [max_int] for {!never}. *)
 
 val now : unit -> float
 (** The deadline clock (seconds; monotonized wall clock, or the injected
     test clock). *)
 
+(* lint: allow unused-export *)
 val set_clock : (unit -> float) option -> unit
 (** Inject a deterministic clock for tests ([None] restores the real
-    one). Affects every module using deadlines — test use only. *)
+    one). Affects every module using deadlines — test use only:
+    [util.deadline "expiry"] and ["zero budget"] drive it by hand. *)

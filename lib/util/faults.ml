@@ -142,8 +142,6 @@ let install_from_env () =
     | Error msg -> invalid_arg (Printf.sprintf "%s: %s" env_var msg)
   end
 
-let active () = Atomic.get armed
-
 (* One pass through a fault point: advance the counters and decide.
    [`Crash] is acted on outside the lock — the process is about to die,
    but exiting with the table mutex held would be gratuitously rude to

@@ -37,9 +37,6 @@
 exception Injected of string * string
 (** [(point, detail)] — raised by {!hit} when the point is due to fail. *)
 
-val env_var : string
-(** ["EXTRACT_FAULTS"]. *)
-
 val configure : string -> (unit, string) result
 (** Replace the armed fault set with the parsed configuration string
     (empty string clears). On a parse error, everything is disarmed and
@@ -52,9 +49,6 @@ val install_from_env : unit -> unit
 
 val clear : unit -> unit
 (** Disarm every fault point. *)
-
-val active : unit -> bool
-(** Is any fault point armed? *)
 
 val should_fail : string -> bool
 (** [should_fail point] — consult and advance the point's state: [true]
@@ -70,11 +64,18 @@ val crash_exit_code : int
 val hit : string -> unit
 (** Like {!should_fail} but raises {!Injected} when due. *)
 
+(* lint: allow unused-export *)
 val hits : string -> int
-(** Passes through the point since it was armed (0 when unarmed). *)
+(** Passes through the point since it was armed (0 when unarmed). Test
+    use only: test/test_util.ml and test/test_shard.ml count passes. *)
 
+(* lint: allow unused-export *)
 val fired : string -> int
-(** Failures injected at the point since it was armed. *)
+(** Failures injected at the point since it was armed. Test use only:
+    test/test_util.ml, test_snippet.ml and test_extensions.ml prove a
+    degradation path ran. *)
 
+(* lint: allow unused-export *)
 val configured : unit -> (string * string) list
-(** The armed [(point, spec)] pairs, sorted by point. *)
+(** The armed [(point, spec)] pairs, sorted by point. Test use only:
+    test/test_util.ml and test/test_live.ml read the armed set back. *)

@@ -79,8 +79,6 @@ let peek t key =
   | Some node -> Some node.value
   | None -> None
 
-let mem t key = Hashtbl.mem t.table key
-
 let evict t =
   match t.tail with
   | None -> ()

@@ -44,14 +44,13 @@ val peek : ('k, 'v) t -> 'k -> 'v option
     debugging views) that must observe the cache without perturbing
     eviction order. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Does not refresh recency. *)
-
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace; evicts the least recently used entry when full. *)
 
+(* lint: allow unused-export *)
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** Cached call: on a miss, compute, insert, return. *)
+(** Cached call: on a miss, compute, insert, return. Test use only:
+    test/test_server.ml ["find_or_add"]. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 

@@ -35,8 +35,6 @@ let render_ascii t = render_with ~tee:"|-- " ~corner:"`-- " ~pipe:"|   " ~blank:
 
 let rec size (Node (_, children)) = 1 + List.fold_left (fun acc c -> acc + size c) 0 children
 
-let edges t = size t - 1
-
 let rec depth (Node (_, children)) =
   match children with
   | [] -> 0

@@ -10,11 +10,10 @@ type t
 val create : int -> t
 (** [create seed] is a fresh stream seeded with [seed]. *)
 
+(* lint: allow unused-export *)
 val split : t -> t
-(** [split t] derives an independent stream; [t] advances by one step. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** [split t] derives an independent stream; [t] advances by one step.
+    Test use only: test/test_util.ml ["split"]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). @raise Invalid_argument if

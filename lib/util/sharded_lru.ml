@@ -54,7 +54,6 @@ let find t key = with_shard (shard_of t key) (fun lru -> Lru.find lru key)
 
 let peek t key = with_shard (shard_of t key) (fun lru -> Lru.peek lru key)
 
-let mem t key = with_shard (shard_of t key) (fun lru -> Lru.mem lru key)
 
 let put t key value = with_shard (shard_of t key) (fun lru -> Lru.put lru key value)
 

@@ -45,16 +45,18 @@ val length : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Refreshes the entry's recency within its shard on a hit. *)
 
+(* lint: allow unused-export *)
 val peek : ('k, 'v) t -> 'k -> 'v option
-(** Like {!find} but promotes nothing and counts nothing. *)
-
-val mem : ('k, 'v) t -> 'k -> bool
+(** Like {!find} but promotes nothing and counts nothing. Test use only:
+    test/test_pool.ml probes the cache with it. *)
 
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace; evicts the least recently used entry {e of the
     key's shard} when that shard is full. *)
 
+(* lint: allow unused-export *)
 val remove : ('k, 'v) t -> 'k -> unit
+(** Test use only: test/test_pool.ml ["peek mem remove clear"]. *)
 
 val clear : ('k, 'v) t -> unit
 

@@ -12,10 +12,14 @@ val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header
     width. *)
 
+(* lint: allow unused-export *)
 val row_count : t -> int
+(** Test use only: test/test_util.ml ["row count"]. *)
 
+(* lint: allow unused-export *)
 val render : t -> string
-(** Multi-line string, no trailing newline. *)
+(** Multi-line string, no trailing newline; what {!print} writes. Test
+    use only: test/test_util.ml ["render"]. *)
 
 val print : ?title:string -> t -> unit
 (** [print t] writes the table to stdout, preceded by [title] underlined

@@ -1,6 +1,5 @@
 type t = {
   n : int;
-  skew : float;
   cdf : float array; (* cdf.(k) = P(rank <= k), cdf.(n-1) = 1.0 *)
 }
 
@@ -16,11 +15,9 @@ let create ~n ~skew =
     cdf.(k) <- !acc
   done;
   cdf.(n - 1) <- 1.0;
-  { n; skew; cdf }
+  { n; cdf }
 
 let size t = t.n
-
-let skew t = t.skew
 
 let sample t rng =
   let u = Prng.float rng 1.0 in

@@ -13,8 +13,6 @@ val create : n:int -> skew:float -> t
 
 val size : t -> int
 
-val skew : t -> float
-
 val sample : t -> Prng.t -> int
 (** [sample t rng] is a rank in [0, n). *)
 

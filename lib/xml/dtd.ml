@@ -172,11 +172,6 @@ let parse subset =
   loop ();
   { order = !order; models; attlists }
 
-let of_document (doc : Types.document) =
-  match doc.dtd with
-  | Some subset -> parse subset
-  | None -> empty
-
 let element_names t = List.rev t.order
 
 let element_model t name = Hashtbl.find_opt t.models name

@@ -18,23 +18,27 @@ type attribute_decl = {
 
 type t
 
+(* lint: allow unused-export *)
 val empty : t
-(** A DTD declaring nothing ([element_model] is always [None]). *)
+(** A DTD declaring nothing ([element_model] is always [None]). Test use only:
+    test/test_xml.ml ["empty"]. *)
 
 val parse : string -> t
 (** Parse an internal subset (the text between [\[] and [\]] of a DOCTYPE).
     @raise Error.Parse_error on malformed declarations. *)
 
-val of_document : Types.document -> t
-(** [parse] applied to the document's captured subset, or {!empty}. *)
-
+(* lint: allow unused-export *)
 val element_names : t -> string list
-(** Declared element names, in declaration order. *)
+(** Declared element names, in declaration order. Test use only:
+    test/test_xml.ml ["element names"]. *)
 
 val element_model : t -> string -> Content_model.t option
 
+(* lint: allow unused-export *)
 val attributes : t -> string -> attribute_decl list
-(** Declared XML attributes of an element (empty when undeclared). *)
+(** Declared XML attributes of an element (empty when undeclared). Test use
+    only: test/test_xml.ml ["attlist"]; nothing else reads ATTLIST
+    declarations. *)
 
 val is_star_child : t -> parent:string -> child:string -> bool option
 (** [Some b] when [parent] is declared, where [b] tells whether [child] may

@@ -1,7 +1,5 @@
 type position = { line : int; column : int; offset : int }
 
-let start_position = { line = 1; column = 1; offset = 0 }
-
 exception Parse_error of position * string
 
 let fail pos fmt = Format.kasprintf (fun msg -> raise (Parse_error (pos, msg))) fmt

@@ -6,16 +6,12 @@ type position = {
   offset : int;  (** 0-based byte offset *)
 }
 
-val start_position : position
-
 exception Parse_error of position * string
 (** Raised by {!Extract_xml.Parser} and {!Extract_xml.Dtd} on malformed
     input. *)
 
 val fail : position -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [fail pos fmt ...] raises {!Parse_error} with a formatted message. *)
-
-val pp_position : Format.formatter -> position -> unit
 
 val to_string : position -> string -> string
 (** [to_string pos msg] is ["line L, column C: msg"]. *)

@@ -14,8 +14,6 @@ let at_end t = t.offset >= t.len
 
 let peek t = if at_end t then None else Some t.input.[t.offset]
 
-let peek2 t = if t.offset + 1 >= t.len then None else Some t.input.[t.offset + 1]
-
 let advance t =
   if not (at_end t) then begin
     if t.input.[t.offset] = '\n' then begin
@@ -27,13 +25,6 @@ let advance t =
   end
 
 let fail t fmt = Error.fail (position t) fmt
-
-let next t =
-  match peek t with
-  | None -> fail t "unexpected end of input"
-  | Some c ->
-    advance t;
-    c
 
 let looking_at t s =
   let n = String.length s in

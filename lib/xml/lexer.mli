@@ -8,22 +8,13 @@ type t
 
 val of_string : string -> t
 
-val position : t -> Error.position
-
 val at_end : t -> bool
 
 val peek : t -> char option
 (** Current character without consuming it. *)
 
-val peek2 : t -> char option
-(** Character after the current one. *)
-
 val advance : t -> unit
 (** Consume one character. No-op at end of input. *)
-
-val next : t -> char
-(** Consume and return the current character.
-    @raise Error.Parse_error at end of input. *)
 
 val looking_at : t -> string -> bool
 (** [looking_at t s] is true when the unconsumed input starts with [s]. *)
@@ -52,8 +43,6 @@ val take_until : t -> string -> string
 val is_name_start : char -> bool
 (** Letter, [_] or [:] — the XML 1.0 NameStartChar set restricted to
     ASCII, plus bytes >= 0x80 so UTF-8 multibyte names pass through. *)
-
-val is_name_char : char -> bool
 
 val take_name : t -> string
 (** An XML Name. @raise Error.Parse_error if the input does not start with

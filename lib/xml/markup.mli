@@ -17,9 +17,6 @@ val skip_comment : Lexer.t -> unit
 val skip_pi : Lexer.t -> unit
 (** After ["<?"]. *)
 
-val parse_doctype : Lexer.t -> string option
-(** After ["<!DOCTYPE"]; returns the internal subset, if any. *)
-
 val skip_misc : Lexer.t -> unit
 (** Whitespace, comments and non-prolog processing instructions. *)
 

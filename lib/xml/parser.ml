@@ -6,8 +6,6 @@ type limits = {
 
 let default_limits = { max_depth = 512; max_nodes = 50_000_000; max_token_len = 1_000_000 }
 
-let unlimited = { max_depth = max_int; max_nodes = max_int; max_token_len = max_int }
-
 (* Mutable budget shared by one parse; [nodes] counts elements and text
    nodes alike so the arena the document becomes is what is bounded. *)
 type budget = {
@@ -123,9 +121,6 @@ let parse_document ?(keep_whitespace = false) ?(limits = default_limits) input =
   Markup.skip_misc lx;
   if not (Lexer.at_end lx) then Lexer.fail lx "trailing content after the root element";
   { Types.dtd; root }
-
-let parse ?keep_whitespace ?limits input =
-  Types.Element (parse_document ?keep_whitespace ?limits input).root
 
 let parse_file ?keep_whitespace ?limits path =
   let ic = open_in_bin path in

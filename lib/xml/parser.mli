@@ -25,20 +25,16 @@ type limits = {
   max_token_len : int;  (** bytes per name, attribute value or text run *)
 }
 
+(* lint: allow unused-export *)
 val default_limits : limits
 (** depth 512, 50M nodes, 1MB tokens — far above any legitimate
-    data-centric document, low enough to stop hostile ones. *)
-
-val unlimited : limits
-(** [max_int] everywhere — the pre-limits behaviour ([Stack_overflow]
-    and all); for trusted generated input only. *)
+    data-centric document, low enough to stop hostile ones. Test use only
+    beyond the default argument: test/test_xml.ml derives tightened limits
+    from it. *)
 
 val parse_document : ?keep_whitespace:bool -> ?limits:limits -> string -> Types.document
 (** Parse a complete document. @raise Error.Parse_error on malformed
     input or when a limit (default {!default_limits}) is exceeded. *)
-
-val parse : ?keep_whitespace:bool -> ?limits:limits -> string -> Types.t
-(** Parse and return just the root element (as a {!Types.Element}). *)
 
 val parse_file : ?keep_whitespace:bool -> ?limits:limits -> string -> Types.document
 (** Read a file and parse it. @raise Sys_error on IO failure. *)

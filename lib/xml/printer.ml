@@ -92,8 +92,6 @@ let document_to_string ?(indent = Some 2) ?dtd (doc : Types.document) =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let to_channel oc ?indent node = output_string oc (to_string ?indent node)
-
 let write_file path ?indent doc =
   let oc = open_out_bin path in
   (try output_string oc (document_to_string ?indent doc)

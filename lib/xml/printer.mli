@@ -1,14 +1,7 @@
-(** XML serialization. Round-trips with {!Parser}: for any tree [t],
-    [Parser.parse (to_string t)] is structurally equal to [t] (up to the
-    parser's whitespace policy — use [~indent:None] for exact
-    round-trips). *)
-
-val escape_text : string -> string
-(** Escape [&], [<] and [>] for character data. *)
-
-val escape_attr : string -> string
-(** Escape ampersand, angle brackets and both quote characters for
-    attribute values. *)
+(** XML serialization. Round-trips with {!Parser}: for any tree [t], the
+    root of [Parser.parse_document (to_string t)] is structurally equal
+    to [t] (up to the parser's whitespace policy — use [~indent:None] for
+    exact round-trips). *)
 
 val to_string : ?indent:int option -> Types.t -> string
 (** Serialize a tree. [indent] is the indentation step: [Some 2] (default)
@@ -20,7 +13,5 @@ val to_string : ?indent:int option -> Types.t -> string
 val document_to_string : ?indent:int option -> ?dtd:string -> Types.document -> string
 (** Serialize a full document with an XML declaration, and a DOCTYPE when
     the document carries an internal subset (or [dtd] is given). *)
-
-val to_channel : out_channel -> ?indent:int option -> Types.t -> unit
 
 val write_file : string -> ?indent:int option -> Types.document -> unit

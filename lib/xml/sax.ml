@@ -85,9 +85,6 @@ let fold_document ?(keep_whitespace = false) input ~init ~f =
 let fold ?keep_whitespace input ~init ~f =
   fst (fold_document ?keep_whitespace input ~init ~f)
 
-let events ?keep_whitespace input =
-  List.rev (fold ?keep_whitespace input ~init:[] ~f:(fun acc ev -> ev :: acc))
-
 let count_elements input =
   fold input ~init:0 ~f:(fun n ev ->
       match ev with

@@ -18,9 +18,7 @@ type document = {
 let element ?(attrs = []) tag children =
   Element { tag; attrs = List.map (fun (name, value) -> { name; value }) attrs; children }
 
-let text s = Text s
-
-let leaf tag value = element tag [ text value ]
+let leaf tag value = element tag [ Text value ]
 
 let tag = function
   | Element e -> Some e.tag
@@ -41,14 +39,6 @@ let rec text_content = function
   | Text s -> s
   | Element e -> String.concat "" (List.map text_content e.children)
 
-let immediate_text e =
-  String.concat ""
-    (List.filter_map
-       (function
-         | Text s -> Some s
-         | Element _ -> None)
-       e.children)
-
 let attr e name =
   List.find_map (fun a -> if a.name = name then Some a.value else None) e.attrs
 
@@ -59,47 +49,3 @@ let rec count_nodes = function
 let rec count_elements = function
   | Text _ -> 0
   | Element e -> 1 + List.fold_left (fun acc c -> acc + count_elements c) 0 e.children
-
-let rec equal a b =
-  match a, b with
-  | Text x, Text y -> String.equal x y
-  | Element x, Element y ->
-    String.equal x.tag y.tag && x.attrs = y.attrs
-    && List.length x.children = List.length y.children
-    && List.for_all2 equal x.children y.children
-  | Text _, Element _ | Element _, Text _ -> false
-
-(* Dedicated structural order for XML trees: Element before Text, then
-   tag, attributes (name, value) and children lexicographically.
-   Consistent with {!equal}. *)
-let compare_attribute (a : attribute) (b : attribute) =
-  let c = String.compare a.name b.name in
-  if c <> 0 then c else String.compare a.value b.value
-
-let rec compare_tree x y =
-  match x, y with
-  | Element a, Element b ->
-    let c = String.compare a.tag b.tag in
-    if c <> 0 then c
-    else begin
-      let c = List.compare compare_attribute a.attrs b.attrs in
-      if c <> 0 then c else List.compare compare_tree a.children b.children
-    end
-  | Text a, Text b -> String.compare a b
-  | Element _, Text _ -> -1
-  | Text _, Element _ -> 1
-
-let compare = compare_tree
-
-let rec pp ppf = function
-  | Text s -> Format.fprintf ppf "%S" s
-  | Element e ->
-    Format.fprintf ppf "@[<hov 1><%s" e.tag;
-    List.iter (fun a -> Format.fprintf ppf " %s=%S" a.name a.value) e.attrs;
-    if e.children = [] then Format.fprintf ppf "/>"
-    else begin
-      Format.fprintf ppf ">";
-      List.iter (fun c -> Format.fprintf ppf "%a" pp c) e.children;
-      Format.fprintf ppf "</%s>" e.tag
-    end;
-    Format.fprintf ppf "@]"

@@ -29,8 +29,6 @@ type document = {
 val element : ?attrs:(string * string) list -> string -> t list -> t
 (** [element tag children] builds an element node. *)
 
-val text : string -> t
-
 val leaf : string -> string -> t
 (** [leaf tag value] is [element tag [text value]] — the shape of an XML
     "attribute" in the entity/attribute/connection sense of the paper. *)
@@ -38,30 +36,29 @@ val leaf : string -> string -> t
 val tag : t -> string option
 (** [tag n] is the element tag, or [None] for text nodes. *)
 
-val child_elements : element -> element list
-
+(* lint: allow unused-export *)
 val find_child : element -> string -> element option
-(** First child element with the given tag. *)
+(** First child element with the given tag. Test use only: test/test_xml.ml
+    ["find children"]. *)
 
+(* lint: allow unused-export *)
 val find_children : element -> string -> element list
+(** Test use only: test/test_xml.ml ["find children"]. *)
 
+(* lint: allow unused-export *)
 val text_content : t -> string
-(** Concatenation of all text in the subtree, in document order. *)
+(** Concatenation of all text in the subtree, in document order. Test use
+    only: test/test_xml.ml ["text content"], test_search.ml and
+    test_snippet.ml read rendered trees with it. *)
 
-val immediate_text : element -> string
-(** Concatenation of the element's direct text children only. *)
-
+(* lint: allow unused-export *)
 val attr : element -> string -> string option
+(** Test use only: test/test_xml.ml ["attributes"] and ["find children"]. *)
 
 val count_nodes : t -> int
 (** Elements and text nodes in the subtree, including the root. *)
 
+(* lint: allow unused-export *)
 val count_elements : t -> int
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer (single line, not escaping-complete; use
-    {!Printer.to_string} for serialization). *)
+(** Test use only: test/test_xml.ml ["counts"] and the ["sax count = tree
+    count"] property. *)

@@ -57,14 +57,14 @@ let mixed_catalog () =
          Types.element "product"
            ~attrs:[ "colour", colour; "brand", brand ]
            [
-             Types.text (colour ^ " shirt");
-             Types.element "name" [ Types.text (Printf.sprintf "%s %s tee" brand colour) ];
-             Types.text (Printf.sprintf "sold by %s in %s" brand colour);
+             Types.Text (colour ^ " shirt");
+             Types.element "name" [ Types.Text (Printf.sprintf "%s %s tee" brand colour) ];
+             Types.Text (Printf.sprintf "sold by %s in %s" brand colour);
              Types.element "review"
                [
-                 Types.text "great fit";
-                 Types.element "stars" [ Types.text (string_of_int (1 + (i mod 5))) ];
-                 Types.text (Printf.sprintf "great %s" colour);
+                 Types.Text "great fit";
+                 Types.element "stars" [ Types.Text (string_of_int (1 + (i mod 5))) ];
+                 Types.Text (Printf.sprintf "great %s" colour);
                ];
            ]))
 

@@ -193,8 +193,8 @@ let gen_mixed_tree =
     sized_size (int_bound 4)
     @@ fix (fun self depth ->
            let child =
-             if depth = 0 then map Types.text text
-             else frequency [ 2, map Types.text text; 3, self (depth - 1) ]
+             if depth = 0 then map (fun s -> Types.Text s) text
+             else frequency [ 2, map (fun s -> Types.Text s) text; 3, self (depth - 1) ]
            in
            map3
              (fun tag attrs children ->
@@ -206,7 +206,7 @@ let gen_mixed_tree =
 
 let prop_build_matches_reference =
   QCheck.Test.make ~count:200 ~name:"build = reference on attributes and tail text"
-    (QCheck.make ~print:(Format.asprintf "%a" Types.pp) gen_mixed_tree)
+    (QCheck.make ~print:(Extract_xml.Printer.to_string ~indent:None) gen_mixed_tree)
     (fun tree ->
       let doc = Document.of_xml tree in
       let idx = Inverted_index.build doc in
@@ -263,9 +263,8 @@ let test_snapshot_roundtrip () =
 
 let test_snapshot_sniffable () =
   let db = Lazy.force retail_db in
-  let data = Snapshot.encode (Pipeline.keys db) (Pipeline.index db) in
   let path = tmp_file "extract_test_snapshot_sniff.snap" in
-  Snapshot_image.write path data;
+  Pipeline.save_snapshot path db;
   check bool "sniffs as XTRSNAP2" true (Snapshot.file_magic path = Some Snapshot.magic);
   Sys.remove path
 
@@ -363,8 +362,11 @@ let has msg affix =
   scan 0
 
 let snapshot_image () =
-  let db = Lazy.force retail_db in
-  Snapshot.encode (Pipeline.keys db) (Pipeline.index db)
+  let path = tmp_file "extract_test_snapshot_image.snap" in
+  Pipeline.save_snapshot path (Lazy.force retail_db);
+  let data = Snapshot_image.read path in
+  Sys.remove path;
+  data
 
 let write_image = Snapshot_image.write
 

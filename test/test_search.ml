@@ -208,7 +208,7 @@ let test_result_full () =
 let test_result_of_members_closure () =
   let d, _ = setup dept in
   (* give only deep nodes; ancestors must be added *)
-  let r = Result_tree.of_members d ~root:0 [ 8; 14 ] in
+  let r = Result_tree.match_paths d ~root:0 ~matches:[ 8; 14 ] in
   check bool "ancestor group1" true (Result_tree.mem r 1);
   check bool "ancestor person5" true (Result_tree.mem r 5);
   check bool "root in" true (Result_tree.mem r 0);
@@ -218,21 +218,19 @@ let test_result_of_members_outside () =
   let d, _ = setup dept in
   Alcotest.check_raises "outside root"
     (Invalid_argument "Result_tree: a member lies outside the root's subtree") (fun () ->
-      ignore (Result_tree.of_members d ~root:1 [ 11 ]))
+      ignore (Result_tree.match_paths d ~root:1 ~matches:[ 11 ]))
 
 let test_result_children_and_parent () =
   let d, _ = setup dept in
-  let r = Result_tree.of_members d ~root:0 [ 8; 14 ] in
+  let r = Result_tree.match_paths d ~root:0 ~matches:[ 8; 14 ] in
   check bool "children of root" true (Result_tree.children r 0 = [ 1; 10 ]);
-  check bool "parent in" true (Result_tree.parent_in r 1 = Some 0);
-  check bool "root parent" true (Result_tree.parent_in r 0 = None)
+  check bool "children of group1" true (Result_tree.children r 1 = [ 5 ])
 
 let test_result_edge_count () =
   let d, _ = setup dept in
   let r = Result_tree.full d 1 in
   (* elements under group 1: group, person, name, person, name, skill = 6 *)
-  check int "elements" 6 (Result_tree.element_size r);
-  check int "edges" 5 (Result_tree.edge_count r)
+  check int "elements" 6 (Result_tree.element_size r)
 
 let test_result_restrict_matches () =
   let d, idx = setup dept in
@@ -275,7 +273,7 @@ let test_xseek_results () =
   let d = load shop in
   let kinds = Node_kind.of_document d in
   let idx = Inverted_index.build d in
-  let results = Xseek.compute idx kinds (Query.of_string "chair") in
+  let results = Engine.run idx kinds (Query.of_string "chair") in
   check int "one result" 1 (List.length results);
   let r = List.hd results in
   check int "rooted at item" 1 (Result_tree.root r);
@@ -286,7 +284,7 @@ let test_xseek_dedupe () =
   let d = load shop in
   let kinds = Node_kind.of_document d in
   let idx = Inverted_index.build d in
-  let results = Xseek.compute idx kinds (Query.of_string "a1 chair") in
+  let results = Engine.run idx kinds (Query.of_string "a1 chair") in
   check int "single deduped result" 1 (List.length results)
 
 let test_xseek_nested_outermost () =
@@ -299,7 +297,7 @@ let test_xseek_nested_outermost () =
   let d = load src in
   let kinds = Node_kind.of_document d in
   let idx = Inverted_index.build d in
-  let results = Xseek.compute idx kinds (Query.of_string "sub") in
+  let results = Engine.run idx kinds (Query.of_string "sub") in
   (* keyword "sub" matches 4 sub entities; return nodes are the subs
      themselves (they are entities), none nested in another sub *)
   check int "four subs" 4 (List.length results)

@@ -554,7 +554,7 @@ let test_text_baseline_finds_keywords () =
   let db = Lazy.force league_db in
   let r = team_result db in
   let s = Text_baseline.generate ~window_tokens:3 r (Query.of_string "guard") in
-  check bool "covers guard" true (Text_baseline.covers s "guard");
+  check bool "covers guard" true (List.mem "guard" s.Text_baseline.window);
   check int "hits" 1 s.Text_baseline.keyword_hits
 
 let test_text_baseline_window_size () =
@@ -627,7 +627,7 @@ let test_pipeline_end_to_end () =
 let test_pipeline_accessors () =
   let db = Pipeline.of_xml_string league in
   check bool "doc" true (Document.node_count (Pipeline.document db) > 0);
-  check bool "index" true (Inverted_index.contains (Pipeline.index db) "guard")
+  check bool "index" true (Inverted_index.keyword_count (Pipeline.index db) "guard" > 0)
 
 let test_pipeline_external_result () =
   (* the orthogonality path: hand the pipeline a result produced elsewhere *)

@@ -1,11 +1,10 @@
-(* Tests for the DTD validator (derivative-based content-model matching),
-   the stemmer/stopwords, and multi-document corpora. *)
+(* Tests for the DTD validator (derivative-based content-model matching)
+   and multi-document corpora. *)
 
 module Dtd = Extract_xml.Dtd
 module Validator = Extract_xml.Validator
 module Types = Extract_xml.Types
 module Parser = Extract_xml.Parser
-module Stemmer = Extract_store.Stemmer
 module Document = Extract_store.Document
 open Extract_snippet
 
@@ -134,55 +133,6 @@ let test_generators_validate_against_their_dtds () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Stemmer *)
-
-let test_stem_plurals () =
-  check string "stores" "store" (Stemmer.stem "stores");
-  check string "caresses" "caress" (Stemmer.stem "caresses");
-  check string "ponies" "poni" (Stemmer.stem "ponies");
-  check string "caress" "caress" (Stemmer.stem "caress");
-  check string "cats" "cat" (Stemmer.stem "cats")
-
-let test_stem_participles () =
-  check string "fitting" "fit" (Stemmer.stem "fitting");
-  check string "matted" "mat" (Stemmer.stem "matted");
-  check string "agreed" "agree" (Stemmer.stem "agreed");
-  check string "plastered" "plaster" (Stemmer.stem "plastered");
-  check string "motoring" "motor" (Stemmer.stem "motoring");
-  check string "sing" "sing" (Stemmer.stem "sing")
-
-let test_stem_derivational () =
-  check string "relational" "relat" (Stemmer.stem "relational");
-  check string "rational" "rational" (Stemmer.stem "rational");
-  check string "hopefulness" "hope" (Stemmer.stem "hopefulness");
-  check string "goodness" "good" (Stemmer.stem "goodness")
-
-let test_stem_short_words_safe () =
-  check string "sky" "sky" (Stemmer.stem "sky");
-  check string "as" "as" (Stemmer.stem "as");
-  check string "is" "is" (Stemmer.stem "is")
-
-let test_stem_idempotent_on_vocab () =
-  (* stems of the dataset vocabulary are stable under re-stemming *)
-  let vocab =
-    Array.to_list Extract_datagen.Names.clothes_categories
-    @ Array.to_list Extract_datagen.Names.genres
-  in
-  List.iter
-    (fun w ->
-      let once = Stemmer.stem (String.lowercase_ascii w) in
-      check string (Printf.sprintf "stable %s" w) once (Stemmer.stem once))
-    vocab
-
-let test_stopwords () =
-  check bool "the" true (Stemmer.is_stopword "the");
-  check bool "of" true (Stemmer.is_stopword "of");
-  check bool "retailer" false (Stemmer.is_stopword "retailer");
-  check bool "normalize drops and stems" true
-    (Stemmer.normalize_tokens [ "the"; "stores"; "of"; "texas" ] = [ "store"; "texa" ]
-    || Stemmer.normalize_tokens [ "the"; "stores"; "of"; "texas" ] = [ "store"; "texas" ])
-
-(* ------------------------------------------------------------------ *)
 (* Corpus *)
 
 let corpus () =
@@ -200,7 +150,7 @@ let corpus () =
 let test_corpus_names_and_find () =
   let c = corpus () in
   check bool "names sorted" true (Corpus.names c = [ "movies"; "retail" ]);
-  check int "size" 2 (Corpus.size c);
+  check int "size" 2 (List.length (Corpus.names c));
   check bool "find hit" true (Corpus.find c "movies" <> None);
   check bool "find miss" true (Corpus.find c "nope" = None)
 
@@ -208,7 +158,7 @@ let test_corpus_add_replaces () =
   let c = corpus () in
   let db = Option.get (Corpus.find c "movies") in
   let c2 = Corpus.add c ~name:"movies" db in
-  check int "still two" 2 (Corpus.size c2)
+  check int "still two" 2 (List.length (Corpus.names c2))
 
 let test_corpus_run_merges () =
   let c = corpus () in
@@ -252,15 +202,6 @@ let suites =
         Alcotest.test_case "pcdata children" `Quick test_validate_pcdata_with_children;
         Alcotest.test_case "strict mode" `Quick test_validate_strict_undeclared;
         Alcotest.test_case "generators validate" `Quick test_generators_validate_against_their_dtds;
-      ] );
-    ( "store.stemmer",
-      [
-        Alcotest.test_case "plurals" `Quick test_stem_plurals;
-        Alcotest.test_case "participles" `Quick test_stem_participles;
-        Alcotest.test_case "derivational" `Quick test_stem_derivational;
-        Alcotest.test_case "short words" `Quick test_stem_short_words_safe;
-        Alcotest.test_case "idempotent" `Quick test_stem_idempotent_on_vocab;
-        Alcotest.test_case "stopwords" `Quick test_stopwords;
       ] );
     ( "snippet.corpus",
       [

@@ -8,7 +8,15 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let parse = Parser.parse
+let parse ?keep_whitespace ?limits src =
+  Types.Element (Parser.parse_document ?keep_whitespace ?limits src).root
+
+let child_elements (e : Types.element) =
+  List.filter_map (function Types.Element c -> Some c | Types.Text _ -> None) e.children
+
+let immediate_text (e : Types.element) =
+  String.concat ""
+    (List.filter_map (function Types.Text s -> Some s | Types.Element _ -> None) e.children)
 
 let root_of s =
   match parse s with
@@ -25,20 +33,20 @@ let test_parse_minimal () =
 
 let test_parse_nested () =
   let e = root_of "<a><b><c/></b><d/></a>" in
-  check int "two children" 2 (List.length (Types.child_elements e));
+  check int "two children" 2 (List.length (child_elements e));
   let b = Option.get (Types.find_child e "b") in
-  check int "b has c" 1 (List.length (Types.child_elements b))
+  check int "b has c" 1 (List.length (child_elements b))
 
 let test_parse_text () =
   let e = root_of "<a>hello world</a>" in
-  check string "text" "hello world" (Types.immediate_text e)
+  check string "text" "hello world" (immediate_text e)
 
 let test_parse_mixed_whitespace_dropped () =
   let e = root_of "<a>\n  <b/>\n  <c/>\n</a>" in
   check int "whitespace-only text dropped" 2 (List.length e.Types.children)
 
 let test_parse_keep_whitespace () =
-  let t = Parser.parse ~keep_whitespace:true "<a> <b/> </a>" in
+  let t = parse ~keep_whitespace:true "<a> <b/> </a>" in
   match t with
   | Types.Element e -> check int "whitespace kept" 3 (List.length e.Types.children)
   | Types.Text _ -> Alcotest.fail "expected element"
@@ -51,21 +59,21 @@ let test_parse_attributes () =
 
 let test_parse_entities () =
   let e = root_of "<a>&lt;tag&gt; &amp; &quot;quoted&apos;</a>" in
-  check string "decoded" "<tag> & \"quoted'" (Types.immediate_text e)
+  check string "decoded" "<tag> & \"quoted'" (immediate_text e)
 
 let test_parse_char_refs () =
   let e = root_of "<a>&#65;&#x42;&#x43a;</a>" in
   (* A, B, Cyrillic ka (UTF-8: D0 BA) *)
-  check string "char refs" "AB\xd0\xba" (Types.immediate_text e)
+  check string "char refs" "AB\xd0\xba" (immediate_text e)
 
 let test_parse_cdata () =
   let e = root_of "<a><![CDATA[<not><parsed> & raw]]></a>" in
-  check string "cdata" "<not><parsed> & raw" (Types.immediate_text e)
+  check string "cdata" "<not><parsed> & raw" (immediate_text e)
 
 let test_parse_adjacent_text_merged () =
   let e = root_of "<a>one <![CDATA[two]]> three</a>" in
   check int "single text node" 1 (List.length e.Types.children);
-  check string "merged" "one two three" (Types.immediate_text e)
+  check string "merged" "one two three" (immediate_text e)
 
 let test_parse_comments_dropped () =
   let e = root_of "<a><!-- a comment --><b/><!-- another --></a>" in
@@ -94,7 +102,7 @@ let test_parse_bom () =
 
 let test_parse_utf8_content () =
   let e = root_of "<a>caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac</a>" in
-  check string "utf8 preserved" "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac" (Types.immediate_text e)
+  check string "utf8 preserved" "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac" (immediate_text e)
 
 let test_parse_deep_nesting () =
   let depth = 500 in
@@ -122,7 +130,7 @@ let nested_doc depth =
   Buffer.contents buf
 
 let expect_limit_error what input limits =
-  match Parser.parse ~limits input with
+  match parse ~limits input with
   | _ -> Alcotest.failf "%s: expected Parse_error" what
   | exception Error.Parse_error (_, msg) ->
     check bool
@@ -133,7 +141,7 @@ let expect_limit_error what input limits =
 let test_limits_max_depth () =
   let limits = { Parser.default_limits with Parser.max_depth = 10 } in
   (* at the limit: fine *)
-  (match Parser.parse ~limits (nested_doc 10) with
+  (match parse ~limits (nested_doc 10) with
   | _ -> ()
   | exception Error.Parse_error (_, msg) -> Alcotest.failf "depth 10 rejected: %s" msg);
   expect_limit_error "depth 11" (nested_doc 11) limits
@@ -141,7 +149,7 @@ let test_limits_max_depth () =
 let test_limits_adversarial_depth_no_overflow () =
   (* a 100k-deep document must yield a clean positioned error, not a
      stack overflow: the default limit cuts it off at depth 512 *)
-  match Parser.parse (nested_doc 100_000) with
+  match parse (nested_doc 100_000) with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Error.Parse_error (_, msg) ->
     check bool "names max_depth" true
@@ -151,14 +159,14 @@ let test_limits_adversarial_depth_no_overflow () =
 let test_limits_max_nodes () =
   let limits = { Parser.default_limits with Parser.max_nodes = 3 } in
   (* root + two children = 3 nodes: fine *)
-  (match Parser.parse ~limits "<a><b/><c/></a>" with
+  (match parse ~limits "<a><b/><c/></a>" with
   | _ -> ()
   | exception Error.Parse_error (_, msg) -> Alcotest.failf "3 nodes rejected: %s" msg);
   expect_limit_error "4 nodes" "<a><b/><c/><d/></a>" limits
 
 let test_limits_max_token_len () =
   let limits = { Parser.default_limits with Parser.max_token_len = 8 } in
-  (match Parser.parse ~limits "<a>12345678</a>" with
+  (match parse ~limits "<a>12345678</a>" with
   | _ -> ()
   | exception Error.Parse_error (_, msg) -> Alcotest.failf "8-byte text rejected: %s" msg);
   expect_limit_error "long text" "<a>123456789</a>" limits;
@@ -166,7 +174,8 @@ let test_limits_max_token_len () =
   expect_limit_error "long attribute value" "<a b=\"123456789\"/>" limits
 
 let test_limits_unlimited () =
-  match Parser.parse ~limits:Parser.unlimited (nested_doc 600) with
+  let limits = { Parser.max_depth = max_int; max_nodes = max_int; max_token_len = max_int } in
+  match parse ~limits (nested_doc 600) with
   | _ -> ()
   | exception Error.Parse_error (_, msg) ->
     Alcotest.failf "unlimited rejected depth 600: %s" msg
@@ -203,22 +212,24 @@ let test_parse_error_position () =
 (* Printer: escaping and round trips *)
 
 let test_escape_text () =
-  check string "text escape" "a &amp; b &lt;c&gt;" (Printer.escape_text "a & b <c>")
+  check string "text escape" "<t>a &amp; b &lt;c&gt;</t>"
+    (Printer.to_string ~indent:None (Types.element "t" [ Types.Text "a & b <c>" ]))
 
 let test_escape_attr () =
-  check string "attr escape" "&quot;x&apos;" (Printer.escape_attr "\"x'")
+  check string "attr escape" {|<t a="&quot;x&apos;"/>|}
+    (Printer.to_string ~indent:None (Types.element ~attrs:[ "a", "\"x'" ] "t" []))
 
 let test_print_parse_roundtrip () =
   let original = root_of {|<shop loc="x&amp;y"><item>caf&#233;</item><empty/></shop>|} in
   let printed = Printer.to_string ~indent:None (Types.Element original) in
   let reparsed = root_of printed in
-  check bool "roundtrip equal" true (Types.equal (Types.Element original) (Types.Element reparsed))
+  check bool "roundtrip equal" true (original = reparsed)
 
 let test_pretty_print_reparses () =
   let original = root_of "<a><b>text</b><c><d>deep</d></c></a>" in
   let printed = Printer.to_string ~indent:(Some 2) (Types.Element original) in
   let reparsed = root_of printed in
-  check bool "pretty roundtrip" true (Types.equal (Types.Element original) (Types.Element reparsed))
+  check bool "pretty roundtrip" true (original = reparsed)
 
 let test_document_to_string_has_decl () =
   let doc = Parser.parse_document "<r><a/></r>" in
@@ -246,7 +257,7 @@ let test_types_leaf () =
   match Types.leaf "name" "value" with
   | Types.Element e ->
     check string "tag" "name" e.Types.tag;
-    check string "value" "value" (Types.immediate_text e)
+    check string "value" "value" (immediate_text e)
   | Types.Text _ -> Alcotest.fail "leaf should be an element"
 
 (* ------------------------------------------------------------------ *)
@@ -363,7 +374,7 @@ let test_dtd_through_document () =
   let doc =
     Parser.parse_document "<!DOCTYPE r [<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>]><r><a>1</a></r>"
   in
-  let dtd = Dtd.of_document doc in
+  let dtd = Dtd.parse (Option.value ~default:"" doc.Types.dtd) in
   check bool "a starred under r" true (Dtd.is_star_child dtd ~parent:"r" ~child:"a" = Some true)
 
 let test_dtd_malformed () =

@@ -3,10 +3,16 @@
    dune file) or directly: [extract-lint [OPTIONS] DIR ...].
 
    The framework is a rule registry (Lint_rule) over a shared lexical
-   context: Lint_core carries the original four rules (poly-compare,
-   partial-fn, raise-discipline, missing-mli), Lint_domain the
-   domain-safety analyzer (domain-safety, lock-pairing, lock-raise,
+   context: Lint_core carries the source-convention rules (poly-compare,
+   partial-fn, raise-discipline, missing-mli, unused-export), Lint_domain
+   the domain-safety analyzer (domain-safety, lock-pairing, lock-raise,
    stale-annotation) and the doc/CONCURRENCY.md generator.
+
+   unused-export reports a lib/**/*.mli val that no file under the given
+   roots references outside its own module, so the roots decide what
+   counts as a caller: [dune build @lint] passes
+   lib bin bench examples tools perfbench, not test. A test seam carries
+   the per-site suppression below, with a doc comment naming its test.
 
    Options:
      --format=text|json   output format (default text)
@@ -29,6 +35,7 @@ let rules : Lint_rule.rule list =
     Lint_core.partial_fn;
     Lint_core.raise_discipline;
     Lint_core.missing_mli;
+    Lint_core.unused_export;
     Lint_domain.domain_safety;
     Lint_domain.lock_pairing;
     Lint_domain.lock_raise;

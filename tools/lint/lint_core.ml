@@ -1,7 +1,7 @@
-(* The original four extract-lint rules: polymorphic compare, partial
-   functions, raise discipline and missing interfaces. Diagnostics are
-   kept byte-identical to the single-file linter these grew out of, so
-   the cram self-tests pin the exact messages. *)
+(* The source-convention rules: polymorphic compare, partial functions,
+   raise discipline, missing interfaces and unused exports. The first
+   four keep their diagnostics byte-identical to the single-file linter
+   they grew out of, so the cram self-tests pin the exact messages. *)
 
 open Lint_rule
 module S = Lint_source
@@ -170,4 +170,135 @@ let missing_mli =
                 }
             else None)
           ctx.mls);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* unused-export                                                       *)
+
+(* The vals an interface exports, as (submodule path, name, line): a val
+   inside [module X : sig ... end] carries [["X"]]; one inside any other
+   signature (a module type) exports nothing. *)
+let exported_vals (tokens : S.token array) =
+  let n = Array.length tokens in
+  let rec go k stack acc =
+    if k >= n then List.rev acc
+    else
+      match tokens.(k).S.text with
+      | "sig" ->
+        let sub =
+          if k >= 3 && tokens.(k - 1).S.text = ":" && tokens.(k - 3).S.text = "module" then
+            Some tokens.(k - 2).S.text
+          else None
+        in
+        go (k + 1) (sub :: stack) acc
+      | "end" -> go (k + 1) (match stack with [] -> [] | _ :: outer -> outer) acc
+      | "val" when k + 1 < n && List.for_all Option.is_some stack ->
+        let path = List.rev (List.filter_map Fun.id stack) in
+        go (k + 1) stack ((path, tokens.(k + 1).S.text, tokens.(k).S.line) :: acc)
+      | _ -> go (k + 1) stack acc
+  in
+  go 0 [] []
+
+let is_module_path tok = tok <> "" && S.is_upper tok.[0]
+
+let last_segment tok =
+  match String.rindex_opt tok '.' with
+  | Some i -> String.sub tok (i + 1) (String.length tok - i - 1)
+  | None -> tok
+
+(* Every suffix of two or more segments: [A.B.c] gives "A.B.c", "B.c". *)
+let rec suffix_keys = function
+  | [] | [ _ ] -> []
+  | _ :: rest as segs -> String.concat "." segs :: suffix_keys rest
+
+(* The keys one file references: each suffix of a qualified path, with a
+   [module X = P] alias expanded to P, and "M.v" for every bare [v] when
+   the file opens M ([open M], [let open M in], [M.( ... )]). *)
+let references (fu : file_unit) =
+  let tokens = fu.lexed.S.tokens in
+  let n = Array.length tokens in
+  let aliases = Hashtbl.create 8 in
+  let expand tok =
+    match String.split_on_char '.' tok with
+    | head :: rest as segs -> (
+      match Hashtbl.find_opt aliases head with Some target -> target @ rest | None -> segs)
+    | [] -> []
+  in
+  let opens = ref [] in
+  let bare = Hashtbl.create 256 in
+  let keys = Hashtbl.create 256 in
+  let add_keys segs = List.iter (fun key -> Hashtbl.replace keys key ()) (suffix_keys segs) in
+  let adjacent_open k =
+    (* [M.(], [M.[], [M.{]: the bracket sits one column past the path *)
+    k + 1 < n
+    && List.mem tokens.(k + 1).S.text [ "("; "["; "{"; "[|" ]
+    && tokens.(k + 1).S.line = tokens.(k).S.line
+    && tokens.(k + 1).S.col = tokens.(k).S.col + String.length tokens.(k).S.text + 1
+  in
+  Array.iteri
+    (fun k (tok : S.token) ->
+      let text = tok.S.text in
+      if text = "module" && k + 3 < n && tokens.(k + 2).S.text = "="
+         && is_module_path tokens.(k + 3).S.text
+      then Hashtbl.replace aliases tokens.(k + 1).S.text (expand tokens.(k + 3).S.text)
+      else if text = "open" && k + 1 < n && is_module_path tokens.(k + 1).S.text then
+        opens := expand tokens.(k + 1).S.text :: !opens
+      else if is_module_path text then begin
+        if not (is_module_path (last_segment text)) then add_keys (expand text)
+        else if adjacent_open k then opens := expand text :: !opens
+      end
+      else if text <> "" && S.is_ident_start text.[0] then Hashtbl.replace bare text ())
+    tokens;
+  List.iter
+    (fun segs -> Hashtbl.iter (fun v () -> add_keys (segs @ [ v ])) bare)
+    !opens;
+  keys
+
+let unused_export =
+  {
+    name = "unused-export";
+    synopsis = "library val that no scanned file outside its own module references";
+    doc =
+      "Every val in a library interface (lib/**/*.mli, including one inside\n\
+       a submodule signature such as Document.Flat) must be referenced by\n\
+       some scanned file outside its own .ml/.mli: as a path ending M.v or\n\
+       M.Sub.v (also through a module X = ...M alias), or as a bare v in a\n\
+       file that opens M (open M, let open M in, M.( ... )). An export that\n\
+       only its own module uses belongs out of the interface, and one that\n\
+       nothing uses belongs deleted: the libraries' -w +32 then points at\n\
+       any body left without a caller.\n\n\
+       The scanned roots decide what counts as a caller. dune build @lint\n\
+       passes lib bin bench examples tools perfbench and not test/, so an\n\
+       export that only a test calls is reported too. A deliberate test\n\
+       seam carries (* lint: allow unused-export *) on or above its val,\n\
+       with a doc comment naming the test that relies on it.\n\n\
+       References are matched by module name, so two libraries' modules of\n\
+       the same name (Extract_obs.Explain, Extract_snippet.Explain) share\n\
+       theirs: the rule may miss a dead export, never report a live one.";
+    run =
+      (fun ctx ->
+        let index = Hashtbl.create 4096 in
+        List.iter
+          (fun fu -> Hashtbl.iter (fun key () -> Hashtbl.add index key fu.path) (references fu))
+          (ctx.mls @ ctx.mlis);
+        List.concat_map
+          (fun fu ->
+            if not (is_lib_module fu.path) then []
+            else begin
+              let own = [ fu.path; Filename.remove_extension fu.path ^ ".ml" ] in
+              let acc, add = collector fu in
+              List.iter
+                (fun (path, name, line) ->
+                  let qualified = String.concat "." ((S.module_name fu.path :: path) @ [ name ]) in
+                  let outside f = not (List.mem f own) in
+                  if not (List.exists outside (Hashtbl.find_all index qualified)) then
+                    add line "unused-export"
+                      (Printf.sprintf
+                         "%s is referenced by no scanned file outside its module; delete it, drop \
+                          it from the .mli, or allow it as a test seam"
+                         qualified))
+                (exported_vals fu.lexed.S.tokens);
+              !acc
+            end)
+          ctx.mlis);
   }
