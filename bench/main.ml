@@ -1180,7 +1180,7 @@ let e17_kernel =
 
 (* ================================================================== *)
 (* E20 (hotpath) — query hot-path: interval vs linear match restriction,
-   limit pushdown, and the query-level snippet cache                    *)
+   limit pushdown, explain overhead and end-to-end latency              *)
 
 type hotpath_measurements = {
   hp_clothes : int;
@@ -1193,10 +1193,6 @@ type hotpath_measurements = {
   hp_limit : int;
   hp_full_ns : float;
   hp_limited_ns : float;
-  hp_cold_ns : float;
-  hp_warm_ns : float;
-  hp_hits : int;
-  hp_misses : int;
   hp_plain_ns : float;
   hp_explain_ns : float;
   hp_e2e_samples : int;
@@ -1234,24 +1230,6 @@ let hotpath_measure () =
   ignore (Engine.run ~limit index kinds query);
   let full_ns = time_median ~repeat (fun () -> Engine.run index kinds query) in
   let limited_ns = time_median ~repeat (fun () -> Engine.run ~limit index kinds query) in
-  (* query-level snippet cache, cold vs warm *)
-  let cache = Extract_snippet.Snippet_cache.create ~capacity:16 () in
-  let run_cached () =
-    Extract_snippet.Snippet_cache.run ~bound:10 ~limit cache db query_string
-  in
-  let _, cold_ns = time_once run_cached in
-  (* a hit is far below clock resolution; time a batch and divide *)
-  let warm_iters = 1000 in
-  let warm_ns =
-    let _, total =
-      time_once (fun () ->
-          for _ = 1 to warm_iters do
-            ignore (run_cached ())
-          done)
-    in
-    total /. float_of_int warm_iters
-  in
-  let hits, misses = Extract_snippet.Snippet_cache.stats cache in
   (* explain overhead: the same uncached run with ambient capture on and
      the bundle assembled, vs the plain pipeline — the price of --explain *)
   ignore (Pipeline.run ~bound:10 ~limit db query_string);
@@ -1292,10 +1270,6 @@ let hotpath_measure () =
     hp_limit = limit;
     hp_full_ns = full_ns;
     hp_limited_ns = limited_ns;
-    hp_cold_ns = cold_ns;
-    hp_warm_ns = warm_ns;
-    hp_hits = hits;
-    hp_misses = misses;
     hp_plain_ns = plain_ns;
     hp_explain_ns = explain_ns;
     hp_e2e_samples = e2e_count;
@@ -1330,12 +1304,6 @@ let hotpath_json m =
        m.hp_limit m.hp_full_ns m.hp_limited_ns (speedup m.hp_full_ns m.hp_limited_ns));
   Buffer.add_string b
     (Printf.sprintf
-       "  \"cache\": { \"cold_ns\": %.0f, \"warm_ns\": %.0f, \"speedup\": %.2f, \
-        \"hits\": %d, \"misses\": %d },\n"
-       m.hp_cold_ns m.hp_warm_ns (speedup m.hp_cold_ns m.hp_warm_ns) m.hp_hits
-       m.hp_misses);
-  Buffer.add_string b
-    (Printf.sprintf
        "  \"explain\": { \"plain_ns\": %.0f, \"explain_ns\": %.0f, \"overhead\": %.2f },\n"
        m.hp_plain_ns m.hp_explain_ns (speedup m.hp_explain_ns m.hp_plain_ns));
   Buffer.add_string b
@@ -1363,13 +1331,6 @@ let e20 () =
       ns_to_string m.hp_full_ns;
       ns_to_string m.hp_limited_ns;
       Printf.sprintf "%.1fx" (m.hp_full_ns /. m.hp_limited_ns);
-    ];
-  Table.add_row t
-    [
-      "query cache (cold vs warm)";
-      ns_to_string m.hp_cold_ns;
-      ns_to_string m.hp_warm_ns;
-      Printf.sprintf "%.0fx" (m.hp_cold_ns /. m.hp_warm_ns);
     ];
   Table.add_row t
     [

@@ -863,7 +863,13 @@ let check_cmd =
 
 let serve_cmd =
   let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc:"XML files to serve.")
+    Arg.(
+      value & pos_all file []
+      & info [] ~docv:"FILE"
+          ~doc:
+            "XML files or snapshots to serve. A directory written by $(b,extract pack \
+             --shards) enables the /shards and /shards/search routes instead (every shard \
+             one segment of a ranked merge).")
   in
   let live_arg =
     Arg.(
@@ -917,7 +923,7 @@ let serve_cmd =
             "Accepted connections allowed to wait for a worker; beyond K the acceptor sheds \
              with 503 + Retry-After.")
   in
-  let run files live shards port timeout_ms deadline_ms workers queue_depth log_level =
+  let run files live port timeout_ms deadline_ms workers queue_depth log_level =
     apply_log_level log_level;
     if files = [] && live = None then begin
       prerr_endline "error: nothing to serve (give XML files, a shard directory, --live DIR, or both)";
@@ -935,14 +941,6 @@ let serve_cmd =
           (fun d -> Printf.eprintf "note: ignoring extra shard directory %s\n%!" d)
           rest;
         Some (open_shards d)
-    in
-    let sharded =
-      match sharded, files with
-      | Some _, _ | None, [] -> sharded
-      | None, first :: _ when shards > 1 ->
-        (* split the first data set on the fly *)
-        Some (Shard_set.split ~shards (Pipeline.document (load_db first)))
-      | None, _ -> None
     in
     let corpus =
       List.fold_left
@@ -971,20 +969,10 @@ let serve_cmd =
       prerr_endline ("error: " ^ msg);
       exit 2
   in
-  let shards_serve_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Split the first data set into $(docv) shards and enable the /shards and \
-             /shards/search routes (every shard one segment of a ranked merge). A \
-             positional argument that is a shard directory written by $(b,extract pack \
-             --shards) attaches the same routes without splitting at startup.")
-  in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the demo web service (the paper's Fig. 5 site) over XML files.")
     Term.(
-      const run $ files $ live_arg $ shards_serve_arg $ port $ timeout_ms $ deadline_ms
+      const run $ files $ live_arg $ port $ timeout_ms $ deadline_ms
       $ workers $ queue_depth $ log_level_arg)
 
 (* ------------------------------------------------------------------ *)

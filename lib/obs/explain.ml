@@ -1,18 +1,18 @@
 (* Ambient explain capture. The layers that know interesting per-query
    facts (posting-list sizes in Eval_ctx, stage timings and
-   differentiator scores in Pipeline, hit/miss provenance in
-   Snippet_cache) sit below the layer that assembles the user-facing
-   bundle, so they can't return explain data directly without widening
-   every signature. Instead, a capture scope installs a domain-local
-   accumulator; instrumented code calls [record], which is a no-op (one
-   DLS read) outside a scope. Section thunks are forced immediately at
-   record time — the values they close over are mutable pipeline state. *)
+   differentiator scores in Pipeline) sit below the layer that
+   assembles the user-facing bundle, so they can't return explain data
+   directly without widening every signature. Instead, a capture scope
+   installs a domain-local accumulator; instrumented code calls
+   [record], which is a no-op (one DLS read) outside a scope. Section
+   thunks are forced immediately at record time — the values they close
+   over are mutable pipeline state. *)
 
 (* domain-local — frames live on the per-domain DLS stack below *)
 type frame = { mutable sections : (string * Jsonv.t) list (* reversed *) }
 
-(* a stack, so a capture nested inside another (cache probe inside a
-   server explain) keeps sections separate *)
+(* a stack, so a capture nested inside another keeps sections
+   separate *)
 let frames_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 

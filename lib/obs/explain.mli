@@ -2,13 +2,12 @@
 
     An explain bundle wants facts from layers below the one that
     assembles it: posting-list sizes from the evaluation context, stage
-    timings and differentiator scores from the pipeline, hit/miss
-    provenance from the snippet cache. Rather than widening every
-    signature on that path, a {!with_capture} scope installs a
-    domain-local accumulator and instrumented code contributes named
-    JSON sections through {!record} — which costs one domain-local read
-    and does nothing outside a scope, so instrumentation is free on the
-    normal path.
+    timings and differentiator scores from the pipeline. Rather than
+    widening every signature on that path, a {!with_capture} scope
+    installs a domain-local accumulator and instrumented code
+    contributes named JSON sections through {!record} — which costs one
+    domain-local read and does nothing outside a scope, so
+    instrumentation is free on the normal path.
 
     Scopes are per-domain and nest (inner scopes capture independently);
     sections come back in record order. The snippet layer's

@@ -31,5 +31,3 @@ let size t = List.length t.keywords
 let is_empty t = t.keywords = []
 
 let mem t k = List.mem (Tokenizer.normalize k) t.keywords
-
-let to_string t = String.concat " " t.keywords

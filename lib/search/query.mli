@@ -21,5 +21,3 @@ val is_empty : t -> bool
 
 val mem : t -> string -> bool
 (** Membership after normalization. *)
-
-val to_string : t -> string

@@ -3,7 +3,6 @@ module Live_corpus = Extract_snippet.Live_corpus
 module Shard_set = Extract_snippet.Shard_set
 module Pipeline = Extract_snippet.Pipeline
 module Html_view = Extract_snippet.Html_view
-module Snippet_cache = Extract_snippet.Snippet_cache
 module Explain = Extract_snippet.Explain
 module Sharded_lru = Extract_util.Sharded_lru
 module Deadline = Extract_util.Deadline
@@ -104,7 +103,6 @@ type t = {
   live : Live_corpus.t option; (* crash-safe updatable corpus, when serving one *)
   sharded : Shard_set.t option; (* split corpus, when serving one *)
   pages : (string, string) Sharded_lru.t; (* request target -> rendered body *)
-  snippets : Snippet_cache.t; (* (db, query, bound, …) -> snippet results *)
   degraded_served : int Atomic.t; (* deadline-degraded snippets sent so far *)
   ready : bool Atomic.t; (* readiness latch: set once serving starts *)
   queue_probe : (unit -> int * int) option Atomic.t;
@@ -315,19 +313,15 @@ let search_route t ~deadline ?page_key ?limit params ~title run =
     | Some _ | None -> ());
     ok body
 
-(* Two cache levels: rendered pages by raw target, and search+snippet
-   results by normalized query — a page miss with a differently-encoded
-   target still skips the pipeline. *)
 let search_page t ~deadline target params =
   with_db t params (fun name db ->
       search_route t ~deadline ~page_key:target ~limit:25 params
         ~title:(fun () -> Printf.sprintf "eXtract — %s" name)
-        (fun q ~bound ~limit -> Snippet_cache.run ~bound ~limit ~deadline t.snippets db q))
+        (fun q ~bound ~limit -> Pipeline.run ~bound ~limit ~deadline db q))
 
-(* The explain endpoint runs the same cached pipeline as /search but
-   assembles the bundle around it; explain pages are never page-cached —
-   the bundle's provenance (cache hit/miss, timings, request id) is
-   precisely what must stay live. *)
+(* The explain endpoint runs the same pipeline as /search and assembles
+   the bundle around it; explain pages are never cached — the bundle's
+   stage timings and request id describe this run. *)
 let explain_page t ~deadline params =
   with_db t params (fun _name db ->
       with_query ~deadline params @@ fun q ->
@@ -343,7 +337,7 @@ let explain_page t ~deadline params =
               faulted = false;
               digest = Explain.digest bundle;
             })
-          (fun () -> Explain.run ~bound ~limit:25 ~deadline ~cache:t.snippets db q)
+          (fun () -> Explain.run ~bound ~limit:25 ~deadline db q)
       in
       match List.assoc_opt "format" params with
       | Some "text" -> text_ok (Explain.to_text bundle)
@@ -366,20 +360,13 @@ let complete_page t params =
 
 let cache_report t =
   let page_hits, page_misses = Sharded_lru.stats t.pages in
-  let snip_hits, snip_misses = Snippet_cache.stats t.snippets in
   Printf.sprintf
     "page cache: %d hits, %d misses, %d/%d entries, %d shard(s)\n\
-     snippet cache: %d hits, %d misses, %d/%d entries, hit rate %.2f, %d shard(s)\n\
      degraded snippets served: %d\n"
     page_hits page_misses
     (Sharded_lru.length t.pages)
     (Sharded_lru.capacity t.pages)
     (Sharded_lru.shards t.pages)
-    snip_hits snip_misses
-    (Snippet_cache.length t.snippets)
-    (Snippet_cache.capacity t.snippets)
-    (Snippet_cache.hit_rate t.snippets)
-    (Array.length (Snippet_cache.shard_stats t.snippets))
     (Atomic.get t.degraded_served)
 
 (* Gauges describing current cache occupancy are set at scrape time from
@@ -388,33 +375,24 @@ let cache_report t =
    so a hot or cold shard is visible without changing the dashboards
    that read the totals. *)
 let refresh_cache_gauges t =
-  let set name cache v =
-    Registry.set (Registry.gauge ~labels:[ "cache", cache ] name) (float_of_int v)
+  let set name v =
+    Registry.set (Registry.gauge ~labels:[ "cache", "page" ] name) (float_of_int v)
   in
-  let set_shards cache stats =
-    Array.iteri
-      (fun i (s : Sharded_lru.shard_stats) ->
-        let g name v =
-          Registry.set
-            (Registry.gauge
-               ~labels:[ "cache", cache; "shard", string_of_int i ]
-               name)
-            (float_of_int v)
-        in
-        g "extract_cache_shard_hits" s.Sharded_lru.hits;
-        g "extract_cache_shard_misses" s.Sharded_lru.misses;
-        g "extract_cache_shard_evictions" s.Sharded_lru.evictions;
-        g "extract_cache_shard_entries" s.Sharded_lru.entries)
-      stats
-  in
-  set "extract_cache_entries" "page" (Sharded_lru.length t.pages);
-  set "extract_cache_capacity" "page" (Sharded_lru.capacity t.pages);
-  set "extract_cache_evictions" "page" (Sharded_lru.evictions t.pages);
-  set "extract_cache_entries" "snippet" (Snippet_cache.length t.snippets);
-  set "extract_cache_capacity" "snippet" (Snippet_cache.capacity t.snippets);
-  set "extract_cache_evictions" "snippet" (Snippet_cache.evictions t.snippets);
-  set_shards "page" (Sharded_lru.shard_stats t.pages);
-  set_shards "snippet" (Snippet_cache.shard_stats t.snippets);
+  set "extract_cache_entries" (Sharded_lru.length t.pages);
+  set "extract_cache_capacity" (Sharded_lru.capacity t.pages);
+  set "extract_cache_evictions" (Sharded_lru.evictions t.pages);
+  Array.iteri
+    (fun i (s : Sharded_lru.shard_stats) ->
+      let g name v =
+        Registry.set
+          (Registry.gauge ~labels:[ "cache", "page"; "shard", string_of_int i ] name)
+          (float_of_int v)
+      in
+      g "extract_cache_shard_hits" s.Sharded_lru.hits;
+      g "extract_cache_shard_misses" s.Sharded_lru.misses;
+      g "extract_cache_shard_evictions" s.Sharded_lru.evictions;
+      g "extract_cache_shard_entries" s.Sharded_lru.entries)
+    (Sharded_lru.shard_stats t.pages);
   Registry.set
     (Registry.gauge ~help:"Deadline-degraded snippets served by this server"
        "extract_degraded_snippets_served")
@@ -424,14 +402,13 @@ let refresh_live_gauges live =
   Registry.set live_journal_lag
     (float_of_int (Live_store.pending_updates (Live_corpus.store live)))
 
-let create ?(cache_size = 64) ?(shards = 8) ?live ?sharded corpus =
+let create ?(cache_size = 64) ?live ?sharded corpus =
   let t =
     {
       corpus;
       live;
       sharded;
-      pages = Sharded_lru.create ~shards ~capacity:cache_size ();
-      snippets = Snippet_cache.create ~capacity:(4 * cache_size) ~shards ();
+      pages = Sharded_lru.create ~capacity:cache_size ();
       degraded_served = Atomic.make 0;
       ready = Atomic.make false;
       queue_probe = Atomic.make None;
@@ -455,7 +432,6 @@ let metrics_page t =
 let stats_json t params =
   refresh_cache_gauges t;
   let page_hits, page_misses = Sharded_lru.stats t.pages in
-  let snip_hits, snip_misses = Snippet_cache.stats t.snippets in
   let dataset =
     match Option.bind (List.assoc_opt "data" params) (Corpus.find t.corpus) with
     | None -> "null"
@@ -466,18 +442,12 @@ let stats_json t params =
   ok ~content_type:"application/json; charset=utf-8"
     (Printf.sprintf
        "{ \"caches\": { \"page\": { \"hits\": %d, \"misses\": %d, \"entries\": %d, \
-        \"capacity\": %d, \"evictions\": %d }, \"snippet\": { \"hits\": %d, \"misses\": \
-        %d, \"entries\": %d, \"capacity\": %d, \"evictions\": %d, \"hit_rate\": %.3f } \
-        }, \"degraded_served\": %d, \"dataset\": %s, \"metrics\": %s }\n"
+        \"capacity\": %d, \"evictions\": %d } }, \"degraded_served\": %d, \"dataset\": \
+        %s, \"metrics\": %s }\n"
        page_hits page_misses
        (Sharded_lru.length t.pages)
        (Sharded_lru.capacity t.pages)
        (Sharded_lru.evictions t.pages)
-       snip_hits snip_misses
-       (Snippet_cache.length t.snippets)
-       (Snippet_cache.capacity t.snippets)
-       (Snippet_cache.evictions t.snippets)
-       (Snippet_cache.hit_rate t.snippets)
        (Atomic.get t.degraded_served)
        dataset (Registry.render_json ()))
 
@@ -491,12 +461,11 @@ let stats_page t params =
              (cache_report t)))
 
 (* ------------------------------------------------------------------ *)
-(* Live corpus: online updates over POST, searches that bypass both
-   caches. The page cache keys on the raw target and the snippet cache
-   on a pipeline identity — neither key encodes the live store's
-   generation, so a cached live page could survive the update that
-   invalidated it. The query view swap inside Live_corpus is the cache:
-   unchanged segments keep their analyzed pipelines. *)
+(* Live corpus: online updates over POST, searches that bypass the page
+   cache. Its key is the raw target, which does not encode the live
+   store's generation, so a cached live page could survive the update
+   that invalidated it. The query view swap inside Live_corpus is the
+   cache: unchanged segments keep their analyzed pipelines. *)
 
 type meth = Get | Post
 
@@ -575,7 +544,8 @@ let live_search_page t ~deadline params =
 let with_sharded t f =
   match t.sharded with
   | None ->
-    error 404 "Not Found" "no shard set attached (start the server with --shards N)"
+    error 404 "Not Found"
+      "no shard set attached (serve a directory written by extract pack --shards)"
   | Some s -> f s
 
 let shards_status t =
@@ -737,7 +707,7 @@ let handle ?deadline t target = handle_request ?deadline ~meth:Get t target
 
 let cache_stats t = Sharded_lru.stats t.pages
 
-let snippet_cache_stats t = Snippet_cache.stats t.snippets
+let snippet_cache_stats _ = 0, 0
 
 let degraded_served t = Atomic.get t.degraded_served
 
@@ -778,7 +748,14 @@ let ensure_sigpipe_ignored () =
     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
     with Invalid_argument _ | Sys_error _ -> ()
 
-let set_socket_timeouts fd timeout_ms =
+(* Every accepted socket, served or shed, gets TCP_NODELAY: a response
+   longer than one write(2) (64 KiB) leaves in several, and under
+   Nagle's algorithm its last short segment could wait for the peer's
+   ACK of the earlier ones. The read/write timeouts apply only when
+   [timeout_ms] is positive. *)
+let configure_socket fd timeout_ms =
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
   if timeout_ms > 0 then begin
     let seconds = float_of_int timeout_ms /. 1000. in
     (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds
@@ -951,11 +928,23 @@ let read_body ~length fd =
     loop 0
   end
 
+(* A connection's send buffer: each response's head and body are copied
+   into it and leave in one write(2) (up to the Unix library's 64 KiB
+   chunk), so the client takes the whole response in one wake-up however
+   the two sides are timed; written apart, whether the head alone woke
+   the client depended on that timing. The buffer is reused for the
+   connection's later responses and grows to its largest one, so a
+   page-cache hit allocates no copy of the page. *)
+(* domain-local — a connection is served by the one worker that took it *)
+type send_buffer = { mutable bytes : Bytes.t }
+
+let send_buffer () = { bytes = Bytes.empty }
+
 (* The response echoes the request's HTTP version (an HTTP/1.0 client
    gets an HTTP/1.0 status line) and always carries Content-Length and
    an explicit Connection header — keep-alive framing depends on both,
    and error responses always say [close]. *)
-let write_response ~http11 ~keep_alive fd r =
+let write_response ~http11 ~keep_alive out fd r =
   let extra =
     String.concat ""
       (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) r.headers)
@@ -967,13 +956,13 @@ let write_response ~http11 ~keep_alive fd r =
       r.status r.reason r.content_type (String.length r.body) extra
       (if keep_alive then "keep-alive" else "close")
   in
-  let payload = head ^ r.body in
-  let bytes = Bytes.of_string payload in
+  let head_length = String.length head in
+  let length = head_length + String.length r.body in
+  if Bytes.length out.bytes < length then out.bytes <- Bytes.create length;
+  Bytes.blit_string head 0 out.bytes 0 head_length;
+  Bytes.blit_string r.body 0 out.bytes head_length (String.length r.body);
   let rec write_all off =
-    if off < Bytes.length bytes then begin
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      write_all (off + n)
-    end
+    if off < length then write_all (off + Unix.write fd out.bytes off (length - off))
   in
   write_all 0
 
@@ -983,7 +972,8 @@ let write_response ~http11 ~keep_alive fd r =
    always close: a client that just sent a malformed request cannot be
    trusted to have framed the rest of the stream correctly. *)
 let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t fd =
-  set_socket_timeouts fd config.timeout_ms;
+  configure_socket fd config.timeout_ms;
+  let out = send_buffer () in
   let requests = worker_requests_total worker in
   let rec loop served =
     let last = served + 1 >= max_requests in
@@ -992,7 +982,7 @@ let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t f
       Registry.incr (response_counter response.status);
       Registry.incr requests;
       if served > 0 then Registry.incr keepalive_reuses_total;
-      match write_response ~http11 ~keep_alive fd response with
+      match write_response ~http11 ~keep_alive out fd response with
       | () -> if keep_alive then loop (served + 1)
       | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
         Registry.incr (transport_error_counter "epipe");
@@ -1196,10 +1186,10 @@ let acceptor_loop ~config queue stopping listening =
         (* queue full: shed on the acceptor itself so the client hears
            503 now rather than waiting behind everyone else *)
         Registry.incr accept_queue_shed_total;
-        set_socket_timeouts fd config.timeout_ms;
+        configure_socket fd config.timeout_ms;
         let r = overloaded "accept queue full" in
         Registry.incr (response_counter r.status);
-        (try write_response ~http11:false ~keep_alive:false fd r
+        (try write_response ~http11:false ~keep_alive:false (send_buffer ()) fd r
          with Unix.Unix_error _ -> ());
         close_quietly fd;
         loop ()

@@ -6,8 +6,8 @@
     results. This module is that service, self-contained: a tiny HTTP/1.1
     server (plain [Unix] sockets, no dependencies) over a {!Corpus}, with
     keep-alive connections, a fixed pool of OCaml 5 domain workers behind
-    a bounded accept queue, and sharded LRU caches of rendered pages and
-    snippet results shared across the workers.
+    a bounded accept queue, and a sharded LRU cache of rendered pages
+    shared across the workers.
 
     Routing:
 
@@ -27,8 +27,8 @@
     - [GET /explain?data=NAME&q=QUERY&bound=N&format=json|text] — the
       {!Extract_snippet.Explain} bundle for the query: per-IList-entry
       selection fates, dominance scores, edge-budget accounting,
-      posting/timing/cache sections and the request id (default JSON;
-      never page-cached);
+      posting and timing sections and the request id (default JSON;
+      never cached: every request runs the pipeline);
     - [GET /debug/slowlog] — the {!Extract_obs.Slowlog} snapshot: the
       slowest queries plus every recent degraded/faulted query, JSON;
     - [GET /debug/trace?last=N] — the newest buffered trace roots (all
@@ -58,10 +58,9 @@
     - [GET /live] — generation and member names, plain text;
     - [GET /live/search?q=QUERY&bound=N&limit=K] — search the live
       corpus (base + deltas, HTML like [/search]). Live pages bypass
-      both the page and snippet caches: neither cache key encodes the
-      store generation, and the query-view swap inside
-      {!Extract_snippet.Live_corpus} already reuses every unchanged
-      analyzed segment.
+      the page cache: its key does not encode the store generation, and
+      the query-view swap inside {!Extract_snippet.Live_corpus} already
+      reuses every unchanged analyzed segment.
 
     Updates serialise on the live corpus's writer lock; searches read one
     atomic query-view snapshot and never block behind a writer. [GET] on
@@ -100,26 +99,30 @@
     [config.max_requests_per_conn] requests per connection, [Connection]
     and [Content-Length] honored, every error response closing the
     connection. Responses echo the request's HTTP version and always
-    carry [Content-Length] and an explicit [Connection] header. *)
+    carry [Content-Length] and an explicit [Connection] header. A
+    response leaves in one write from a send buffer the connection
+    reuses, so a cached page is sent without allocating a copy of it;
+    every accepted socket sets [TCP_NODELAY], so the last segment of a
+    response longer than one write does not wait for the peer's
+    acknowledgement of the earlier ones. *)
 
 type t
 
 val create :
   ?cache_size:int ->
-  ?shards:int ->
   ?live:Extract_snippet.Live_corpus.t ->
   ?sharded:Extract_snippet.Shard_set.t ->
   Extract_snippet.Corpus.t ->
   t
-(** [cache_size] bounds the rendered-page LRU (default 64 pages); the
-    query-level snippet cache underneath holds [4 × cache_size]
-    entries. Both caches are sharded [shards] ways (default 8,
-    {!Extract_util.Sharded_lru}) so pool workers contend only on hash
-    collisions. [live] attaches a crash-safe updatable corpus and
-    enables the [/admin] and [/live] routes. [sharded] attaches a
-    read-only split corpus ({!Extract_snippet.Shard_set}) and enables
-    the [/shards] (status) and [/shards/search] (every shard one
-    segment of a ranked merge) routes — the CLI's [serve --shards].
+(** [cache_size] bounds the rendered-page LRU (default 64 pages). The
+    cache is sharded 8 ways ({!Extract_util.Sharded_lru}) so pool
+    workers contend only on hash collisions. [live] attaches a
+    crash-safe updatable corpus and enables the [/admin] and [/live]
+    routes. [sharded] attaches a read-only split corpus
+    ({!Extract_snippet.Shard_set}) and enables the [/shards] (status)
+    and [/shards/search] (every shard one segment of a ranked merge)
+    routes — the CLI's [serve DIR] on a directory written by
+    [extract pack --shards].
 
     Creation also (re-)registers the server's runtime collectors
     ({!Extract_obs.Runtime.register_collector}): cache-occupancy gauges
@@ -175,23 +178,23 @@ val cache_stats : t -> int * int
 (** (hits, misses) of the page cache. *)
 
 val snippet_cache_stats : t -> int * int
-(** (hits, misses) of the query-level search+snippet cache
-    ({!Extract_snippet.Snippet_cache}) sitting under the page cache. Both
-    counters also appear on the [/stats] page. *)
+(** Always [(0, 0)]: the server keeps one cache level, the page cache
+    ({!cache_stats}). Its only reader is the served-query benchmark
+    ([perfbench/]), whose [snippet_cache.hit_ratio] metric it feeds. *)
 
 (* lint: allow unused-export *)
 val degraded_served : t -> int
 (** Deadline-degraded snippets served since startup on every search
-    route (also on [/stats]). Pages containing any are cached at neither
-    cache level. Test use only: test/test_server.ml reads the counter
-    directly. *)
+    route (also on [/stats]). Pages containing any are never cached.
+    Test use only: test/test_server.ml reads the counter directly. *)
 
 (** {1 Transport} *)
 
 type config = {
   timeout_ms : int;
       (** per-connection socket read/write timeout ([SO_RCVTIMEO] /
-          [SO_SNDTIMEO]); [0] disables. Default 5000. *)
+          [SO_SNDTIMEO]); [0] disables. Default 5000. [TCP_NODELAY] is
+          set either way. *)
   deadline_ms : int option;
       (** per-request snippet budget, started after the request is fully
           read; [None] (default) = no deadline. *)

@@ -130,21 +130,15 @@ let of_results ~request_id ~query ~semantics ~bound ~seconds ~sections results =
     results = List.mapi (fun i sr -> result_explain_of ~index:i sr) results;
   }
 
-let run ?semantics ?config ?bound ?limit ?deadline ?(differentiated = false) ?cache db
-    query_string =
+let run ?semantics ?config ?bound ?limit ?deadline ?(differentiated = false) db query_string =
   Reqid.ensure (fun request_id ->
       let t0 = Deadline.now () in
       let results, sections =
         Capture.with_capture (fun () ->
-            match cache with
-            | Some c ->
-              Snippet_cache.run ?semantics ?config ?bound ?limit ?deadline c db
+            if differentiated then
+              Pipeline.run_differentiated ?semantics ?config ?bound ?limit ?deadline db
                 query_string
-            | None ->
-              if differentiated then
-                Pipeline.run_differentiated ?semantics ?config ?bound ?limit ?deadline db
-                  query_string
-              else Pipeline.run ?semantics ?config ?bound ?limit ?deadline db query_string)
+            else Pipeline.run ?semantics ?config ?bound ?limit ?deadline db query_string)
       in
       let t =
         of_results ~request_id ~query:query_string

@@ -9,7 +9,7 @@
     per dominant feature, its [N(e,a,v)]/[N(e,a)]/[D(e,a)] statistics
     and dominance score; plus the ambient sections recorded below the
     pipeline ({!Extract_obs.Explain}): posting-list sizes, stage
-    timings, differentiator distinctiveness, cache provenance.
+    timings, differentiator distinctiveness.
 
     Exposed as [extract snippet --explain[=json|text]], the demo
     server's [GET /explain] endpoint, and an expandable panel in
@@ -59,7 +59,7 @@ type t = {
   degraded : int;  (** results served by the baseline snippet *)
   sections : (string * Extract_obs.Jsonv.t) list;
       (** ambient sections in record order: stage timings keyed by span
-          name, ["postings"], ["differentiator"], ["cache"] *)
+          name, ["postings"], ["differentiator"] *)
   results : result_explain list;
 }
 
@@ -70,17 +70,14 @@ val run :
   ?limit:int ->
   ?deadline:Extract_util.Deadline.t ->
   ?differentiated:bool ->
-  ?cache:Snippet_cache.t ->
   Pipeline.t ->
   string ->
   Pipeline.snippet_result list * t
 (** Run the pipeline with explain capture on and assemble the bundle.
     Same defaults as {!Pipeline.run}; [~differentiated:true] routes
-    through {!Pipeline.run_differentiated} (recording distinctiveness),
-    [?cache] through {!Snippet_cache.run} (recording hit/miss — on a
-    hit the stage sections are absent because nothing ran). Executes
-    under the enclosing {!Extract_obs.Reqid} scope when one is active,
-    else a fresh id. *)
+    through {!Pipeline.run_differentiated} (recording distinctiveness).
+    Executes under the enclosing {!Extract_obs.Reqid} scope when one is
+    active, else a fresh id. *)
 
 val result_explain_of : index:int -> Pipeline.snippet_result -> result_explain
 (** The per-result accounting alone — {!Html_view}'s explain panel. *)

@@ -18,15 +18,12 @@ module Capture = Extract_obs.Explain
 module Jsonv = Extract_obs.Jsonv
 
 type t = {
-  id : int; (* unique per analyzed database; cache keys embed it *)
   doc : Document.t;
   guide : Dataguide.t;
   kinds : Node_kind.t;
   keys : Key_miner.t;
   index : Inverted_index.t;
 }
-
-let next_id = Atomic.make 0
 
 (* Stage observer: a seam for opt-in invariant assertions (Extract_check
    installs one when EXTRACT_CHECK is set). No observer, no cost. *)
@@ -134,8 +131,8 @@ let notify_snippets t snips =
   (match !observer with Some o -> o.on_snippets t snips | None -> ());
   snips
 
-(* Every constructor builds under the same span, histogram, fresh id
-   and observer, whether it derives the analysis or adopts a stored one. *)
+(* Every constructor builds under the same span, histogram and
+   observer, whether it derives the analysis or adopts a stored one. *)
 let constructed analysis index =
   timed build_seconds "pipeline.build" (fun () ->
       Faults.hit "pipeline.build";
@@ -144,7 +141,7 @@ let constructed analysis index =
       let kinds = Key_miner.kinds keys in
       let guide = Node_kind.dataguide kinds in
       let doc = Dataguide.document guide in
-      notify_built { id = Atomic.fetch_and_add next_id 1; doc; guide; kinds; keys; index })
+      notify_built { doc; guide; kinds; keys; index })
 
 let derive doc () = Key_miner.mine (Node_kind.classify (Dataguide.build doc))
 
@@ -165,8 +162,6 @@ let save_snapshot path t = Extract_store.Snapshot.save path t.keys t.index
 let load_snapshot path =
   let s = Extract_store.Snapshot.load_analyzed path in
   of_analysis s.Extract_store.Snapshot.keys s.Extract_store.Snapshot.index
-
-let id t = t.id
 
 let document t = t.doc
 

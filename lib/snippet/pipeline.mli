@@ -28,7 +28,7 @@ val of_analysis : Extract_store.Key_miner.t -> Extract_store.Inverted_index.t ->
     their classification, dataguide and document — and its index, as
     {!Extract_store.Snapshot.load_analyzed} maps them and a live store's
     base carries them: nothing is derived. Like every constructor it runs under the [pipeline.build]
-    span and histogram, takes a fresh {!id} and notifies the observer. *)
+    span and histogram and notifies the observer. *)
 
 val save_snapshot : string -> t -> unit
 (** Write an mmap snapshot ({!Extract_store.Snapshot.save}) —
@@ -43,11 +43,6 @@ val load_snapshot : string -> t
     keys is derived.
     @raise Extract_store.Codec.Corrupt on structural damage, an invalid
     analysis section or an older snapshot version. *)
-
-val id : t -> int
-(** Unique id of this analyzed database (process-wide, assigned when it
-    is built or loaded). {!Snippet_cache} keys embed it so one cache can
-    serve several databases without collisions. *)
 
 val document : t -> Document.t
 

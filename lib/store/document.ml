@@ -116,11 +116,11 @@ let of_xml ?dtd xml =
 let of_string_streaming input =
   let tags = Interner.create () in
   let kind_buf = Buffer.create 1024 in
-  let tag = Arraylist.create ~capacity:1024 () in
-  let parent = Arraylist.create ~capacity:1024 () in
-  let depth = Arraylist.create ~capacity:1024 () in
-  let size = Arraylist.create ~capacity:1024 () in
-  let texts = Arraylist.create ~capacity:1024 () in
+  let tag = Arraylist.create () in
+  let parent = Arraylist.create () in
+  let depth = Arraylist.create () in
+  let size = Arraylist.create () in
+  let texts = Arraylist.create () in
   let elements = ref 0 in
   let push_node ~is_element ~tag_id ~parent_id ~level ~text =
     let id = Arraylist.length tag in

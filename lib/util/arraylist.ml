@@ -3,12 +3,9 @@ type 'a t = {
   mutable len : int;
 }
 
-let create ?(capacity = 16) () =
-  ignore (max capacity 1);
-  (* The backing store is allocated lazily on first push because we have no
-     placeholder element of type ['a]; [capacity] is accepted for API
-     stability. *)
-  { data = [||]; len = 0 }
+(* The backing store is allocated on the first push: there is no
+   placeholder element of type ['a] to fill it with before then. *)
+let create () = { data = [||]; len = 0 }
 
 let make n x = { data = Array.make (max n 1) x; len = n }
 

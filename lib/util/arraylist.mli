@@ -3,9 +3,9 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [create ()] is an empty array list. [capacity] pre-sizes the backing
-    store (default 16); it is a hint only. *)
+val create : unit -> 'a t
+(** [create ()] is an empty array list. Its backing store is allocated by
+    the first {!push} (16 slots) and doubles when full. *)
 
 (* lint: allow unused-export *)
 val make : int -> 'a -> 'a t

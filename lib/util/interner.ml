@@ -4,7 +4,7 @@ type t = {
 }
 
 let create ?(capacity = 64) () =
-  { ids = Hashtbl.create capacity; names = Arraylist.create ~capacity () }
+  { ids = Hashtbl.create capacity; names = Arraylist.create () }
 
 let intern t s =
   match Hashtbl.find_opt t.ids s with

@@ -8,6 +8,8 @@
 type t
 
 val create : ?capacity:int -> unit -> t
+(** [capacity] is the initial size of the string-to-id table (default
+    64). *)
 
 val intern : t -> string -> int
 (** [intern t s] is the id of [s], allocating a fresh id if [s] was never

@@ -14,7 +14,7 @@
     nothing from the cache.
 
     {b Sharded locking story.} A cache shared across domains (the demo
-    server's page and snippet caches under the domain-pool transport)
+    server's page cache under the domain-pool transport)
     must go through {!Sharded_lru}, which routes keys by hash to [S]
     independent [Lru] shards, each behind its own mutex: every operation
     — including {!find}, because of the recency rewiring — runs under

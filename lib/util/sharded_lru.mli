@@ -58,7 +58,10 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
 val remove : ('k, 'v) t -> 'k -> unit
 (** Test use only: test/test_pool.ml ["peek mem remove clear"]. *)
 
+(* lint: allow unused-export *)
 val clear : ('k, 'v) t -> unit
+(** Empty every shard and reset its counters. Test use only:
+    test/test_pool.ml ["peek mem remove clear"]. *)
 
 val stats : ('k, 'v) t -> int * int
 (** (hits, misses) summed over shards. *)

@@ -1,6 +1,6 @@
 (* Tests for the query hot-path overhaul: the shared per-query evaluation
-   context, limit pushdown, memoized feature analysis, the query-level
-   snippet cache and the completion index. *)
+   context, limit pushdown, memoized feature analysis and the completion
+   index. *)
 
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
@@ -13,7 +13,6 @@ module Pipeline = Extract_snippet.Pipeline
 module Feature = Extract_snippet.Feature
 module Selector = Extract_snippet.Selector
 module Snippet_tree = Extract_snippet.Snippet_tree
-module Snippet_cache = Extract_snippet.Snippet_cache
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -103,60 +102,6 @@ let test_differentiated_analyzes_once_per_result () =
   check int "all results snippeted" (List.length results) (List.length out)
 
 (* ------------------------------------------------------------------ *)
-(* Snippet cache *)
-
-let test_cache_hit_on_identical_query () =
-  let db = Lazy.force retail_db in
-  let cache = Snippet_cache.create ~capacity:8 () in
-  let first = Snippet_cache.run ~bound:8 cache db "apparel retailer" in
-  check bool "miss first" true (Snippet_cache.stats cache = (0, 1));
-  let second = Snippet_cache.run ~bound:8 cache db "apparel retailer" in
-  check bool "hit second" true (Snippet_cache.stats cache = (1, 1));
-  check bool "cached value shared" true (first == second);
-  check int "one entry" 1 (Snippet_cache.length cache);
-  check bool "hit rate 0.5" true (abs_float (Snippet_cache.hit_rate cache -. 0.5) < 1e-9)
-
-let test_cache_normalizes_queries () =
-  let db = Lazy.force retail_db in
-  let cache = Snippet_cache.create ~capacity:8 () in
-  let a = Snippet_cache.run ~bound:8 cache db "Apparel,   RETAILER" in
-  let b = Snippet_cache.run ~bound:8 cache db "apparel retailer" in
-  check bool "normalized queries share the entry" true (a == b);
-  check bool "one miss one hit" true (Snippet_cache.stats cache = (1, 1))
-
-let test_cache_key_distinguishes_parameters () =
-  let db = Lazy.force retail_db in
-  let other = Pipeline.of_xml_string "<shop><apparel>retailer</apparel></shop>" in
-  let cache = Snippet_cache.create ~capacity:8 () in
-  let q = "apparel retailer" in
-  ignore (Snippet_cache.run ~bound:8 cache db q);
-  ignore (Snippet_cache.run ~bound:8 cache other q);   (* different database *)
-  ignore (Snippet_cache.run ~bound:4 cache db q);      (* different bound *)
-  ignore (Snippet_cache.run ~bound:8 ~limit:1 cache db q); (* different limit *)
-  ignore (Snippet_cache.run ~semantics:Engine.Slca ~bound:8 cache db q);
-  check bool "five distinct keys, all misses" true (Snippet_cache.stats cache = (0, 5));
-  check int "five entries" 5 (Snippet_cache.length cache)
-
-let test_cache_clear_resets () =
-  let db = Lazy.force retail_db in
-  let cache = Snippet_cache.create ~capacity:8 () in
-  ignore (Snippet_cache.run cache db "apparel");
-  ignore (Snippet_cache.run cache db "apparel");
-  Snippet_cache.clear cache;
-  check bool "stats reset" true (Snippet_cache.stats cache = (0, 0));
-  check int "empty" 0 (Snippet_cache.length cache);
-  ignore (Snippet_cache.run cache db "apparel");
-  check bool "miss after clear" true (Snippet_cache.stats cache = (0, 1))
-
-let test_cache_matches_pipeline_run () =
-  let db = Lazy.force retail_db in
-  let cache = Snippet_cache.create ()  in
-  let q = "jeans store" in
-  let cached = List.map render (Snippet_cache.run ~bound:8 cache db q) in
-  let direct = List.map render (Pipeline.run ~bound:8 db q) in
-  check bool "cached run = direct run" true (cached = direct)
-
-(* ------------------------------------------------------------------ *)
 (* Completion index *)
 
 let test_complete_equals_naive_scan () =
@@ -196,14 +141,6 @@ let suites =
       [
         Alcotest.test_case "analyze once per result" `Quick
           test_differentiated_analyzes_once_per_result;
-      ] );
-    ( "hotpath.cache",
-      [
-        Alcotest.test_case "hit on identical query" `Quick test_cache_hit_on_identical_query;
-        Alcotest.test_case "query normalization" `Quick test_cache_normalizes_queries;
-        Alcotest.test_case "key parameters" `Quick test_cache_key_distinguishes_parameters;
-        Alcotest.test_case "clear resets" `Quick test_cache_clear_resets;
-        Alcotest.test_case "cached = direct" `Quick test_cache_matches_pipeline_run;
       ] );
     ( "hotpath.complete",
       [

@@ -170,9 +170,9 @@ let connect port =
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   sock
 
-(* Read exactly one response off a (possibly keep-alive) connection:
-   headers byte-wise to the blank line, then Content-Length body bytes. *)
-let recv_response fd =
+(* The head of one response, read byte-wise to the blank line, and its
+   Content-Length. *)
+let recv_head fd =
   let head = Buffer.create 256 in
   let byte = Bytes.create 1 in
   let rec read_head () =
@@ -202,15 +202,24 @@ let recv_response fd =
       | Some n -> n
       | None -> Alcotest.failf "bad Content-Length in %S" head)
   in
-  let body = Bytes.create content_length in
+  head, content_length
+
+(* Read [length] body bytes into the front of [buf]. *)
+let recv_body_into buf ~length fd =
   let rec fill off =
-    if off < content_length then begin
-      let n = Unix.read fd body off (content_length - off) in
+    if off < length then begin
+      let n = Unix.read fd buf off (length - off) in
       if n = 0 then Alcotest.fail "eof inside body";
       fill (off + n)
     end
   in
-  fill 0;
+  fill 0
+
+(* Read exactly one response off a (possibly keep-alive) connection. *)
+let recv_response fd =
+  let head, length = recv_head fd in
+  let body = Bytes.create length in
+  recv_body_into body ~length fd;
   head, Bytes.to_string body
 
 let at_eof fd =
@@ -372,6 +381,91 @@ let test_error_closes_keepalive_connection () =
         (contains_substring head "Connection: close");
       check bool "server closed" true (at_eof fd);
       Unix.close fd)
+
+(* ------------------------------------------------------------------ *)
+(* Sending a cached page *)
+
+let cached_page_target = "/search?data=retail&q=jeans&bound=6"
+
+let retail_db =
+  lazy
+    (Pipeline.build
+       (Document.of_document (Extract_datagen.Retail.generate Extract_datagen.Retail.default)))
+
+(* A server whose cache already holds a retail results page of about
+   38 KB; returns the server and the page's length. *)
+let server_with_cached_page () =
+  let srv = Demo_server.create (Corpus.of_list [ "retail", Lazy.force retail_db ]) in
+  let page = Demo_server.handle srv cached_page_target in
+  check int "page rendered" 200 page.Demo_server.status;
+  let length = String.length page.Demo_server.body in
+  check bool "page of at least 32 KiB" true (length >= 32 * 1024);
+  srv, length
+
+(* Fetch the cached page [k] times over one keep-alive connection,
+   reading every body into [buf], so the client allocates no page-sized
+   block. Returns the seconds the [k] exchanges took. *)
+let fetch_cached_page ~config srv ~length buf k =
+  let request = Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" cached_page_target in
+  with_pool ~config srv (fun port ->
+      let fd = connect port in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to k do
+        write_all fd request;
+        let _, n = recv_head fd in
+        if n <> length then Alcotest.failf "page of %d bytes, expected %d" n length;
+        recv_body_into buf ~length fd
+      done;
+      let seconds = Unix.gettimeofday () -. t0 in
+      Unix.close fd;
+      seconds)
+
+let test_cached_page_sent_without_copy () =
+  let srv, length = server_with_cached_page () in
+  let buf = Bytes.create length in
+  (* the first pool of a process pays one-time costs *)
+  ignore (fetch_cached_page ~config:quiet_config srv ~length buf 1);
+  (* a domain adds its direct major-heap allocations to the count at its
+     next major slice, and empties its minor heap into the major heap at
+     its next minor collection: run both now, so nothing allocated before
+     the fetches lands in their count *)
+  let major_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let k = 20 in
+  let before = major_words () in
+  ignore (fetch_cached_page ~config:quiet_config srv ~length buf k);
+  (* read after with_pool has joined the pool's domains, so their
+     allocations are in the totals; a block this large is allocated
+     straight on the major heap, so one copy of the page per response
+     would count at least [k * page_words], while the connection's send
+     buffer is one page-sized block for all [k] *)
+  let words = major_words () -. before in
+  let page_words = float_of_int length /. float_of_int (Sys.word_size / 8) in
+  check bool
+    (Printf.sprintf "%.0f major words for %d responses of %.0f words each" words k page_words)
+    true
+    (words < float_of_int k *. page_words /. 2.)
+
+(* A response leaves in one write. Were its head and body written
+   apart, then without TCP_NODELAY the body would wait for the client's
+   delayed ACK of the head, about 40 ms per response; the option must not
+   depend on the socket timeouts. The bound is a quarter of that stall
+   per response. *)
+let test_responses_do_not_stall () =
+  let srv, length = server_with_cached_page () in
+  let buf = Bytes.create length in
+  let k = 20 in
+  List.iter
+    (fun timeout_ms ->
+      let config = { quiet_config with Demo_server.timeout_ms } in
+      let seconds = fetch_cached_page ~config srv ~length buf k in
+      check bool
+        (Printf.sprintf "timeout_ms %d: %d responses in %.3f s" timeout_ms k seconds)
+        true
+        (seconds < float_of_int k *. 0.010))
+    [ quiet_config.Demo_server.timeout_ms; 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool resilience *)
@@ -637,6 +731,12 @@ let suites =
         Alcotest.test_case "request cap closes" `Quick test_max_requests_per_conn;
         Alcotest.test_case "errors close keep-alive" `Quick
           test_error_closes_keepalive_connection;
+      ] );
+    ( "pool.transport",
+      [
+        Alcotest.test_case "cached page sent without a copy" `Quick
+          test_cached_page_sent_without_copy;
+        Alcotest.test_case "responses do not stall" `Quick test_responses_do_not_stall;
       ] );
     ( "pool.resilience",
       [

@@ -209,7 +209,7 @@ let test_handle_stats_json () =
     (contains_substring r.Demo_server.content_type "application/json");
   List.iter
     (fun key -> check bool (key ^ " present") true (contains_substring r.Demo_server.body key))
-    [ "\"caches\""; "\"page\""; "\"snippet\""; "\"degraded_served\""; "\"metrics\""; "\"nodes\"" ];
+    [ "\"caches\""; "\"page\""; "\"degraded_served\""; "\"metrics\""; "\"nodes\"" ];
   let no_data = Demo_server.handle s "/stats?format=json" in
   check int "still 200 without data" 200 no_data.Demo_server.status;
   check bool "dataset null without data" true
@@ -419,7 +419,7 @@ let test_degraded_page_served_not_cached () =
   check bool "stats reports degradation" true
     (contains_substring stats.Demo_server.body "degraded snippets served");
   (* once the pressure is gone the same target is recomputed in full:
-     neither cache kept the degraded page *)
+     the page cache did not keep the degraded page *)
   let clean = Demo_server.handle s target in
   check int "clean 200" 200 clean.Demo_server.status;
   check bool "full snippets again" false
@@ -476,10 +476,10 @@ let test_explain_not_page_cached () =
   ignore (Demo_server.handle s target);
   let hits_after, _ = Demo_server.cache_stats s in
   check int "explain bypasses the page cache" hits_before hits_after;
-  (* the second bundle records a snippet-cache hit instead of rerunning *)
+  (* a repeated explain reruns the pipeline: its bundle times the search *)
   let r = Demo_server.handle s target in
-  check bool "cache provenance recorded" true
-    (contains_substring r.Demo_server.body "\"outcome\": \"hit\"")
+  check bool "pipeline rerun" true
+    (contains_substring r.Demo_server.body "\"pipeline.search\":")
 
 let test_slowlog_route_captures_degraded_and_faulted () =
   Slowlog.reset ();
@@ -650,7 +650,7 @@ let test_admin_add_search_remove () =
   Extract_snippet.Live_corpus.close live
 
 let test_admin_update_invalidates_search () =
-  (* live pages bypass the caches: a search after an update must see the
+  (* live pages bypass the page cache: a search after an update must see the
      new member even though the same target was served before *)
   let s, live = live_server () in
   ignore (post ~body:(store_xml "Austin" "Shared Alpha") s "/admin/add?name=a.xml");

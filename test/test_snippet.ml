@@ -775,23 +775,6 @@ let test_build_fault_raises () =
       | _ -> Alcotest.fail "pipeline.build fault did not fire"
       | exception Faults.Injected (point, _) -> check string "point" "pipeline.build" point)
 
-let test_cache_not_polluted_by_degraded () =
-  let db = Pipeline.of_xml_string league in
-  let cache = Snippet_cache.create ~capacity:8 () in
-  let degraded = Snippet_cache.run ~deadline:(expired_deadline ()) cache db "guard" in
-  check bool "degraded served" true
-    (List.exists (fun r -> r.Pipeline.degraded) degraded);
-  check int "but not cached" 0 (Snippet_cache.length cache);
-  (* the same query under no pressure is computed fresh and cached *)
-  let full = Snippet_cache.run cache db "guard" in
-  check bool "fresh run clean" true
-    (List.for_all (fun r -> not r.Pipeline.degraded) full);
-  check int "now cached" 1 (Snippet_cache.length cache);
-  let again = Snippet_cache.run ~deadline:(expired_deadline ()) cache db "guard" in
-  (* a hit is served from cache even under an expired deadline: no work *)
-  check bool "hit beats deadline" true
-    (List.for_all (fun r -> not r.Pipeline.degraded) again)
-
 let test_corpus_deadline_passthrough () =
   let corpus =
     Corpus.of_list [ "league", Pipeline.of_xml_string league ]
@@ -965,7 +948,6 @@ let suites =
         Alcotest.test_case "snippet fault" `Quick test_snippet_fault_degrades_one_result;
         Alcotest.test_case "search fault" `Quick test_search_fault_raises;
         Alcotest.test_case "build fault" `Quick test_build_fault_raises;
-        Alcotest.test_case "cache unpolluted" `Quick test_cache_not_polluted_by_degraded;
         Alcotest.test_case "corpus deadline" `Quick test_corpus_deadline_passthrough;
         Alcotest.test_case "corpus rebuild" `Quick test_corpus_rebuilds_corrupt_artifact;
       ] );

@@ -13,8 +13,7 @@
         Thread.create);
       - a *concurrency-bearing* module either uses a synchronization
         primitive (Mutex/Condition/Atomic/Domain.DLS) or is on the baked
-        roster of types whose locking story lives at the use site (Lru,
-        Snippet_cache);
+        roster of types whose locking story lives at the use site (Lru);
       - a *domain-reachable* module is referenced, transitively, from a
         root. The analysis is lexical: references are the uppercase
         segments of qualified paths resolved against scanned file names.
@@ -32,7 +31,7 @@
         (c) annotated [(* domain-local *)], [(* init-only *)] or
             [(* read-only *)] with a justification.
       Fields of internally synchronized types (Sharded_lru.t,
-      Snippet_cache.t, Shard_set.t) are accepted as safe. Annotations cover their own
+      Shard_set.t) are accepted as safe. Annotations cover their own
       line and the next, so they can trail the site or sit above it; a
       type-level annotation covers every field of the declaration.
 
@@ -103,14 +102,14 @@ let sync_prefixes = [ "Mutex."; "Condition."; "Atomic."; "Domain.DLS" ]
 
 (* modules whose instances are mutable but whose locking story lives at
    the use site (see lru.mli / sharded_lru.mli): always catalogued *)
-let bearing_roster = [ "Lru"; "Snippet_cache" ]
+let bearing_roster = [ "Lru" ]
 
 let safe_field_types = [ "Atomic.t"; "Domain.DLS.key" ]
 
 (* Shard_set.t is on the roster because the shard array is built once
    and never mutated: holders of a shard set need no locking of their
    own. *)
-let internal_sync_types = [ "Sharded_lru.t"; "Snippet_cache.t"; "Shard_set.t" ]
+let internal_sync_types = [ "Sharded_lru.t"; "Shard_set.t" ]
 
 let container_field_types =
   [ "ref"; "array"; "bytes"; "Hashtbl.t"; "Queue.t"; "Buffer.t"; "Bytes.t"; "Stack.t"; "Lru.t" ]
@@ -525,8 +524,8 @@ let domain_safety =
        refs/Hashtbls/Queues/Buffers/arrays/lazies in modules reachable\n\
        from Domain.spawn / Thread.create sites, and mutable or container\n\
        record fields in concurrency-bearing modules (those using\n\
-       Mutex/Condition/Atomic/Domain.DLS, plus Lru and Snippet_cache,\n\
-       whose locking story lives at the use site).\n\n\
+       Mutex/Condition/Atomic/Domain.DLS, plus Lru, whose locking story\n\
+       lives at the use site).\n\n\
        Every catalogued site must have an established discipline: be an\n\
        Atomic.t or Domain.DLS key (recognized structurally), or carry one\n\
        of the annotations\n\n\
@@ -538,8 +537,7 @@ let domain_safety =
        declaration line, which covers every field of the record. A\n\
        trailing justification after the keyword is encouraged and\n\
        ignored. Fields of internally synchronized types (Sharded_lru.t,\n\
-       Snippet_cache.t, Shard_set.t) are safe as-is. The catalogue is\n\
-       rendered by\n\
+       Shard_set.t) are safe as-is. The catalogue is rendered by\n\
        --concurrency-doc and checked in as doc/CONCURRENCY.md; the @lint\n\
        alias fails on drift (regenerate with dune promote).";
     run =
