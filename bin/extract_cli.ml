@@ -126,13 +126,16 @@ let load_db_raw file =
     file
 
 (* a broken input file is a user error, not an internal one: report it
-   cleanly and exit 1 instead of letting cmdliner print a backtrace *)
+   cleanly, naming the file, and exit 1 instead of letting cmdliner print
+   a backtrace *)
+let exit_parse_error file pos msg =
+  Printf.eprintf "error: %s: %s\n%!" file (Extract_xml.Error.to_string pos msg);
+  exit 1
+
 let load_db file =
   match load_db_raw file with
   | db -> db
-  | exception Extract_xml.Error.Parse_error (pos, msg) ->
-    Printf.eprintf "error: %s: %s\n%!" file (Extract_xml.Error.to_string pos msg);
-    exit 1
+  | exception Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error file pos msg
   | exception Extract_store.Codec.Corrupt msg ->
     Printf.eprintf "error: %s: %s\n%!" file msg;
     exit 1
@@ -159,9 +162,7 @@ let live_guard dir f =
   | exception Extract_store.Codec.Truncated msg ->
     Printf.eprintf "error: %s: truncated: %s\n%!" dir msg;
     exit 1
-  | exception Extract_xml.Error.Parse_error (pos, msg) ->
-    Printf.eprintf "error: %s\n%!" (Extract_xml.Error.to_string pos msg);
-    exit 1
+  | exception Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error dir pos msg
   | exception Invalid_argument msg ->
     Printf.eprintf "error: %s\n%!" msg;
     exit 1
@@ -698,7 +699,9 @@ let add_cmd =
     let name = match name with Some n -> n | None -> Filename.basename file in
     let xml = read_whole_file file in
     let store = open_live dir in
-    live_guard dir (fun () -> Live.add store ~name ~xml);
+    live_guard dir (fun () ->
+        try Live.add store ~name ~xml
+        with Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error file pos msg);
     let members = List.length (Live.member_names (Live.view store)) in
     Live.close store;
     Printf.printf "added %s to %s (%d member(s))\n" name dir members

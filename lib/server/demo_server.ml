@@ -408,7 +408,7 @@ let create ?(cache_size = 64) ?live ?sharded corpus =
       corpus;
       live;
       sharded;
-      pages = Sharded_lru.create ~capacity:cache_size ();
+      pages = Sharded_lru.create ~capacity:cache_size;
       degraded_served = Atomic.make 0;
       ready = Atomic.make false;
       queue_probe = Atomic.make None;

@@ -1,6 +1,7 @@
 module Interner = Extract_util.Interner
 module Arraylist = Extract_util.Arraylist
 module Xml = Extract_xml.Types
+module Parser = Extract_xml.Parser
 
 type node = int
 
@@ -110,71 +111,68 @@ let of_xml ?dtd xml =
     element_count = !elements;
   }
 
-(* Streaming construction: one SAX pass, no intermediate tree. XML
-   attributes become leaf children at the point their element starts,
-   matching [attrs_to_children]. *)
-let of_string_streaming input =
+let of_document (doc : Xml.document) =
+  let dtd =
+    match doc.dtd with
+    | Some subset -> Some (Extract_xml.Dtd.parse subset)
+    | None -> None
+  in
+  let t = of_xml ?dtd (Xml.Element doc.root) in
+  { t with dtd_source = doc.dtd }
+
+(* The one way XML text becomes an arena: a single fold over the parser's
+   events, with no intermediate tree. XML attributes become leaf children
+   at the point their element starts, as [attrs_to_children] does for a
+   tree, so [load_string (print doc)] equals [of_document doc]. *)
+let build ?limits input =
   let tags = Interner.create () in
   let kind_buf = Buffer.create 1024 in
-  let tag = Arraylist.create () in
-  let parent = Arraylist.create () in
-  let depth = Arraylist.create () in
-  let size = Arraylist.create () in
+  let tag = Arraylist.create () and parent = Arraylist.create () in
+  let depth = Arraylist.create () and size = Arraylist.create () in
   let texts = Arraylist.create () in
   let elements = ref 0 in
-  let push_node ~is_element ~tag_id ~parent_id ~level ~text =
+  (* [tag_id] is -1 for a text node *)
+  let push ~tag_id ~parent_id ~level text =
     let id = Arraylist.length tag in
-    Buffer.add_char kind_buf (if is_element then '\000' else '\001');
+    Buffer.add_char kind_buf (if tag_id >= 0 then '\000' else '\001');
+    if tag_id >= 0 then incr elements;
     Arraylist.push tag tag_id;
     Arraylist.push parent parent_id;
     Arraylist.push depth level;
     Arraylist.push size 1;
     Arraylist.push texts text;
-    if is_element then incr elements;
     id
   in
-  (* stack of open element ids; the accumulator is unused (unit) *)
-  let stack = ref [] in
+  (* open element ids, innermost first, [level] of them *)
+  let stack = ref [] and level = ref 0 in
   let current_parent () =
     match !stack with
     | id :: _ -> id
     | [] -> -1
   in
-  let level () = List.length !stack in
   let (), dtd_source =
-    Extract_xml.Sax.fold_document input ~init:() ~f:(fun () ev ->
-        match ev with
-        | Extract_xml.Sax.Start_element (name, attrs) ->
-          let id =
-            push_node ~is_element:true ~tag_id:(Interner.intern tags name)
-              ~parent_id:(current_parent ()) ~level:(level ()) ~text:""
-          in
-          stack := id :: !stack;
-          (* XML attributes -> leaf children *)
-          List.iter
-            (fun (aname, avalue) ->
-              let attr_id =
-                push_node ~is_element:true ~tag_id:(Interner.intern tags aname)
-                  ~parent_id:id ~level:(level ()) ~text:""
-              in
-              let _ =
-                push_node ~is_element:false ~tag_id:(-1) ~parent_id:attr_id
-                  ~level:(level () + 1) ~text:avalue
-              in
-              Arraylist.set size attr_id 2)
-            attrs
-        | Extract_xml.Sax.Text text ->
-          let _ =
-            push_node ~is_element:false ~tag_id:(-1) ~parent_id:(current_parent ())
-              ~level:(level ()) ~text
-          in
-          ()
-        | Extract_xml.Sax.End_element _ ->
-          (match !stack with
-          | id :: rest ->
-            Arraylist.set size id (Arraylist.length tag - id);
-            stack := rest
-          | [] -> assert false))
+    Parser.fold_document ?limits input ~init:() ~f:(fun () -> function
+      | Parser.Start_element (name, attrs) ->
+        let id =
+          push ~tag_id:(Interner.intern tags name) ~parent_id:(current_parent ()) ~level:!level ""
+        in
+        stack := id :: !stack;
+        incr level;
+        List.iter
+          (fun (aname, avalue) ->
+            let attr_id = push ~tag_id:(Interner.intern tags aname) ~parent_id:id ~level:!level "" in
+            ignore (push ~tag_id:(-1) ~parent_id:attr_id ~level:(!level + 1) avalue);
+            Arraylist.set size attr_id 2)
+          attrs
+      | Parser.Text text ->
+        ignore (push ~tag_id:(-1) ~parent_id:(current_parent ()) ~level:!level text)
+      | Parser.End_element _ -> (
+        match !stack with
+        | id :: rest ->
+          Arraylist.set size id (Arraylist.length tag - id);
+          stack := rest;
+          decr level
+        | [] -> assert false))
   in
   let dtd = Option.map Extract_xml.Dtd.parse dtd_source in
   {
@@ -190,18 +188,9 @@ let of_string_streaming input =
     element_count = !elements;
   }
 
-let of_document (doc : Xml.document) =
-  let dtd =
-    match doc.dtd with
-    | Some subset -> Some (Extract_xml.Dtd.parse subset)
-    | None -> None
-  in
-  let t = of_xml ?dtd (Xml.Element doc.root) in
-  { t with dtd_source = doc.dtd }
+let load_string input = build input
 
-let load_string s = of_document (Extract_xml.Parser.parse_document s)
-
-let load_file path = of_document (Extract_xml.Parser.parse_file path)
+let load_file path = load_string (In_channel.with_open_bin path In_channel.input_all)
 
 let dtd t = t.dtd
 
@@ -366,6 +355,8 @@ module Internal = struct
       ~tag:(ba_of_array r.tag) ~parent:(ba_of_array r.parent)
       ~depth:(ba_of_array r.depth) ~size:(ba_of_array r.size)
       ~texts:(Strings r.texts) ~element_count:r.element_count
+
+  let load_string_with ~limits input = build ~limits input
 end
 
 (* Flat column access: the zero-copy seam {!Snapshot} packs from and maps

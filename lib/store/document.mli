@@ -1,9 +1,12 @@
 (** Column-oriented document arena.
 
-    A parsed XML tree is flattened into pre-order arrays. Node identifiers
-    are pre-order ranks (the root is node [0]); a subtree is the contiguous
-    id interval [[n, n + size n)], so ancestorship is an O(1) interval test.
-    This is the storage every search and snippet algorithm runs on.
+    A document is stored as pre-order arrays: {!load_string} folds the
+    parser's events straight into them, and {!of_xml} flattens a
+    {!Extract_xml.Types} tree (a generator's output) into the same
+    arrays. Node identifiers are pre-order ranks (the root is node [0]);
+    a subtree is the contiguous id interval [[n, n + size n)], so
+    ancestorship is an O(1) interval test. This is the storage every
+    search and snippet algorithm runs on.
 
     XML attributes ([name="v"]) are converted into child leaf elements at
     load time, unifying them with the paper's data model where an
@@ -25,18 +28,17 @@ val of_xml : ?dtd:Extract_xml.Dtd.t -> Extract_xml.Types.t -> t
     node. The DTD, when given, is carried for downstream classification. *)
 
 val of_document : Extract_xml.Types.document -> t
-(** Flatten a parsed document, parsing its internal DTD subset if any. *)
+(** Flatten a document tree, parsing its internal DTD subset if any. *)
 
 val load_string : string -> t
-(** Parse and flatten, in one step (tree-building parser). *)
-
-val of_string_streaming : string -> t
-(** Build the arena in a single SAX pass, without materializing the
-    intermediate {!Extract_xml.Types.t} tree — same result as
-    {!load_string} (property-tested), lower peak memory on large inputs
-    (benchmark E15). *)
+(** Parse and build in one pass: {!Extract_xml.Parser.fold_document}'s
+    events go straight into the columns, with no intermediate tree. The
+    arena equals {!of_document} of the same document (property-tested).
+    @raise Extract_xml.Error.Parse_error on malformed input or when a
+    parser limit is exceeded. *)
 
 val load_file : string -> t
+(** Read a file and {!load_string} it. @raise Sys_error on IO failure. *)
 
 val dtd : t -> Extract_xml.Dtd.t option
 
@@ -154,4 +156,9 @@ module Internal : sig
   val to_repr : t -> repr
 
   val of_repr : repr -> t
+
+  (* lint: allow unused-export *)
+  val load_string_with : limits:Extract_xml.Parser.limits -> string -> t
+  (** {!load_string} under other parser limits. Test use only:
+      test/test_xml.ml runs each ["xml.limits"] case through it. *)
 end

@@ -113,14 +113,6 @@ let remove t key =
     Hashtbl.remove t.table key
   | None -> ()
 
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
 let stats t = t.hits, t.misses
 
 let evictions t = t.evictions

@@ -54,11 +54,9 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 val remove : ('k, 'v) t -> 'k -> unit
 
-val clear : ('k, 'v) t -> unit
-
 val stats : ('k, 'v) t -> int * int
-(** (hits, misses) since creation or [clear]. *)
+(** (hits, misses) since creation. *)
 
 val evictions : ('k, 'v) t -> int
-(** Entries evicted by capacity pressure ({!remove} and {!clear} do not
-    count) since creation or [clear]. *)
+(** Entries evicted by capacity pressure ({!remove} does not count)
+    since creation. *)

@@ -27,10 +27,11 @@ type ('k, 'v) t = ('k, 'v) shard array
    shards (down to one) rather than becoming collision-evicting sieves. *)
 let min_per_shard = 8
 
-let create ?(shards = 8) ~capacity () =
-  if shards <= 0 then invalid_arg "Sharded_lru.create: shards must be positive";
+let stripes = 8
+
+let create ~capacity =
   if capacity <= 0 then invalid_arg "Sharded_lru.create: capacity must be positive";
-  let shards = max 1 (min shards (capacity / min_per_shard)) in
+  let shards = max 1 (min stripes (capacity / min_per_shard)) in
   (* ceil division: total capacity is at least the requested one *)
   let per_shard = (capacity + shards - 1) / shards in
   Array.init shards (fun _ ->
@@ -54,12 +55,9 @@ let find t key = with_shard (shard_of t key) (fun lru -> Lru.find lru key)
 
 let peek t key = with_shard (shard_of t key) (fun lru -> Lru.peek lru key)
 
-
 let put t key value = with_shard (shard_of t key) (fun lru -> Lru.put lru key value)
 
 let remove t key = with_shard (shard_of t key) (fun lru -> Lru.remove lru key)
-
-let clear t = Array.iter (fun s -> with_shard s Lru.clear) t
 
 let fold_shards t f init =
   Array.fold_left (fun acc s -> with_shard s (fun lru -> f acc lru)) init t

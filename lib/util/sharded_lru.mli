@@ -26,13 +26,12 @@ type shard_stats = {
   capacity : int;
 }
 
-val create : ?shards:int -> capacity:int -> unit -> ('k, 'v) t
-(** [capacity] is the total across shards (split evenly, rounded up);
-    [shards] defaults to 8 and is an upper bound — the effective stripe
-    width is clamped so every shard holds at least 8 entries (a cache of
-    capacity ≤ 15 gets one shard), because tiny shards turn hash
-    collisions into spurious evictions. {!shards} reports the effective
-    width. @raise Invalid_argument when [shards <= 0] or
+val create : capacity:int -> ('k, 'v) t
+(** [capacity] is the total across shards (split evenly, rounded up).
+    The cache is striped 8 ways, clamped so every shard holds at least 8
+    entries (a cache of capacity ≤ 15 gets one shard), because tiny
+    shards turn hash collisions into spurious evictions. {!shards}
+    reports the effective width. @raise Invalid_argument when
     [capacity <= 0]. *)
 
 val shards : ('k, 'v) t -> int
@@ -57,11 +56,6 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
 (* lint: allow unused-export *)
 val remove : ('k, 'v) t -> 'k -> unit
 (** Test use only: test/test_pool.ml ["peek mem remove clear"]. *)
-
-(* lint: allow unused-export *)
-val clear : ('k, 'v) t -> unit
-(** Empty every shard and reset its counters. Test use only:
-    test/test_pool.ml ["peek mem remove clear"]. *)
 
 val stats : ('k, 'v) t -> int * int
 (** (hits, misses) summed over shards. *)

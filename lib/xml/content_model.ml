@@ -14,26 +14,6 @@ type t =
   | Mixed of string list
   | Children of particle
 
-let declared_children model =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let note tag =
-    if not (Hashtbl.mem seen tag) then begin
-      Hashtbl.add seen tag ();
-      out := tag :: !out
-    end
-  in
-  let rec walk p =
-    match p.item with
-    | Name tag -> note tag
-    | Seq ps | Choice ps -> List.iter walk ps
-  in
-  (match model with
-  | Empty | Any | Pcdata -> ()
-  | Mixed tags -> List.iter note tags
-  | Children p -> walk p);
-  List.rev !out
-
 (* Maximum number of occurrences of [tag] permitted by the model: we only
    care whether it is 0, 1, or "2+" so we saturate at 2. *)
 let may_repeat model tag =
@@ -54,10 +34,6 @@ let may_repeat model tag =
   | Any -> true
   | Mixed tags -> List.mem tag tags
   | Children p -> max_occurs p >= 2
-
-let allows_text = function
-  | Pcdata | Mixed _ | Any -> true
-  | Empty | Children _ -> false
 
 let rep_suffix = function
   | Once -> ""

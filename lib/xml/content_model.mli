@@ -28,21 +28,10 @@ type t =
   | Mixed of string list  (** [(#PCDATA | a | b)*] *)
   | Children of particle
 
-(* lint: allow unused-export *)
-val declared_children : t -> string list
-(** All child tags mentioned by the model, in first-mention order, without
-    duplicates. [Any] declares none (anything goes). Test use only:
-    test/test_xml.ml ["declared children"] and ["pcdata"]. *)
-
 val may_repeat : t -> string -> bool
 (** [may_repeat model tag] is [true] when a conforming parent may contain
     two or more [tag] children: the tag sits under a [*]/[+] particle (at
     any depth), is mentioned more than once in a sequence, or the model is
     [Mixed] or [Any]. This is exactly the "*-node" test of the paper. *)
-
-(* lint: allow unused-export *)
-val allows_text : t -> bool
-(** Whether character data may appear ([Pcdata], [Mixed] or [Any]). Test use
-    only: test/test_xml.ml ["mixed"] and ["pcdata"]. *)
 
 val to_string : t -> string

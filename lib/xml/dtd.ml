@@ -1,17 +1,7 @@
-type attribute_decl = {
-  att_name : string;
-  att_type : string;
-  att_default : string;
-}
-
 type t = {
   order : string list; (* element names in declaration order, reversed *)
   models : (string, Content_model.t) Hashtbl.t;
-  attlists : (string, attribute_decl list) Hashtbl.t;
 }
-
-(* read-only — the shared no-DTD sentinel; its tables are never written *)
-let empty = { order = []; models = Hashtbl.create 1; attlists = Hashtbl.create 1 }
 
 let rep_of lx =
   if Lexer.eat lx "?" then Content_model.Opt
@@ -89,46 +79,46 @@ let parse_content_model lx =
   end
   else Lexer.fail lx "expected a content model (EMPTY, ANY or '(')"
 
-let parse_attlist lx =
+(* a single- or double-quoted literal, e.g. an attribute default *)
+let skip_quoted lx =
+  let quote =
+    if Lexer.eat lx "\"" then "\""
+    else if Lexer.eat lx "'" then "'"
+    else Lexer.fail lx "expected a quoted literal"
+  in
+  ignore (Lexer.take_until lx quote);
+  Lexer.expect lx quote
+
+(* ATTLIST declarations are checked for syntax and dropped: nothing
+   reads declared XML attributes. *)
+let skip_attlist lx =
   Lexer.expect_whitespace lx;
-  let element = Lexer.take_name lx in
-  let rec decls acc =
+  let _element = Lexer.take_name lx in
+  let rec decls () =
     Lexer.skip_whitespace lx;
     match Lexer.peek lx with
-    | Some '>' ->
-      Lexer.advance lx;
-      element, List.rev acc
+    | Some '>' -> Lexer.advance lx
     | Some _ ->
-      let att_name = Lexer.take_name lx in
+      let _name = Lexer.take_name lx in
       Lexer.expect_whitespace lx;
-      let att_type =
-        if Lexer.looking_at lx "(" then begin
-          Lexer.expect lx "(";
-          let body = Lexer.take_until lx ")" in
-          Lexer.expect lx ")";
-          "(" ^ body ^ ")"
-        end
-        else Lexer.take_name lx
-      in
+      if Lexer.eat lx "(" then begin
+        let _ = Lexer.take_until lx ")" in
+        Lexer.expect lx ")"
+      end
+      else ignore (Lexer.take_name lx);
       Lexer.skip_whitespace lx;
-      let att_default =
-        if Lexer.eat lx "#REQUIRED" then "#REQUIRED"
-        else if Lexer.eat lx "#IMPLIED" then "#IMPLIED"
-        else if Lexer.eat lx "#FIXED" then begin
-          Lexer.skip_whitespace lx;
-          "#FIXED " ^ Parser_literals.quoted lx
-        end
-        else Parser_literals.quoted lx
-      in
-      decls ({ att_name; att_type; att_default } :: acc)
+      if not (Lexer.eat lx "#REQUIRED" || Lexer.eat lx "#IMPLIED") then begin
+        if Lexer.eat lx "#FIXED" then Lexer.skip_whitespace lx;
+        skip_quoted lx
+      end;
+      decls ()
     | None -> Lexer.fail lx "unterminated ATTLIST"
   in
-  decls []
+  decls ()
 
 let parse subset =
   let lx = Lexer.of_string subset in
   let models = Hashtbl.create 16 in
-  let attlists = Hashtbl.create 8 in
   let order = ref [] in
   let rec loop () =
     Lexer.skip_whitespace lx;
@@ -155,9 +145,7 @@ let parse subset =
       loop ()
     end
     else if Lexer.eat lx "<!ATTLIST" then begin
-      let element, decls = parse_attlist lx in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt attlists element) in
-      Hashtbl.replace attlists element (existing @ decls);
+      skip_attlist lx;
       loop ()
     end
     else if Lexer.eat lx "<!ENTITY" || Lexer.eat lx "<!NOTATION" then begin
@@ -170,13 +158,11 @@ let parse subset =
     else Lexer.fail lx "expected a markup declaration"
   in
   loop ();
-  { order = !order; models; attlists }
+  { order = !order; models }
 
 let element_names t = List.rev t.order
 
 let element_model t name = Hashtbl.find_opt t.models name
-
-let attributes t name = Option.value ~default:[] (Hashtbl.find_opt t.attlists name)
 
 let is_star_child t ~parent ~child =
   match element_model t parent with

@@ -2,37 +2,48 @@ type t = {
   input : string;
   len : int;
   mutable offset : int;
-  mutable line : int;
-  mutable column : int;
 }
 
-let of_string input = { input; len = String.length input; offset = 0; line = 1; column = 1 }
+let of_string input = { input; len = String.length input; offset = 0 }
 
-let position t = { Error.line = t.line; column = t.column; offset = t.offset }
+let offset t = t.offset
+
+(* Line and column of an offset: only an error pays for the count. *)
+let position_at t offset =
+  let line = ref 1 and line_start = ref 0 in
+  for i = 0 to offset - 1 do
+    if String.unsafe_get t.input i = '\n' then begin
+      incr line;
+      line_start := i + 1
+    end
+  done;
+  { Error.line = !line; column = offset - !line_start + 1; offset }
+
+let fail_at t offset fmt = Error.fail (position_at t offset) fmt
+
+let fail t fmt = fail_at t t.offset fmt
 
 let at_end t = t.offset >= t.len
 
 let peek t = if at_end t then None else Some t.input.[t.offset]
 
-let advance t =
-  if not (at_end t) then begin
-    if t.input.[t.offset] = '\n' then begin
-      t.line <- t.line + 1;
-      t.column <- 1
-    end
-    else t.column <- t.column + 1;
-    t.offset <- t.offset + 1
-  end
+let advance t = if not (at_end t) then t.offset <- t.offset + 1
 
-let fail t fmt = Error.fail (position t) fmt
+(* The scanning loops are top-level functions, not local closures: without
+   flambda a local [let rec] that captures variables is allocated on every
+   call, and these run several times per tag. *)
+let rec same_from input pos s i =
+  i = String.length s
+  || (String.unsafe_get input (pos + i) = String.unsafe_get s i && same_from input pos s (i + 1))
 
-let looking_at t s =
-  let n = String.length s in
-  t.offset + n <= t.len && String.sub t.input t.offset n = s
+(* [s] occurs in the input at [pos], compared in place *)
+let matches_at t pos s = pos + String.length s <= t.len && same_from t.input pos s 0
+
+let looking_at t s = matches_at t t.offset s
 
 let eat t s =
   if looking_at t s then begin
-    String.iter (fun _ -> advance t) s;
+    t.offset <- t.offset + String.length s;
     true
   end
   else false
@@ -44,33 +55,43 @@ let is_space = function
   | _ -> false
 
 let skip_whitespace t =
-  while (not (at_end t)) && is_space t.input.[t.offset] do
-    advance t
+  while (not (at_end t)) && is_space (String.unsafe_get t.input t.offset) do
+    t.offset <- t.offset + 1
   done
 
 let expect_whitespace t =
-  match peek t with
-  | Some c when is_space c -> skip_whitespace t
-  | _ -> fail t "expected whitespace"
+  if at_end t || not (is_space t.input.[t.offset]) then fail t "expected whitespace";
+  skip_whitespace t
+
+let rec is_blank s start stop =
+  start >= stop || (is_space (String.unsafe_get s start) && is_blank s (start + 1) stop)
+
+let rec char_data_end input len i =
+  if i < len then
+    match String.unsafe_get input i with
+    | '<' | '&' -> i
+    | _ -> char_data_end input len (i + 1)
+  else i
+
+let skip_char_data t = t.offset <- char_data_end t.input t.len t.offset
 
 let take_while t pred =
   let start = t.offset in
-  while (not (at_end t)) && pred t.input.[t.offset] do
-    advance t
+  while (not (at_end t)) && pred (String.unsafe_get t.input t.offset) do
+    t.offset <- t.offset + 1
   done;
   String.sub t.input start (t.offset - start)
 
 let take_until t stop =
   let start = t.offset in
-  let rec loop () =
-    if at_end t then fail t "unterminated construct: expected %S" stop
-    else if looking_at t stop then String.sub t.input start (t.offset - start)
-    else begin
-      advance t;
-      loop ()
-    end
-  in
-  loop ()
+  let rec find i = if i >= t.len then None else if matches_at t i stop then Some i else find (i + 1) in
+  match find start with
+  | Some i ->
+    t.offset <- i;
+    String.sub t.input start (i - start)
+  | None ->
+    t.offset <- t.len;
+    fail t "unterminated construct: expected %S" stop
 
 let is_name_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':' || Char.code c >= 0x80
@@ -78,10 +99,19 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+let at_name_start t = (not (at_end t)) && is_name_start (String.unsafe_get t.input t.offset)
+
 let take_name t =
-  match peek t with
-  | Some c when is_name_start c ->
-    let s = take_while t is_name_char in
-    s
-  | Some c -> fail t "expected a name, found %C" c
-  | None -> fail t "expected a name, found end of input"
+  if at_end t then fail t "expected a name, found end of input";
+  let c = t.input.[t.offset] in
+  if not (is_name_start c) then fail t "expected a name, found %C" c;
+  take_while t is_name_char
+
+let eat_name t name =
+  let stop = t.offset + String.length name in
+  matches_at t t.offset name
+  && (stop >= t.len || not (is_name_char (String.unsafe_get t.input stop)))
+  && begin
+    t.offset <- stop;
+    true
+  end

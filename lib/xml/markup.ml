@@ -52,50 +52,42 @@ let parse_reference lx =
     resolve_named_entity lx name
   end
 
+(* The value is copied once: a run up to the closing quote is taken
+   whole, and pieces are joined only when a reference splits it. *)
 let parse_attr_value lx =
   let quote =
-    match Lexer.peek lx with
-    | Some ('"' as q) | Some ('\'' as q) ->
-      Lexer.advance lx;
-      q
-    | _ -> Lexer.fail lx "expected a quoted attribute value"
+    if Lexer.eat lx "\"" then '"'
+    else if Lexer.eat lx "'" then '\''
+    else Lexer.fail lx "expected a quoted attribute value"
   in
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match Lexer.peek lx with
-    | None -> Lexer.fail lx "unterminated attribute value"
-    | Some c when c = quote -> Lexer.advance lx
-    | Some '<' -> Lexer.fail lx "'<' is not allowed in attribute values"
-    | Some '&' ->
+  let rec loop pieces =
+    let run = Lexer.take_while lx (fun c -> c <> quote && c <> '<' && c <> '&') in
+    if Lexer.at_end lx then Lexer.fail lx "unterminated attribute value"
+    else if Lexer.eat lx "&" then loop (parse_reference lx :: run :: pieces)
+    else if Lexer.looking_at lx "<" then Lexer.fail lx "'<' is not allowed in attribute values"
+    else begin
       Lexer.advance lx;
-      Buffer.add_string buf (parse_reference lx);
-      loop ()
-    | Some c ->
-      Lexer.advance lx;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let parse_attributes lx =
-  let rec loop acc =
-    Lexer.skip_whitespace lx;
-    match Lexer.peek lx with
-    | Some c when Lexer.is_name_start c ->
-      let name = Lexer.take_name lx in
-      Lexer.skip_whitespace lx;
-      Lexer.expect lx "=";
-      Lexer.skip_whitespace lx;
-      let value = parse_attr_value lx in
-      if List.exists (fun (a : Types.attribute) -> a.name = name) acc then
-        Lexer.fail lx "duplicate attribute %S" name;
-      loop ({ Types.name; value } :: acc)
-    | _ -> List.rev acc
+      match pieces with
+      | [] -> run
+      | _ -> String.concat "" (List.rev (run :: pieces))
+    end
   in
   loop []
 
-let is_blank s = String.for_all (function ' ' | '\t' | '\r' | '\n' -> true | _ -> false) s
+let rec attributes lx acc =
+  Lexer.skip_whitespace lx;
+  if Lexer.at_name_start lx then begin
+    let name = Lexer.take_name lx in
+    Lexer.skip_whitespace lx;
+    Lexer.expect lx "=";
+    Lexer.skip_whitespace lx;
+    let value = parse_attr_value lx in
+    if List.mem_assoc name acc then Lexer.fail lx "duplicate attribute %S" name;
+    attributes lx ((name, value) :: acc)
+  end
+  else List.rev acc
+
+let parse_attributes lx = attributes lx []
 
 let skip_comment lx =
   let _ = Lexer.take_until lx "--" in

@@ -1,15 +1,14 @@
-(** Shared markup-level parsing helpers used by both the tree parser
-    ({!Parser}) and the streaming parser ({!Sax}). Internal — the stable
-    entry points are [Parser.parse*] and [Sax.fold*]. *)
+(** Markup-level parsing helpers for {!Parser.fold_document}: references,
+    attributes, comments, processing instructions and the prolog.
+    Internal — the stable entry point is [Parser.fold_document]. *)
 
 val parse_reference : Lexer.t -> string
 (** After ['&']: a character or predefined-entity reference, decoded to
     UTF-8 bytes. *)
 
-val parse_attributes : Lexer.t -> Types.attribute list
-(** Whitespace-separated [name="value"] pairs, duplicates rejected. *)
-
-val is_blank : string -> bool
+val parse_attributes : Lexer.t -> (string * string) list
+(** Whitespace-separated [name="value"] pairs, in document order,
+    duplicates rejected. *)
 
 val skip_comment : Lexer.t -> unit
 (** After ["<!--"]. *)

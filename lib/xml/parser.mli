@@ -1,4 +1,7 @@
-(** Recursive-descent parser for the XML 1.0 subset used by eXtract.
+(** Event-folding parser for the XML 1.0 subset used by eXtract: the one
+    loop that scans XML. [Document.load_string] and [load_file] fold its
+    events straight into the arena; no shipped code builds a {!Types.t}
+    tree from XML text.
 
     Supported: prolog, [<!DOCTYPE name [internal subset]>] (the subset is
     captured verbatim for {!Dtd.parse}), elements, attributes with single or
@@ -8,16 +11,15 @@
     than mis-parsed): external DTD content, parameter entities in content,
     and custom general entities.
 
-    Whitespace-only text between elements is dropped by default, matching
-    how data-centric XML databases load documents; pass
-    [~keep_whitespace:true] to retain it. Adjacent text/CDATA runs are
-    merged into one {!Types.Text} node.
+    Whitespace-only text between elements is dropped, matching how
+    data-centric XML databases load documents. Adjacent text, CDATA and
+    reference runs are merged into one {!Text} event, delivered after
+    reference expansion.
 
-    Adversarial inputs are bounded: nesting depth (which would otherwise
-    overflow the parser's stack), total node count and the length of any
-    single token are limited, and exceeding a limit raises a clean,
-    positioned {!Error.Parse_error} — never [Stack_overflow] or an
-    unbounded allocation. *)
+    Adversarial inputs are bounded: nesting depth, total node count and the
+    length of any single token are limited, and exceeding a limit raises a
+    clean, positioned {!Error.Parse_error} whose message names the limit —
+    never [Stack_overflow] or an unbounded allocation. *)
 
 type limits = {
   max_depth : int;      (** deepest allowed element nesting (root = 1) *)
@@ -32,9 +34,20 @@ val default_limits : limits
     beyond the default argument: test/test_xml.ml derives tightened limits
     from it. *)
 
-val parse_document : ?keep_whitespace:bool -> ?limits:limits -> string -> Types.document
-(** Parse a complete document. @raise Error.Parse_error on malformed
-    input or when a limit (default {!default_limits}) is exceeded. *)
+type event =
+  | Start_element of string * (string * string) list
+      (** tag, XML attributes (name, value) in document order *)
+  | Text of string
+  | End_element of string
 
-val parse_file : ?keep_whitespace:bool -> ?limits:limits -> string -> Types.document
-(** Read a file and parse it. @raise Sys_error on IO failure. *)
+val fold_document :
+  ?limits:limits ->
+  string ->
+  init:'acc ->
+  f:('acc -> event -> 'acc) ->
+  'acc * string option
+(** Run the callback over the document's events, and return the result
+    with the DOCTYPE internal subset, if any. Every start has its end
+    event, also for an empty element.
+    @raise Error.Parse_error on malformed input or when a limit (default
+    {!default_limits}) is exceeded. *)

@@ -1,7 +1,8 @@
 (** XML serialization. Round-trips with {!Parser}: for any tree [t], the
-    root of [Parser.parse_document (to_string t)] is structurally equal
-    to [t] (up to the parser's whitespace policy — use [~indent:None] for
-    exact round-trips). *)
+    events {!Parser.fold_document} reads from [to_string t] rebuild [t]
+    (up to the parser's whitespace policy — use [~indent:None] for exact
+    round-trips), and [Document.load_string] of it equals the arena
+    [Document.of_xml] flattens from [t]. *)
 
 val to_string : ?indent:int option -> Types.t -> string
 (** Serialize a tree. [indent] is the indentation step: [Some 2] (default)

@@ -1,17 +1,18 @@
-(** Parsed XML documents as ordinary trees.
+(** XML documents as ordinary trees.
 
-    This is the exchange representation between the parser, the dataset
-    generators, and the column-oriented arena ({!Extract_store.Document})
-    that the search and snippet algorithms actually run on. *)
+    This is the exchange representation between the dataset generators,
+    the printer and the column-oriented arena ({!Extract_store.Document})
+    that the search and snippet algorithms actually run on. XML text does
+    not pass through it: the arena is built from {!Parser}'s events. *)
 
 type attribute = { name : string; value : string }
 
 type t =
   | Element of element
   | Text of string
-      (** Character data. The parser collapses adjacent text and CDATA runs
-          into a single [Text] node and drops whitespace-only runs between
-          elements. *)
+      (** Character data. The parser delivers adjacent text and CDATA runs
+          as one text event and drops whitespace-only runs between
+          elements, so a tree built from its events has the same shape. *)
 
 and element = {
   tag : string;

@@ -1,4 +1,5 @@
 module Prng = Extract_util.Prng
+module Gen = Extract_datagen.Gen
 
 type config = {
   seed : int;

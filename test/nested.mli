@@ -8,7 +8,9 @@
 
     [report/section*] where each [section] has [heading], [pagecount],
     optional [para]* and recursive [section]* children down to
-    [max_depth]. Headings are unique (the mined key). Carries a DTD. *)
+    [max_depth]. Headings are unique (the mined key). Carries a DTD.
+    Only the oracle and the generator tests build it, so it lives with
+    them. *)
 
 type config = {
   seed : int;
@@ -17,17 +19,10 @@ type config = {
   fanout : int;       (** max subsections per section *)
 }
 
-(* lint: allow unused-export *)
 val default : config
-(** seed 29, 6 top sections, depth 4, fanout 3. The oracle's deep-nesting
-    generator: test/test_oracle.ml and test/test_datagen.ml build from it. *)
+(** seed 29, 6 top sections, depth 4, fanout 3. *)
 
-(* lint: allow unused-export *)
 val generate : config -> Extract_xml.Types.document
-(** The oracle's deep-nesting generator: test/test_oracle.ml and
-    test/test_datagen.ml. *)
 
-(* lint: allow unused-export *)
 val sized : ?seed:int -> int -> Extract_xml.Types.document
-(** [sized n] targets roughly [n] sections. Test use only:
-    test/test_datagen.ml ["sized"]. *)
+(** [sized n] targets roughly [n] sections. *)

@@ -122,7 +122,7 @@ let test_bib_two_entity_tags_under_root () =
 (* ------------------------------------------------------------------ *)
 (* Recursive dataset *)
 
-let nested_doc = lazy (Document.of_document (Datagen.Nested.generate Datagen.Nested.default))
+let nested_doc = lazy (Document.of_document (Nested.generate Nested.default))
 
 let test_nested_recursive_paths () =
   let doc = Lazy.force nested_doc in
@@ -151,12 +151,12 @@ let test_nested_entities_under_entities () =
       [ "report"; "section"; "section"; "section" ] ]
 
 let test_nested_validates () =
-  let doc = Datagen.Nested.generate Datagen.Nested.default in
+  let doc = Nested.generate Nested.default in
   match doc.Extract_xml.Types.dtd with
   | None -> Alcotest.fail "nested should carry a DTD"
   | Some subset ->
     check bool "valid" true
-      (Extract_xml.Validator.is_valid (Extract_xml.Dtd.parse subset) doc.Extract_xml.Types.root)
+      (Validator.is_valid (Extract_xml.Dtd.parse subset) doc.Extract_xml.Types.root)
 
 let test_nested_search_returns_innermost () =
   let db = Pipeline.build (Lazy.force nested_doc) in
@@ -181,8 +181,8 @@ let test_nested_search_returns_innermost () =
       (Document.tag_name doc (Extract_search.Result_tree.root r))
 
 let test_nested_sized () =
-  let small = Document.of_document (Datagen.Nested.sized 20) in
-  let large = Document.of_document (Datagen.Nested.sized 200) in
+  let small = Document.of_document (Nested.sized 20) in
+  let large = Document.of_document (Nested.sized 200) in
   check bool "sized scales" true (Document.node_count large > Document.node_count small)
 
 (* ------------------------------------------------------------------ *)

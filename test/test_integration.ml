@@ -39,7 +39,7 @@ let test_generators_parse_back () =
     (fun (name, gen) ->
       let doc = gen () in
       let serialized = Extract_xml.Printer.document_to_string doc in
-      let reparsed = Extract_xml.Parser.parse_document serialized in
+      let reparsed = Tree_fold.parse_document serialized in
       check bool
         (name ^ " roundtrips through the printer")
         true

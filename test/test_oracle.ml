@@ -79,7 +79,7 @@ let corpora =
       "auction", (fun () -> Document.of_document (Datagen.Auction.generate Datagen.Auction.default));
       "bib", (fun () -> Document.of_document (Datagen.Bib.generate Datagen.Bib.default));
       "courses", (fun () -> Document.of_document (Datagen.Courses.generate Datagen.Courses.default));
-      "nested", (fun () -> Document.of_document (Datagen.Nested.generate Datagen.Nested.default));
+      "nested", (fun () -> Document.of_document (Nested.generate Nested.default));
       "mixed", (fun () -> Document.of_xml (mixed_catalog ()));
     |]
 

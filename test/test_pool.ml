@@ -28,7 +28,7 @@ let contains_substring hay needle =
 (* Sharded_lru *)
 
 let test_sharded_basics () =
-  let c = Sharded_lru.create ~shards:8 ~capacity:64 () in
+  let c = Sharded_lru.create ~capacity:64 in
   check int "eight shards at capacity 64" 8 (Sharded_lru.shards c);
   check bool "capacity at least requested" true (Sharded_lru.capacity c >= 64);
   (* eight entries never exceed any single shard's capacity, so none can
@@ -54,22 +54,23 @@ let test_sharded_basics () =
 
 let test_sharded_shard_clamp () =
   (* tiny caches must not be striped into collision-evicting sievelets *)
-  check int "capacity 8 -> one shard" 1 (Sharded_lru.shards (Sharded_lru.create ~capacity:8 ()));
-  check int "capacity 15 -> one shard" 1
-    (Sharded_lru.shards (Sharded_lru.create ~capacity:15 ()));
-  check int "capacity 16 -> two shards" 2
-    (Sharded_lru.shards (Sharded_lru.create ~capacity:16 ()));
-  check int "explicit shards still clamped" 2
-    (Sharded_lru.shards (Sharded_lru.create ~shards:16 ~capacity:16 ()));
+  let shards capacity = Sharded_lru.shards (Sharded_lru.create ~capacity) in
+  check int "capacity 8 -> one shard" 1 (shards 8);
+  check int "capacity 15 -> one shard" 1 (shards 15);
+  check int "capacity 16 -> two shards" 2 (shards 16);
+  check int "capacity 63 -> seven shards" 7 (shards 63);
+  (* the stripe width is 8 however large the cache *)
+  check int "capacity 64 -> eight shards" 8 (shards 64);
+  check int "capacity 4096 -> still eight" 8 (shards 4096);
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Sharded_lru.create: capacity must be positive") (fun () ->
-      ignore (Sharded_lru.create ~capacity:0 ()));
-  Alcotest.check_raises "zero shards"
-    (Invalid_argument "Sharded_lru.create: shards must be positive") (fun () ->
-      ignore (Sharded_lru.create ~shards:0 ~capacity:8 ()))
+      ignore (Sharded_lru.create ~capacity:0));
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Sharded_lru.create: capacity must be positive") (fun () ->
+      ignore (Sharded_lru.create ~capacity:(-8)))
 
 let test_sharded_peek_mem_remove_clear () =
-  let c = Sharded_lru.create ~capacity:32 () in
+  let c = Sharded_lru.create ~capacity:32 in
   Sharded_lru.put c "a" 1;
   check bool "peek hit" true (Sharded_lru.peek c "a" = Some 1);
   check bool "peek miss" true (Sharded_lru.peek c "b" = None);
@@ -77,14 +78,10 @@ let test_sharded_peek_mem_remove_clear () =
   check bool "mem" true (Sharded_lru.peek c "a" <> None);
   Sharded_lru.remove c "a";
   check bool "removed" true (Sharded_lru.peek c "a" = None);
-  Sharded_lru.put c "x" 9;
-  ignore (Sharded_lru.find c "x");
-  Sharded_lru.clear c;
-  check int "cleared" 0 (Sharded_lru.length c);
-  check bool "stats reset" true (Sharded_lru.stats c = (0, 0))
+  check int "empty after remove" 0 (Sharded_lru.length c)
 
 let test_sharded_shard_stats_sum () =
-  let c = Sharded_lru.create ~shards:4 ~capacity:64 () in
+  let c = Sharded_lru.create ~capacity:64 in
   for i = 0 to 99 do
     Sharded_lru.put c i i
   done;
@@ -109,7 +106,7 @@ let test_sharded_domain_hammer () =
   (* four domains over one cache: no crash, no torn values, counters add
      up — every value ever stored for key k is k * 7, so any find must
      observe exactly that or nothing *)
-  let c = Sharded_lru.create ~shards:8 ~capacity:128 () in
+  let c = Sharded_lru.create ~capacity:128 in
   let iterations = 20_000 in
   let worker seed () =
     let rng = Prng.create seed in

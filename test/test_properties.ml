@@ -82,12 +82,12 @@ let arb_doc_and_keywords =
 let prop_print_parse_id =
   Test.make ~name:"printer/parser round trip (compact)" ~count:300 arb_tree (fun t ->
       let printed = Printer.to_string ~indent:None t in
-      t = Xml.Element (Parser.parse_document printed).root)
+      t = Tree_fold.parse_root printed)
 
 let prop_print_parse_pretty =
   Test.make ~name:"printer/parser round trip (pretty)" ~count:300 arb_tree (fun t ->
       let printed = Printer.to_string ~indent:(Some 2) t in
-      t = Xml.Element (Parser.parse_document printed).root)
+      t = Tree_fold.parse_root printed)
 
 (* ------------------------------------------------------------------ *)
 (* Arena invariants *)
@@ -406,40 +406,88 @@ let prop_text_baseline_optimal_window =
 (* ------------------------------------------------------------------ *)
 (* Parsers *)
 
+(* The shipped builder either returns an arena or raises Parse_error —
+   never any other exception, never a crash. *)
+let builds_or_rejects s =
+  match Document.load_string s with
+  | _ -> true
+  | exception Extract_xml.Error.Parse_error _ -> true
+
 let prop_parser_total_on_garbage =
-  (* the parser either returns a tree or raises Parse_error — never any
-     other exception, never a crash *)
   Test.make ~name:"parser total on random bytes" ~count:500
-    (string_gen_of_size (Gen.int_range 0 60) (Gen.char_range '\x00' '\xff')) (fun s ->
-      match Parser.parse_document s with
-      | _ -> true
-      | exception Extract_xml.Error.Parse_error _ -> true)
+    (string_gen_of_size (Gen.int_range 0 60) (Gen.char_range '\x00' '\xff'))
+    builds_or_rejects
 
 let prop_parser_total_on_markupish_garbage =
   (* same, over strings biased toward markup characters *)
   Test.make ~name:"parser total on markup-ish bytes" ~count:500
     (string_gen_of_size (Gen.int_range 0 60)
        (Gen.oneofa [| '<'; '>'; '/'; '&'; ';'; '"'; 'a'; 'b'; ' '; '='; '!'; '-'; '['; ']' |]))
-    (fun s ->
-      match Parser.parse_document s with
-      | _ -> true
-      | exception Extract_xml.Error.Parse_error _ -> true)
+    builds_or_rejects
+
+let same_arena a b = Document.Internal.to_repr a = Document.Internal.to_repr b
 
 let prop_streaming_arena_equals_tree =
   Test.make ~name:"streaming arena = tree arena" ~count:200 arb_tree (fun t ->
       match t with
       | Xml.Text _ -> true
-      | Xml.Element _ ->
+      | Xml.Element root ->
         let src = Printer.to_string ~indent:None t in
-        let a = Document.load_string src in
-        let b = Document.of_string_streaming src in
-        Document.node_count a = Document.node_count b
-        && Document.to_xml a 0 = Document.to_xml b 0)
+        same_arena (Document.load_string src) (Document.of_document { Xml.dtd = None; root }))
 
 let prop_sax_element_count =
   Test.make ~name:"sax count = tree count" ~count:200 arb_tree (fun t ->
       let src = Printer.to_string ~indent:None t in
-      Extract_xml.Sax.count_elements src = Xml.count_elements t)
+      let starts, _ =
+        Parser.fold_document src ~init:0 ~f:(fun n ev ->
+            match ev with
+            | Parser.Start_element _ -> n + 1
+            | Parser.Text _ | Parser.End_element _ -> n)
+      in
+      starts = Xml.count_elements t)
+
+(* Well-formed documents with one seeded mutation: a flipped byte, a
+   truncation, a duplicated slice or an inserted markup token. The
+   builder must reject them with Parse_error or build an arena that
+   passes the checker and equals the flattening of the tree folded from
+   the same bytes. *)
+let paper_xml = lazy (Printer.document_to_string (Extract_datagen.Paper_example.document ()))
+
+let gen_mutated =
+  let open Gen in
+  let* src =
+    frequency
+      [
+        4, map2 (fun t indent -> Printer.to_string ~indent t) gen_tree (oneofl [ None; Some 2 ]);
+        1, map (fun () -> Lazy.force paper_xml) unit;
+      ]
+  in
+  let n = String.length src in
+  let splice at s = String.sub src 0 at ^ s ^ String.sub src at (n - at) in
+  let* at = int_bound n in
+  let* op = int_bound 3 in
+  match op with
+  | 0 ->
+    let* mask = int_range 1 255 in
+    let i = min at (n - 1) in
+    return
+      (String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c) src)
+  | 1 -> return (String.sub src 0 at)
+  | 2 ->
+    let* start = int_bound (n - 1) in
+    let* len = int_range 1 (min 24 (n - start)) in
+    return (splice at (String.sub src start len))
+  | _ -> map (splice at) (oneofl [ "<"; "&"; "]]>"; "<!--"; "\"" ])
+
+let prop_mutated_documents =
+  Test.make ~name:"mutated XML: clean error or sound arena" ~count:500
+    (make ~print:(fun s -> Printf.sprintf "%S" s) gen_mutated)
+    (fun src ->
+      match Document.load_string src with
+      | exception Extract_xml.Error.Parse_error _ -> true
+      | d ->
+        Extract_check.Check.check_document d = []
+        && same_arena d (Document.of_document (Tree_fold.parse_document src)))
 
 (* ------------------------------------------------------------------ *)
 (* XSearch interconnection vs brute-force definition *)
@@ -584,7 +632,7 @@ let prop_retail_validates =
       match doc.Xml.dtd with
       | None -> false
       | Some subset ->
-        Extract_xml.Validator.is_valid (Extract_xml.Dtd.parse subset) doc.Xml.root)
+        Validator.is_valid (Extract_xml.Dtd.parse subset) doc.Xml.root)
 
 let to_alcotest = List.map QCheck_alcotest.to_alcotest
 
@@ -626,7 +674,8 @@ let suites =
           prop_parser_total_on_markupish_garbage;
           prop_streaming_arena_equals_tree;
           prop_sax_element_count;
-        ] );
+        ]
+      @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mutated_documents ] );
     ( "properties.persist",
       to_alcotest [ prop_persist_roundtrip; prop_codec_int_roundtrip ] );
     ( "properties.path_query",

@@ -1,14 +1,14 @@
-(* Tests for the SAX parser, the streaming arena constructor and index
-   completions. *)
+(* Tests for the parser's event fold, the arena builder over it and
+   index completions. *)
 
-module Sax = Extract_xml.Sax
 module Parser = Extract_xml.Parser
 module Types = Extract_xml.Types
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
+module Datagen = Extract_datagen
 
-let events ?keep_whitespace src =
-  List.rev (fst (Sax.fold_document ?keep_whitespace src ~init:[] ~f:(fun acc ev -> ev :: acc)))
+let events src =
+  List.rev (fst (Parser.fold_document src ~init:[] ~f:(fun acc ev -> ev :: acc)))
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -16,46 +16,53 @@ let int = Alcotest.int
 let string = Alcotest.string
 
 (* ------------------------------------------------------------------ *)
-(* SAX events *)
+(* Events *)
 
 let test_sax_events_basic () =
   let evs = events "<a><b>hi</b><c/></a>" in
   check bool "event stream" true
     (evs
     = [
-        Sax.Start_element ("a", []);
-        Sax.Start_element ("b", []);
-        Sax.Text "hi";
-        Sax.End_element "b";
-        Sax.Start_element ("c", []);
-        Sax.End_element "c";
-        Sax.End_element "a";
+        Parser.Start_element ("a", []);
+        Parser.Start_element ("b", []);
+        Parser.Text "hi";
+        Parser.End_element "b";
+        Parser.Start_element ("c", []);
+        Parser.End_element "c";
+        Parser.End_element "a";
       ])
 
 let test_sax_attributes () =
-  let evs = events {|<a x="1" y="2"/>|} in
+  let evs = events {|<a x="1" y='2&amp;3'/>|} in
   check bool "attrs delivered in order" true
-    (evs = [ Sax.Start_element ("a", [ "x", "1"; "y", "2" ]); Sax.End_element "a" ])
+    (evs = [ Parser.Start_element ("a", [ "x", "1"; "y", "2&3" ]); Parser.End_element "a" ])
 
 let test_sax_references_and_cdata () =
   let evs = events "<a>&lt;x&gt;<![CDATA[ &raw; ]]></a>" in
   check bool "merged decoded text" true
-    (evs = [ Sax.Start_element ("a", []); Sax.Text "<x> &raw; "; Sax.End_element "a" ])
+    (evs = [ Parser.Start_element ("a", []); Parser.Text "<x> &raw; "; Parser.End_element "a" ])
 
 let test_sax_whitespace_policy () =
   let dropped = events "<a>\n  <b/>\n</a>" in
   check int "whitespace dropped" 4 (List.length dropped);
-  let kept = events ~keep_whitespace:true "<a>\n  <b/>\n</a>" in
-  check int "whitespace kept" 6 (List.length kept)
+  check bool "whitespace around text kept" true
+    (events "<a> x <!-- c --> y </a>"
+    = [ Parser.Start_element ("a", []); Parser.Text " x  y "; Parser.End_element "a" ])
 
 let test_sax_doctype () =
   let _, dtd =
-    Sax.fold_document "<!DOCTYPE r [<!ELEMENT r (a*)>]><r><a/></r>" ~init:() ~f:(fun () _ -> ())
+    Parser.fold_document "<!DOCTYPE r [<!ELEMENT r (a*)>]><r><a/></r>" ~init:() ~f:(fun () _ -> ())
   in
   check bool "subset returned" true (dtd = Some "<!ELEMENT r (a*)>")
 
 let test_sax_count_elements () =
-  check int "count" 3 (Sax.count_elements "<a><b/><c>t</c></a>")
+  let starts, _ =
+    Parser.fold_document "<a><b/><c>t</c></a>" ~init:0 ~f:(fun n ev ->
+        match ev with
+        | Parser.Start_element _ -> n + 1
+        | Parser.Text _ | Parser.End_element _ -> n)
+  in
+  check int "count" 3 starts
 
 let test_sax_errors () =
   List.iter
@@ -63,84 +70,56 @@ let test_sax_errors () =
       match events bad with
       | exception Extract_xml.Error.Parse_error _ -> ()
       | _ -> Alcotest.failf "expected parse error on %S" bad)
-    [ "<a>"; "<a></b>"; "<a/><b/>"; "" ]
-
-(* Rebuilding a tree from events equals the tree parser. *)
-let rebuild events =
-  let rec build evs =
-    match evs with
-    | Sax.Start_element (tag, attrs) :: rest ->
-      let children, rest = children [] rest in
-      (match rest with
-      | Sax.End_element close :: rest when close = tag ->
-        ( Types.Element
-            { Types.tag; attrs = List.map (fun (name, value) -> { Types.name; value }) attrs;
-              children },
-          rest )
-      | _ -> Alcotest.fail "unbalanced events")
-    | Sax.Text s :: rest -> Types.Text s, rest
-    | _ -> Alcotest.fail "unexpected event"
-  and children acc evs =
-    match evs with
-    | Sax.End_element _ :: _ -> List.rev acc, evs
-    | [] -> List.rev acc, []
-    | _ ->
-      let node, rest = build evs in
-      children (node :: acc) rest
-  in
-  fst (build events)
-
-let test_sax_agrees_with_parser () =
-  List.iter
-    (fun src ->
-      let via_tree = Types.Element (Parser.parse_document src).root in
-      let via_sax = rebuild (events src) in
-      check bool (Printf.sprintf "agree on %s" src) true (via_tree = via_sax))
-    [
-      "<a/>";
-      "<a><b>x</b><b>y</b></a>";
-      {|<a k="v"><b>t1</b>mid<c/></a>|};
-      "<r>&amp;&#65;<![CDATA[cd]]></r>";
-      "<a><!-- c --><b/><?pi?></a>";
-    ]
+    [ "<a>"; "<a></b>"; "<a/><b/>"; ""; "<a></ab>"; "<ab></a>"; "<a></a b>" ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming arena construction *)
+(* The arena builder *)
 
-let docs_equal a b =
-  Document.node_count a = Document.node_count b
-  && Document.to_xml a 0 = Document.to_xml b 0
-  && Document.element_count a = Document.element_count b
+(* The reference: the arena flattened from a tree. For literal sources
+   the tree is the tests' fold of the same bytes; for generated
+   documents it is the generator's own tree. *)
+let reference_of_source src = Document.of_document (Tree_fold.parse_document src)
+
+let same_arena a b = Document.Internal.to_repr a = Document.Internal.to_repr b
 
 let test_streaming_equals_tree_build () =
   List.iter
     (fun src ->
-      let tree = Document.load_string src in
-      let streamed = Document.of_string_streaming src in
-      check bool (Printf.sprintf "same arena for %s" src) true (docs_equal tree streamed);
-      (* spot-check structural metadata *)
-      for n = 0 to Document.node_count tree - 1 do
-        check int "depth" (Document.depth tree n) (Document.depth streamed n);
-        check int "size" (Document.subtree_size tree n) (Document.subtree_size streamed n);
-        check bool "parent" true (Document.parent tree n = Document.parent streamed n)
-      done)
+      check bool (Printf.sprintf "same arena for %s" src) true
+        (same_arena (Document.load_string src) (reference_of_source src)))
     [
       "<a/>";
       "<a><b>x</b><b>y</b><c><d>z</d></c></a>";
       {|<a k="v" k2="w"><b>t</b></a>|};
       "<r>text<e/>more</r>";
+      "<!DOCTYPE r [<!ELEMENT r (a*)>]><r><a>&amp;<![CDATA[<]]></a></r>";
     ]
 
+let generators =
+  [
+    "paper", (fun () -> Datagen.Paper_example.document ());
+    "retail", (fun () -> Datagen.Retail.generate Datagen.Retail.default);
+    "retail scaled", (fun () -> Datagen.Retail.scaled 300);
+    "movies", (fun () -> Datagen.Movies.sized 20);
+    "auction", (fun () -> Datagen.Auction.sized 20);
+    "bib", (fun () -> Datagen.Bib.sized 20);
+    "courses", (fun () -> Datagen.Courses.sized 20);
+    "nested", (fun () -> Nested.sized 40);
+  ]
+
 let test_streaming_on_generated_dataset () =
-  let xml =
-    Extract_xml.Printer.document_to_string (Extract_datagen.Movies.sized 20)
-  in
-  let tree = Document.load_string xml in
-  let streamed = Document.of_string_streaming xml in
-  check bool "movies dataset" true (docs_equal tree streamed)
+  List.iter
+    (fun (name, gen) ->
+      let doc = gen () in
+      List.iter
+        (fun indent ->
+          let xml = Extract_xml.Printer.document_to_string ~indent doc in
+          check bool name true (same_arena (Document.load_string xml) (Document.of_document doc)))
+        [ Some 2; None ])
+    generators
 
 let test_streaming_dtd () =
-  let d = Document.of_string_streaming "<!DOCTYPE r [<!ELEMENT r (a*)>]><r><a/></r>" in
+  let d = Document.load_string "<!DOCTYPE r [<!ELEMENT r (a*)>]><r><a/></r>" in
   check bool "dtd parsed" true (Document.dtd d <> None);
   check bool "declarations kept" true
     (match Document.dtd d with
@@ -148,16 +127,17 @@ let test_streaming_dtd () =
     | None -> false)
 
 let test_streaming_pipeline_equivalence () =
-  let xml = Extract_xml.Printer.document_to_string (Extract_datagen.Paper_example.document ()) in
+  let doc = Datagen.Paper_example.document () in
+  let xml = Extract_xml.Printer.document_to_string doc in
   let out doc =
     Extract_snippet.Pipeline.run ~bound:8
       (Extract_snippet.Pipeline.build doc)
-      Extract_datagen.Paper_example.query
+      Datagen.Paper_example.query
     |> List.map (fun (r : Extract_snippet.Pipeline.snippet_result) ->
            Extract_snippet.Snippet_tree.render r.selection.snippet)
   in
   check bool "identical snippets" true
-    (out (Document.load_string xml) = out (Document.of_string_streaming xml))
+    (out (Document.load_string xml) = out (Document.of_document doc))
 
 (* ------------------------------------------------------------------ *)
 (* Index completions *)
@@ -196,7 +176,6 @@ let suites =
         Alcotest.test_case "doctype" `Quick test_sax_doctype;
         Alcotest.test_case "count" `Quick test_sax_count_elements;
         Alcotest.test_case "errors" `Quick test_sax_errors;
-        Alcotest.test_case "agrees with parser" `Quick test_sax_agrees_with_parser;
       ] );
     ( "store.streaming",
       [

@@ -2,9 +2,7 @@
    and multi-document corpora. *)
 
 module Dtd = Extract_xml.Dtd
-module Validator = Extract_xml.Validator
 module Types = Extract_xml.Types
-module Parser = Extract_xml.Parser
 module Document = Extract_store.Document
 open Extract_snippet
 
@@ -72,7 +70,7 @@ let test_match_empty_any_mixed () =
 (* ------------------------------------------------------------------ *)
 (* Document validation *)
 
-let root_of s = (Parser.parse_document s).Types.root
+let root_of s = (Tree_fold.parse_document s).Types.root
 
 let library_dtd =
   Dtd.parse

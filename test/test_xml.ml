@@ -1,15 +1,17 @@
 (* Unit tests for the extract.xml substrate: lexer, parser, printer,
-   content models and DTD. *)
+   content models and DTD. Trees come from the tests' fold of the
+   parser's events (Tree_fold); the limits also run through the store's
+   builder, Document.load_string. *)
 
 open Extract_xml
+module Document = Extract_store.Document
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let parse ?keep_whitespace ?limits src =
-  Types.Element (Parser.parse_document ?keep_whitespace ?limits src).root
+let parse ?limits src = Tree_fold.parse_root ?limits src
 
 let child_elements (e : Types.element) =
   List.filter_map (function Types.Element c -> Some c | Types.Text _ -> None) e.children
@@ -45,12 +47,6 @@ let test_parse_mixed_whitespace_dropped () =
   let e = root_of "<a>\n  <b/>\n  <c/>\n</a>" in
   check int "whitespace-only text dropped" 2 (List.length e.Types.children)
 
-let test_parse_keep_whitespace () =
-  let t = parse ~keep_whitespace:true "<a> <b/> </a>" in
-  match t with
-  | Types.Element e -> check int "whitespace kept" 3 (List.length e.Types.children)
-  | Types.Text _ -> Alcotest.fail "expected element"
-
 let test_parse_attributes () =
   let e = root_of {|<a x="1" y='two'/>|} in
   check bool "x" true (Types.attr e "x" = Some "1");
@@ -85,19 +81,19 @@ let test_parse_pi_dropped () =
 
 let test_parse_prolog_doctype () =
   let doc =
-    Parser.parse_document
+    Tree_fold.parse_document
       "<?xml version=\"1.0\"?>\n<!DOCTYPE r [<!ELEMENT r (a*)>]>\n<r><a/></r>"
   in
   check string "root" "r" doc.Types.root.Types.tag;
   check bool "dtd captured" true (doc.Types.dtd <> None)
 
 let test_parse_doctype_system () =
-  let doc = Parser.parse_document {|<!DOCTYPE r SYSTEM "r.dtd"><r/>|} in
+  let doc = Tree_fold.parse_document {|<!DOCTYPE r SYSTEM "r.dtd"><r/>|} in
   check bool "no internal subset" true (doc.Types.dtd = None);
   check string "root" "r" doc.Types.root.Types.tag
 
 let test_parse_bom () =
-  let doc = Parser.parse_document "\xEF\xBB\xBF<r/>" in
+  let doc = Tree_fold.parse_document "\xEF\xBB\xBF<r/>" in
   check string "root after BOM" "r" doc.Types.root.Types.tag
 
 let test_parse_utf8_content () =
@@ -129,56 +125,76 @@ let nested_doc depth =
   done;
   Buffer.contents buf
 
-let expect_limit_error what input limits =
-  match parse ~limits input with
-  | _ -> Alcotest.failf "%s: expected Parse_error" what
-  | exception Error.Parse_error (_, msg) ->
-    check bool
-      (Printf.sprintf "%s: message names the limit (%S)" what msg)
-      true
-      (String.length msg > 0)
+(* Both ways to parse: the tests' tree fold and the store's builder. *)
+let parsers =
+  [
+    "tree fold", (fun ?limits src -> ignore (parse ?limits src));
+    ( "load_string",
+      fun ?limits src ->
+        ignore
+          (match limits with
+          | None -> Document.load_string src
+          | Some limits -> Document.Internal.load_string_with ~limits src) );
+  ]
+
+let names_limit limit msg = String.split_on_char ' ' msg |> List.exists (fun w -> w = limit)
+
+let expect_ok what ?limits input =
+  List.iter
+    (fun (via, run) ->
+      match run ?limits input with
+      | () -> ()
+      | exception Error.Parse_error (_, msg) -> Alcotest.failf "%s via %s rejected: %s" what via msg)
+    parsers
+
+let expect_limit_error what ~limit ?limits input =
+  List.iter
+    (fun (via, run) ->
+      match run ?limits input with
+      | () -> Alcotest.failf "%s via %s: expected Parse_error" what via
+      | exception Error.Parse_error (_, msg) ->
+        check bool (Printf.sprintf "%s via %s: message names %s (%S)" what via limit msg) true
+          (names_limit limit msg))
+    parsers
 
 let test_limits_max_depth () =
   let limits = { Parser.default_limits with Parser.max_depth = 10 } in
-  (* at the limit: fine *)
-  (match parse ~limits (nested_doc 10) with
-  | _ -> ()
-  | exception Error.Parse_error (_, msg) -> Alcotest.failf "depth 10 rejected: %s" msg);
-  expect_limit_error "depth 11" (nested_doc 11) limits
+  expect_ok "depth 10" ~limits (nested_doc 10);
+  expect_limit_error "depth 11" ~limit:"max_depth" ~limits (nested_doc 11);
+  (* the default limit, 512 *)
+  expect_ok "depth 512" (nested_doc 512);
+  expect_limit_error "depth 513" ~limit:"max_depth" (nested_doc 513)
 
 let test_limits_adversarial_depth_no_overflow () =
   (* a 100k-deep document must yield a clean positioned error, not a
      stack overflow: the default limit cuts it off at depth 512 *)
-  match parse (nested_doc 100_000) with
-  | _ -> Alcotest.fail "expected Parse_error"
-  | exception Error.Parse_error (_, msg) ->
-    check bool "names max_depth" true
-      (String.length msg > 0
-      && String.split_on_char ' ' msg |> List.exists (fun w -> w = "max_depth"))
+  expect_limit_error "depth 100000" ~limit:"max_depth" (nested_doc 100_000)
 
 let test_limits_max_nodes () =
   let limits = { Parser.default_limits with Parser.max_nodes = 3 } in
-  (* root + two children = 3 nodes: fine *)
-  (match parse ~limits "<a><b/><c/></a>" with
-  | _ -> ()
-  | exception Error.Parse_error (_, msg) -> Alcotest.failf "3 nodes rejected: %s" msg);
-  expect_limit_error "4 nodes" "<a><b/><c/><d/></a>" limits
+  (* root + two children = 3 nodes: fine; text nodes count too *)
+  expect_ok "3 nodes" ~limits "<a><b/><c/></a>";
+  expect_ok "3 nodes with text" ~limits "<a><b/>t</a>";
+  expect_limit_error "4 nodes" ~limit:"max_nodes" ~limits "<a><b/><c/><d/></a>";
+  expect_limit_error "4 nodes with text" ~limit:"max_nodes" ~limits "<a><b/>t<c/></a>"
 
 let test_limits_max_token_len () =
   let limits = { Parser.default_limits with Parser.max_token_len = 8 } in
-  (match parse ~limits "<a>12345678</a>" with
-  | _ -> ()
-  | exception Error.Parse_error (_, msg) -> Alcotest.failf "8-byte text rejected: %s" msg);
-  expect_limit_error "long text" "<a>123456789</a>" limits;
-  expect_limit_error "long tag name" "<abcdefghij/>" limits;
-  expect_limit_error "long attribute value" "<a b=\"123456789\"/>" limits
+  expect_ok "8-byte text" ~limits "<a>12345678</a>";
+  expect_ok "8 bytes merged" ~limits "<a>12&amp;4<![CDATA[56]]>78</a>";
+  expect_limit_error "long text" ~limit:"max_token_len" ~limits "<a>123456789</a>";
+  expect_limit_error "long merged text" ~limit:"max_token_len" ~limits "<a>1234<!--c-->56789</a>";
+  expect_limit_error "long cdata" ~limit:"max_token_len" ~limits "<a>12<![CDATA[3456789]]></a>";
+  expect_limit_error "long tag name" ~limit:"max_token_len" ~limits "<abcdefghij/>";
+  expect_limit_error "long attribute value" ~limit:"max_token_len" ~limits "<a b=\"123456789\"/>";
+  (* the default limit, 1 MB *)
+  let text n = "<a>" ^ String.make n 'x' ^ "</a>" in
+  expect_ok "1 MB text" (text 1_000_000);
+  expect_limit_error "1 MB + 1 text" ~limit:"max_token_len" (text 1_000_001)
 
 let test_limits_unlimited () =
   let limits = { Parser.max_depth = max_int; max_nodes = max_int; max_token_len = max_int } in
-  match parse ~limits (nested_doc 600) with
-  | _ -> ()
-  | exception Error.Parse_error (_, msg) ->
-    Alcotest.failf "unlimited rejected depth 600: %s" msg
+  expect_ok "depth 600, unlimited" ~limits (nested_doc 600)
 
 (* ------------------------------------------------------------------ *)
 (* Parser: malformed input *)
@@ -202,11 +218,28 @@ let test_parse_errors () =
   fails "<a attr=\"<\"/>";
   fails "<1tag/>"
 
+(* Positions are derived from the byte offset when an error is raised:
+   lines and columns count from 1, and the column restarts after each
+   newline. The DOCTYPE subset is parsed on its own, so its positions
+   count from the subset's first byte. *)
 let test_parse_error_position () =
-  (try ignore (parse "<a>\n<b></c></a>")
-   with Error.Parse_error (pos, _) ->
-     check int "line" 2 pos.Error.line);
-  ()
+  let expect what run src ~line ~column ~offset =
+    match run src with
+    | () -> Alcotest.failf "%s: expected Parse_error" what
+    | exception Error.Parse_error (pos, _) ->
+      check (Alcotest.triple int int int) what (line, column, offset)
+        (pos.Error.line, pos.Error.column, pos.Error.offset)
+  in
+  let tree src = ignore (parse src) and store src = ignore (Document.load_string src) in
+  List.iter
+    (fun (via, run) ->
+      expect (via ^ ": line 1") run "<a><b></c></a>" ~line:1 ~column:11 ~offset:10;
+      expect (via ^ ": after a newline") run "<a>\n<b></c></a>" ~line:2 ~column:8 ~offset:11;
+      expect (via ^ ": end of input") run "<a>\n  <b>text" ~line:2 ~column:10 ~offset:13)
+    [ "tree fold", tree; "load_string", store ];
+  expect "load_string: DOCTYPE subset" store
+    "<!DOCTYPE r [\n<!ELEMENT r (a*)>\n<!ELEMENT a (#PCDATA>\n]>\n<r/>" ~line:3 ~column:21
+    ~offset:39
 
 (* ------------------------------------------------------------------ *)
 (* Printer: escaping and round trips *)
@@ -232,7 +265,7 @@ let test_pretty_print_reparses () =
   check bool "pretty roundtrip" true (original = reparsed)
 
 let test_document_to_string_has_decl () =
-  let doc = Parser.parse_document "<r><a/></r>" in
+  let doc = Tree_fold.parse_document "<r><a/></r>" in
   let s = Printer.document_to_string doc in
   check bool "xml decl" true (String.length s > 5 && String.sub s 0 5 = "<?xml")
 
@@ -293,21 +326,15 @@ let test_cm_nested_star () =
   check bool "a under inner star" true (Content_model.may_repeat m "a");
   check bool "c once" false (Content_model.may_repeat m "c")
 
-let test_cm_declared_children () =
-  let m = model_of "(a, (b | c)*, a)" in
-  check bool "declared children, first-mention order" true
-    (Content_model.declared_children m = [ "a"; "b"; "c" ])
-
 let test_cm_mixed () =
   let m = model_of "(#PCDATA | em | strong)*" in
   check bool "mixed repeats" true (Content_model.may_repeat m "em");
-  check bool "mixed allows text" true (Content_model.allows_text m);
   check bool "undeclared child" false (Content_model.may_repeat m "x")
 
 let test_cm_pcdata () =
   let m = model_of "(#PCDATA)" in
-  check bool "pcdata no children" true (Content_model.declared_children m = []);
-  check bool "allows text" true (Content_model.allows_text m)
+  check bool "pcdata repeats no child" false (Content_model.may_repeat m "a");
+  check string "pcdata prints back" "(#PCDATA)" (Content_model.to_string m)
 
 let test_cm_empty_any () =
   let e = model_of "EMPTY" in
@@ -358,21 +385,29 @@ let test_dtd_star_child () =
   check bool "unknown parent" true
     (Dtd.is_star_child dtd ~parent:"nothere" ~child:"x" = None)
 
+(* ATTLIST declarations are syntax-checked and skipped: nothing reads
+   them, and the element models around them stay intact. *)
 let test_dtd_attlist () =
   let dtd = Dtd.parse sample_dtd in
-  let atts = Dtd.attributes dtd "store" in
-  check int "two attributes" 2 (List.length atts);
-  let sid = List.hd atts in
-  check string "name" "sid" sid.Dtd.att_name;
-  check string "type" "ID" sid.Dtd.att_type;
-  check string "default" "#REQUIRED" sid.Dtd.att_default
+  check bool "store's model intact" true
+    (Option.map Content_model.to_string (Dtd.element_model dtd "store")
+    = Some "(name, state, city, merchandises)");
+  check bool "model after the ATTLIST" true (Dtd.element_model dtd "name" = Some Content_model.Pcdata);
+  List.iter
+    (fun bad ->
+      match Dtd.parse bad with
+      | exception Error.Parse_error _ -> ()
+      | _ -> Alcotest.failf "expected a parse error on %S" bad)
+    [ "<!ATTLIST store sid ID>"; "<!ATTLIST store sid ID \"unterminated>"; "<!ATTLIST store" ]
 
 let test_dtd_empty () =
-  check bool "empty dtd" true (Dtd.element_model Dtd.empty "x" = None)
+  let dtd = Dtd.parse " <!-- nothing declared --> " in
+  check bool "empty subset declares nothing" true (Dtd.element_model dtd "x" = None);
+  check bool "no element names" true (Dtd.element_names dtd = [])
 
 let test_dtd_through_document () =
   let doc =
-    Parser.parse_document "<!DOCTYPE r [<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>]><r><a>1</a></r>"
+    Tree_fold.parse_document "<!DOCTYPE r [<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>]><r><a>1</a></r>"
   in
   let dtd = Dtd.parse (Option.value ~default:"" doc.Types.dtd) in
   check bool "a starred under r" true (Dtd.is_star_child dtd ~parent:"r" ~child:"a" = Some true)
@@ -393,7 +428,6 @@ let suites =
         Alcotest.test_case "nested" `Quick test_parse_nested;
         Alcotest.test_case "text" `Quick test_parse_text;
         Alcotest.test_case "whitespace dropped" `Quick test_parse_mixed_whitespace_dropped;
-        Alcotest.test_case "keep whitespace" `Quick test_parse_keep_whitespace;
         Alcotest.test_case "attributes" `Quick test_parse_attributes;
         Alcotest.test_case "entities" `Quick test_parse_entities;
         Alcotest.test_case "char refs" `Quick test_parse_char_refs;
@@ -439,7 +473,6 @@ let suites =
         Alcotest.test_case "sequence repeat" `Quick test_cm_seq_twice;
         Alcotest.test_case "choice" `Quick test_cm_choice;
         Alcotest.test_case "nested star" `Quick test_cm_nested_star;
-        Alcotest.test_case "declared children" `Quick test_cm_declared_children;
         Alcotest.test_case "mixed" `Quick test_cm_mixed;
         Alcotest.test_case "pcdata" `Quick test_cm_pcdata;
         Alcotest.test_case "empty/any" `Quick test_cm_empty_any;

@@ -1,3 +1,5 @@
+open Extract_xml
+
 type violation = {
   element : string;
   kind : violation_kind;

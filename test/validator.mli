@@ -10,7 +10,10 @@
 
     The dataset generators are validated against their own DTDs in the
     test suite — a generator regression cannot silently ship malformed
-    data into the benchmarks. *)
+    data into the benchmarks. Nothing outside the tests validates, so the
+    module lives with them. *)
+
+open Extract_xml
 
 type violation = {
   element : string;       (** tag of the offending element *)
@@ -24,26 +27,17 @@ and violation_kind =
   | Unexpected_text
   | Expected_empty
 
-(* lint: allow unused-export *)
 val validate : ?strict:bool -> Dtd.t -> Types.element -> violation list
 (** All violations in the subtree, pre-order. [strict] (default false)
     also reports elements without a declaration. An empty DTD validates
-    everything vacuously (non-strict). The generators' DTD check:
-    test/test_validation.ml ["xml.validator.documents"] and every generator
-    test validate through it. *)
+    everything vacuously (non-strict). *)
 
-(* lint: allow unused-export *)
 val is_valid : ?strict:bool -> Dtd.t -> Types.element -> bool
-(** The generators' DTD check: test/test_datagen.ml, test_server.ml and the
-    properties suite validate every generator with it. *)
+(** No violations: the generators' DTD check. *)
 
-(* lint: allow unused-export *)
 val matches_model : Content_model.t -> string list -> bool
 (** Does a child-tag sequence satisfy a content model? ([Pcdata]/[Empty]
     accept only the empty sequence; [Any] and [Mixed] accept declared
-    tags in any number and order.) Test use only: test/test_validation.ml
-    ["xml.validator.models"]. *)
+    tags in any number and order.) *)
 
-(* lint: allow unused-export *)
 val pp_violation : Format.formatter -> violation -> unit
-(** Test use only: test/test_validation.ml prints a failing case with it. *)
