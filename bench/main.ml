@@ -895,7 +895,6 @@ let e12_kernel =
    break for every system alike). Accuracy@1 per snippet system. *)
 
 let e14_need rng db target =
-  let doc = Pipeline.document db in
   let keys = Pipeline.keys db in
   let kinds = Pipeline.kinds db in
   let root = Result_tree.root target in
@@ -905,12 +904,13 @@ let e14_need rng db target =
     | None -> []
   in
   let attribute_values =
-    Result_tree.members target
-    |> Array.to_list
-    |> List.filter (fun n ->
-           Document.is_element doc n && Extract_store.Node_kind.is_attribute kinds n)
-    |> List.map (fun n -> Extract_store.Node_kind.attribute_value kinds n)
-    |> List.filter (fun v -> v <> "")
+    let values = ref [] in
+    Result_tree.iter_elements target (fun n ->
+        if Extract_store.Node_kind.is_attribute kinds n then begin
+          let v = Extract_store.Node_kind.attribute_value kinds n in
+          if v <> "" then values := v :: !values
+        end);
+    List.rev !values
   in
   let sampled =
     match attribute_values with

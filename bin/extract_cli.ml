@@ -169,6 +169,16 @@ let live_guard dir f =
 
 let open_live dir = live_guard dir (fun () -> Live.open_dir ~on_warning:live_warning dir)
 
+(* Opening a missing directory creates it, so only [add] may open one,
+   and only once its member has parsed: [remove] and [compact] refuse a
+   directory that does not exist. *)
+let open_existing_live dir =
+  if not (Sys.file_exists dir) then begin
+    Printf.eprintf "error: %s: no such live store\n%!" dir;
+    exit 1
+  end;
+  open_live dir
+
 let open_live_corpus ?read_only dir =
   live_guard dir (fun () -> Live_corpus.open_dir ?read_only ~on_warning:live_warning dir)
 
@@ -682,7 +692,7 @@ let dir_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"DIR" ~doc:"Live-store directory (created by the first $(b,add)).")
+    & info [] ~docv:"DIR" ~doc:"Live-store directory (created by the first successful $(b,add)).")
 
 let add_cmd =
   let xml_file =
@@ -698,10 +708,12 @@ let add_cmd =
   let run dir file name =
     let name = match name with Some n -> n | None -> Filename.basename file in
     let xml = read_whole_file file in
+    (* parse before opening: a member that cannot parse creates no store *)
+    (match Document.load_string xml with
+    | _ -> ()
+    | exception Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error file pos msg);
     let store = open_live dir in
-    live_guard dir (fun () ->
-        try Live.add store ~name ~xml
-        with Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error file pos msg);
+    live_guard dir (fun () -> Live.add store ~name ~xml);
     let members = List.length (Live.member_names (Live.view store)) in
     Live.close store;
     Printf.printf "added %s to %s (%d member(s))\n" name dir members
@@ -719,7 +731,7 @@ let remove_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NAME" ~doc:"Member name.")
   in
   let run dir name =
-    let store = open_live dir in
+    let store = open_existing_live dir in
     let removed = live_guard dir (fun () -> Live.remove store name) in
     Live.close store;
     if removed then Printf.printf "removed %s from %s\n" name dir
@@ -734,7 +746,7 @@ let remove_cmd =
 
 let compact_cmd =
   let run dir =
-    let store = open_live dir in
+    let store = open_existing_live dir in
     let generation = live_guard dir (fun () -> Live.compact store) in
     let members = List.length (Live.member_names (Live.view store)) in
     Live.close store;

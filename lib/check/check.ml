@@ -239,33 +239,7 @@ let check_dataguide guide =
   close c
 
 (* ------------------------------------------------------------------ *)
-(* Result trees and snippets                                           *)
-
-let check_result r =
-  let c = collector "result" in
-  let doc = Result_tree.document r in
-  let root = Result_tree.root r in
-  let members = Result_tree.members r in
-  if Array.length members = 0 then report c "result has no members"
-  else begin
-    if members.(0) <> root then
-      report c "first member %d is not the root %d" members.(0) root;
-    let last = Document.subtree_last doc root in
-    Array.iteri
-      (fun i m ->
-        if i > 0 && m <= members.(i - 1) then
-          report c "members not strictly ascending at offset %d" i;
-        if m < root || m > last then
-          report c "member %d outside the root's subtree [%d,%d]" m root last;
-        if m <> root then begin
-          match Document.parent doc m with
-          | Some p when Result_tree.mem r p -> ()
-          | Some p -> report c "member %d's parent %d is not a member (not ancestor-closed)" m p
-          | None -> report c "member %d has no parent yet is not the root" m
-        end)
-      members
-  end;
-  close c
+(* Snippets                                                            *)
 
 let check_selection ?(degraded = false) (sel : Selector.selection) =
   let c = collector "snippet" in
@@ -503,8 +477,7 @@ let check_query ?semantics ?(bound = Pipeline.default_bound) db query =
   let results = Pipeline.run ?semantics ~bound db query in
   List.concat_map
     (fun (s : Pipeline.snippet_result) ->
-      check_result s.Pipeline.result @ check_ilist db s
-      @ check_selection ~degraded:s.Pipeline.degraded s.Pipeline.selection)
+      check_ilist db s @ check_selection ~degraded:s.Pipeline.degraded s.Pipeline.selection)
     results
 
 let probe_queries db =
@@ -540,8 +513,6 @@ let install_pipeline_observer () =
     (Some
        {
          Pipeline.on_built = (fun db -> assert_ok (check_db db));
-         Pipeline.on_results =
-           (fun _db results -> assert_ok (List.concat_map check_result results));
          Pipeline.on_snippets =
            (fun db snips ->
              assert_ok

@@ -21,7 +21,7 @@ module Document = Extract_store.Document
 module Pipeline = Extract_snippet.Pipeline
 
 type issue = {
-  area : string;  (** "document", "dewey", "index", "dataguide", "result", "snippet" *)
+  area : string;  (** "document", "dewey", "index", "dataguide", "snippet" *)
   what : string;  (** human-readable description of the violated invariant *)
 }
 
@@ -110,9 +110,9 @@ val check_query :
   Pipeline.t ->
   string ->
   issue list
-(** Run the full snippet pipeline for one query and validate every result
-    tree and every selection. A seam of the [check_*] family that {!all}
-    composes: test/test_check.ml runs it on degraded queries. *)
+(** Run the full snippet pipeline for one query and validate every
+    result's IList and selection. A seam of the [check_*] family that
+    {!all} composes: test/test_check.ml runs it on degraded queries. *)
 
 val probe_queries : Pipeline.t -> string list
 (** Deterministic default workload for {!all}: the two most frequent
@@ -129,10 +129,9 @@ val all : ?queries:string list -> Pipeline.t -> issue list
 (* lint: allow unused-export *)
 val install_pipeline_observer : unit -> unit
 (** Install a {!Pipeline.set_observer} hook that checks the document, index
-    and dataguide after every build/load, every search result's tree
-    shape and every produced snippet ({!check_selection}), raising
-    {!Violation} on
-    the first corrupt stage. Test seam: test/test_check.ml installs it
+    and dataguide after every build/load and every produced snippet
+    ({!check_selection}), raising {!Violation} on the first corrupt
+    stage. Test seam: test/test_check.ml installs it
     directly. *)
 
 val install_from_env : unit -> unit

@@ -39,16 +39,6 @@ type metric =
 
 let lock = Mutex.create ()
 
-let with_lock f =
-  Mutex.lock lock;
-  match f () with
-  | x ->
-    Mutex.unlock lock;
-    x
-  | exception e ->
-    Mutex.unlock lock;
-    raise e
-
 (* identity = name + ordered labels *)
 (* guarded-by: lock *)
 let table : (string * (string * string) list, metric) Hashtbl.t = Hashtbl.create 64
@@ -66,7 +56,7 @@ let kind_of = function
   | Histogram _ -> "histogram"
 
 let register ~name ~labels ~want make =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table (name, labels) with
       | Some existing -> existing
       | None ->
@@ -136,17 +126,17 @@ let histogram ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets) n
       (Printf.sprintf "Registry.histogram: %s already registered as a %s" name
          (kind_of existing))
 
-let incr c = with_lock (fun () -> c.c_value <- c.c_value + 1)
+let incr c = Mutex.protect lock (fun () -> c.c_value <- c.c_value + 1)
 
 let add c n =
   if n < 0 then invalid_arg "Registry.add: counters are monotonic";
-  with_lock (fun () -> c.c_value <- c.c_value + n)
+  Mutex.protect lock (fun () -> c.c_value <- c.c_value + n)
 
-let counter_value c = with_lock (fun () -> c.c_value)
+let counter_value c = Mutex.protect lock (fun () -> c.c_value)
 
-let set g v = with_lock (fun () -> g.g_value <- v)
+let set g v = Mutex.protect lock (fun () -> g.g_value <- v)
 
-let gauge_value g = with_lock (fun () -> g.g_value)
+let gauge_value g = Mutex.protect lock (fun () -> g.g_value)
 
 (* first bucket whose bound admits [v]; bounds are few (≤ ~20), linear is
    fine and branch-predictable *)
@@ -156,16 +146,16 @@ let bucket_index bounds v =
   go 0
 
 let observe h v =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       let i = bucket_index h.h_bounds v in
       if i < Array.length h.h_counts then h.h_counts.(i) <- h.h_counts.(i) + 1
       else h.h_overflow <- h.h_overflow + 1;
       h.h_sum <- h.h_sum +. v;
       h.h_count <- h.h_count + 1)
 
-let histogram_count h = with_lock (fun () -> h.h_count)
+let histogram_count h = Mutex.protect lock (fun () -> h.h_count)
 
-let histogram_sum h = with_lock (fun () -> h.h_sum)
+let histogram_sum h = Mutex.protect lock (fun () -> h.h_sum)
 
 (* Prometheus-style estimate: find the bucket holding the target rank and
    interpolate linearly inside it; the overflow bucket clamps to the last
@@ -195,7 +185,7 @@ let percentile_locked h q =
     go 0 0
   end
 
-let percentile h q = with_lock (fun () -> percentile_locked h q)
+let percentile h q = Mutex.protect lock (fun () -> percentile_locked h q)
 
 (* Pinned gauges carry process facts (build info, start time) that must
    survive [reset] — tests reset the registry, and losing build metadata
@@ -204,12 +194,12 @@ let percentile h q = with_lock (fun () -> percentile_locked h q)
 let pins : (gauge * float) list ref = ref []
 
 let pin g v =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       g.g_value <- v;
       pins := (g, v) :: List.filter (fun (g', _) -> g' != g) !pins)
 
 let reset () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
@@ -288,7 +278,7 @@ let le_label_str labels le =
   label_str (labels @ [ "le", le ])
 
 let render_prometheus () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       let buf = Buffer.create 4096 in
       let last_family = ref "" in
       List.iter
@@ -335,7 +325,7 @@ let json_labels labels =
   ^ "}"
 
 let render_json () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       let metrics = sorted_metrics () in
       let pick f = List.filter_map f metrics in
       let counters =

@@ -35,16 +35,6 @@ let slowest : entry list ref = ref []
 (* guarded-by: lock *)
 let ring : entry list ref = ref []
 
-let with_lock f =
-  Mutex.lock lock;
-  match f () with
-  | x ->
-    Mutex.unlock lock;
-    x
-  | exception e ->
-    Mutex.unlock lock;
-    raise e
-
 let truncate n l =
   let rec go n = function
     | [] -> []
@@ -55,14 +45,14 @@ let truncate n l =
 
 let configure ?slowest:(n = default_slowest) ?ring:(r = default_ring) () =
   if n < 0 || r < 0 then invalid_arg "Slowlog.configure: negative capacity";
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       slowest_cap := n;
       ring_cap := r;
       slowest := truncate n !slowest;
       ring := truncate r !ring)
 
 let record e =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       let rec insert = function
         | [] -> [ e ]
         | x :: rest ->
@@ -72,10 +62,10 @@ let record e =
       if e.degraded > 0 || e.faulted then
         ring := truncate !ring_cap (e :: !ring))
 
-let snapshot () = with_lock (fun () -> (!slowest, !ring))
+let snapshot () = Mutex.protect lock (fun () -> (!slowest, !ring))
 
 let reset () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       slowest := [];
       ring := [])
 

@@ -2,53 +2,27 @@ module Inverted_index = Extract_store.Inverted_index
 
 type semantics = Slca | Elca | Xseek | Xsearch
 
-type shape = Full_subtree | Match_paths
-
 let take limit l =
   match limit with
   | None -> l
   | Some k -> List.filteri (fun i _ -> i < k) l
 
-let shape_root ctx shape doc root =
-  match shape with
-  | Full_subtree -> Result_tree.full doc root
-  | Match_paths ->
-    Result_tree.match_paths doc ~root ~matches:(Eval_ctx.matches_under ctx root)
-
 (* Result roots are computed for the whole query (the SLCA/ELCA/return-node
-   sets are global properties), but only the first [limit] roots are
-   materialized as result trees — the expensive part for full-subtree
-   shapes. *)
-let run_ctx ?(semantics = Xseek) ?(shape = Full_subtree) ?limit ctx kinds =
+   sets are global properties); only the first [limit] become results. *)
+let run_ctx ?(semantics = Xseek) ?limit ctx kinds =
   let doc = Eval_ctx.document ctx in
+  let lists = Eval_ctx.lists ctx in
+  let results roots = List.map (Result_tree.full doc) (take limit roots) in
   if Query.is_empty (Eval_ctx.query ctx) then []
   else
     match semantics with
-    | Xseek ->
-      Xseek.roots kinds (Eval_ctx.lists ctx)
-      |> take limit
-      |> List.map (shape_root ctx shape doc)
-    | Xsearch -> begin
-      (* XSearch answers are inherently match-path trees; the full shape
-         expands each answer root to its subtree. *)
-      let path_results = Xsearch.compute_lists ?limit doc (Eval_ctx.lists ctx) in
-      match shape with
-      | Match_paths -> path_results
-      | Full_subtree ->
-        List.map (fun r -> Result_tree.full doc (Result_tree.root r)) path_results
-    end
-    | Slca | Elca ->
-      let lists = Eval_ctx.lists ctx in
-      let roots =
-        match semantics with
-        | Slca -> Slca.compute doc lists
-        | Elca -> Elca.compute doc lists
-        | Xseek | Xsearch -> assert false
-      in
-      List.map (shape_root ctx shape doc) (take limit roots)
+    | Xseek -> results (Xseek.roots kinds lists)
+    | Slca -> results (Slca.compute doc lists)
+    | Elca -> results (Elca.compute doc lists)
+    | Xsearch -> Xsearch.compute_lists ?limit doc lists
 
-let run ?semantics ?shape ?limit ?mask index kinds query =
-  run_ctx ?semantics ?shape ?limit (Eval_ctx.make ?mask index query) kinds
+let run ?semantics ?limit index kinds query =
+  run_ctx ?semantics ?limit (Eval_ctx.make index query) kinds
 
 let semantics_of_string = function
   | "slca" -> Some Slca
@@ -103,9 +77,9 @@ let merge_scored ?limit (sources : (float * 'a) list array) : (float * (int * 'a
 (* Conjunctive semantics returns nothing when any keyword is missing; the
    demo UI wants "did you mean fewer words". Drop the rarest keyword (the
    most likely typo or over-specification) until something matches. *)
-let run_relaxed ?semantics ?shape ?limit ?mask index kinds query =
+let run_relaxed ?semantics ?limit index kinds query =
   let rec attempt query dropped =
-    match run ?semantics ?shape ?limit ?mask index kinds query with
+    match run ?semantics ?limit index kinds query with
     | [] when Query.size query > 1 ->
       let keywords = Query.keywords query in
       let rarest =

@@ -11,29 +11,20 @@ type semantics =
   | Xseek   (** entity return nodes over SLCAs [6] — the demo's engine *)
   | Xsearch (** interconnection relation, XSearch-style [1] *)
 
-type shape =
-  | Full_subtree  (** result = whole subtree of the result root *)
-  | Match_paths   (** result = root-to-match paths only *)
-
 val run :
   ?semantics:semantics ->
-  ?shape:shape ->
   ?limit:int ->
-  ?mask:(int * int) array ->
   Extract_store.Inverted_index.t ->
   Extract_store.Node_kind.t ->
   Query.t ->
   Result_tree.t list
-(** Execute a keyword query. Defaults: [Xseek] semantics, [Full_subtree]
-    shape, no limit. Results come in document order; [limit] keeps the
-    first [limit] — and is pushed down so later result subtrees are never
-    materialized. An empty query or a keyword with no match yields [].
-    [mask] restricts evaluation to visible node intervals (see
-    {!Eval_ctx.make}) — the live store's tombstone filter. *)
+(** Execute a keyword query. Defaults: [Xseek] semantics, no limit. Each
+    result is the whole subtree of its root ({!Result_tree.full}).
+    Results come in document order; [limit] keeps the first [limit]. An
+    empty query or a keyword with no match yields []. *)
 
 val run_ctx :
   ?semantics:semantics ->
-  ?shape:shape ->
   ?limit:int ->
   Eval_ctx.t ->
   Extract_store.Node_kind.t ->
@@ -59,9 +50,7 @@ val merge_scored : ?limit:int -> (float * 'a) list array -> (float * (int * 'a))
 
 val run_relaxed :
   ?semantics:semantics ->
-  ?shape:shape ->
   ?limit:int ->
-  ?mask:(int * int) array ->
   Extract_store.Inverted_index.t ->
   Extract_store.Node_kind.t ->
   Query.t ->

@@ -1,5 +1,4 @@
 module Document = Extract_store.Document
-module Postings = Extract_store.Postings
 module Inverted_index = Extract_store.Inverted_index
 module Registry = Extract_obs.Registry
 module Trace = Extract_obs.Trace
@@ -83,7 +82,3 @@ let postings t keyword =
   | None -> masked t.mask (Inverted_index.lookup t.index keyword)
 
 let lists t = List.map snd t.resolved
-
-let matches_under t node =
-  let doc = document t in
-  List.concat_map (fun (_, arr) -> Postings.in_subtree doc arr node) t.resolved

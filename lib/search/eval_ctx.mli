@@ -1,8 +1,8 @@
 (** Per-query evaluation context.
 
     One query used to re-resolve its posting lists at every stage: once in
-    [Engine.run], again per result when shaping match paths, again per
-    result in IList construction and query-biased scoring. An [Eval_ctx]
+    [Engine.run], again per result in IList construction and query-biased
+    scoring. An [Eval_ctx]
     resolves each keyword's posting list exactly once and is threaded
     through the engine and the snippet pipeline; all later stages answer
     "which matches fall under this node" by subtree-interval binary search
@@ -35,8 +35,3 @@ val postings : t -> string -> Document.node array
 
 val lists : t -> Document.node array list
 (** All posting lists, in query-keyword order. *)
-
-val matches_under : t -> Document.node -> Document.node list
-(** Matches of any query keyword inside the node's subtree (concatenated
-    per keyword; each keyword's block is in document order). Binary
-    search per keyword — never a scan of the posting lists. *)

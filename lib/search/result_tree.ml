@@ -1,100 +1,53 @@
 module Document = Extract_store.Document
 
+(* A subtree is contiguous in pre-order, so a result is the interval
+   [root, subtree_last root] of the arena and holds no per-result data. *)
 type t = {
   doc : Document.t;
   root : Document.node;
-  members : Document.node array; (* sorted, ancestor-closed, root included *)
-  member_set : (Document.node, unit) Hashtbl.t;
+  last : Document.node;
 }
 
-let of_sorted_members doc root members =
-  let member_set = Hashtbl.create (Array.length members) in
-  Array.iter (fun n -> Hashtbl.replace member_set n ()) members;
-  { doc; root; members; member_set }
-
-let full doc root =
-  let last = Document.subtree_last doc root in
-  let members = Array.init (last - root + 1) (fun i -> root + i) in
-  of_sorted_members doc root members
-
-let close_upward doc root nodes =
-  let set = Hashtbl.create 64 in
-  let rec add n =
-    if not (Hashtbl.mem set n) then begin
-      Hashtbl.add set n ();
-      if n <> root then
-        match Document.parent doc n with
-        | Some p -> add p
-        | None ->
-          invalid_arg "Result_tree: a member does not descend from the root"
-    end
-  in
-  List.iter
-    (fun n ->
-      if not (Document.is_ancestor_or_self doc ~anc:root ~desc:n) then
-        invalid_arg "Result_tree: a member lies outside the root's subtree";
-      add n)
-    nodes;
-  add root;
-  let members = Hashtbl.fold (fun n () acc -> n :: acc) set [] in
-  Array.of_list (List.sort Int.compare members)
-
-let of_members doc ~root nodes =
-  of_sorted_members doc root (close_upward doc root nodes)
-
-let match_paths doc ~root ~matches = of_members doc ~root matches
+let full doc root = { doc; root; last = Document.subtree_last doc root }
 
 let document t = t.doc
 
 let root t = t.root
 
-let mem t n = Hashtbl.mem t.member_set n
+let mem t n = t.root <= n && n <= t.last
 
-let size t = Array.length t.members
-
-let element_size t =
-  Array.fold_left (fun acc n -> if Document.is_element t.doc n then acc + 1 else acc) 0 t.members
-
-let members t = t.members
-
-let children t n =
-  List.filter (fun c -> mem t c) (Document.children t.doc n)
+let size t = t.last - t.root + 1
 
 let iter_elements t f =
-  Array.iter (fun n -> if Document.is_element t.doc n then f n) t.members
+  for n = t.root to t.last do
+    if Document.is_element t.doc n then f n
+  done
 
-(* The members all lie in [root, subtree_last root], so only the postings
-   in that interval can qualify: binary-search the range instead of
-   scanning the whole list (postings scale with the document, the range
-   with the result). *)
-let restrict_matches t postings =
-  let lo, hi = Extract_store.Postings.subtree_range t.doc postings t.root in
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    let n = postings.(i) in
-    if mem t n then out := n :: !out
-  done;
-  !out
+let element_size t =
+  let count = ref 0 in
+  iter_elements t (fun _ -> incr count);
+  !count
+
+let restrict_matches t postings = Extract_store.Postings.in_subtree t.doc postings t.root
 
 let text_of t =
   let buf = Buffer.create 128 in
-  Array.iter
-    (fun n ->
-      if not (Document.is_element t.doc n) then begin
-        if Buffer.length buf > 0 then Buffer.add_char buf ' ';
-        Buffer.add_string buf (Document.text t.doc n)
-      end)
-    t.members;
+  for n = t.root to t.last do
+    if not (Document.is_element t.doc n) then begin
+      if Buffer.length buf > 0 then Buffer.add_char buf ' ';
+      Buffer.add_string buf (Document.text t.doc n)
+    end
+  done;
   Buffer.contents buf
 
-let rec xml_of t n =
-  if Document.is_element t.doc n then
+let rec xml_of doc n =
+  if Document.is_element doc n then
     Extract_xml.Types.Element
       {
-        Extract_xml.Types.tag = Document.tag_name t.doc n;
+        Extract_xml.Types.tag = Document.tag_name doc n;
         attrs = [];
-        children = List.map (xml_of t) (children t n);
+        children = List.map (xml_of doc) (Document.children doc n);
       }
-  else Extract_xml.Types.Text (Document.text t.doc n)
+  else Extract_xml.Types.Text (Document.text doc n)
 
-let to_xml t = xml_of t t.root
+let to_xml t = xml_of t.doc t.root

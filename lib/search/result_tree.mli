@@ -1,25 +1,21 @@
-(** Query results as pruned views over the document arena.
+(** Query results as intervals of the document arena.
 
-    A query result is a tree: a root node plus a subset of its descendants
-    (closed under ancestors within the result). Snippet generation consumes
-    exactly this structure — the paper's pipeline takes "the query results"
-    produced by any XML search engine as input.
-
-    Two shapes are built by the engines: [full] results (the entire subtree
-    of the result root — what XSeek returns when the search target is an
-    entity, and what the paper's Figure 1 shows) and [match-paths] results
-    (root-to-match paths only, a leaner presentation used for
-    comparison). *)
+    A query result is the whole subtree of its root — what XSeek returns
+    when the search target is an entity, and what the paper's Figure 1
+    shows. Snippet generation consumes exactly this structure: the
+    paper's pipeline takes "the query results" produced by any XML search
+    engine as input. A subtree is contiguous in document order, so a
+    result is the interval [[root, Document.subtree_last doc root]] and
+    every question about its members is answered from the interval and
+    the arena: a child of a member is a member ({!Document.children}
+    needs no filter), and membership is two comparisons. *)
 
 module Document = Extract_store.Document
 
 type t
 
 val full : Document.t -> Document.node -> t
-(** The whole subtree rooted at the node. *)
-
-val match_paths : Document.t -> root:Document.node -> matches:Document.node list -> t
-(** Root-to-match paths only. *)
+(** The whole subtree rooted at the node. O(1). *)
 
 val document : t -> Document.t
 
@@ -32,19 +28,14 @@ val size : t -> int
 
 val element_size : t -> int
 
-val members : t -> Document.node array
-(** Sorted (document order). Do not mutate. *)
-
-val children : t -> Document.node -> Document.node list
-(** Member children of a member node. *)
-
 val iter_elements : t -> (Document.node -> unit) -> unit
 (** Member element nodes in document order. *)
 
 val restrict_matches : t -> Document.node array -> Document.node list
-(** Posting-list entries that are members, in document order. The sorted
-    list is binary-searched to the root's subtree interval first, so the
-    cost follows the matches under the root, not the posting list. *)
+(** Posting-list entries that are members, in document order: the slice
+    of the sorted list that falls in the result's interval, found by
+    binary search, so the cost follows the matches under the root, not
+    the posting list. *)
 
 val text_of : t -> string
 (** All member text, document order, space-joined (for the text-snippet

@@ -64,10 +64,10 @@ let witness_under doc root arr =
 let compute_lists ?limit doc lists =
   let k = List.length lists in
   let accepted = ref 0 in
-  let full = match limit with None -> max_int | Some l -> max l 0 in
+  let budget = match limit with None -> max_int | Some l -> max l 0 in
   let rec loop acc = function
     | [] -> List.rev acc
-    | _ when !accepted >= full -> List.rev acc
+    | _ when !accepted >= budget -> List.rev acc
     | root :: rest ->
       let witnesses = List.filter_map (witness_under doc root) lists in
       let keep =
@@ -82,7 +82,7 @@ let compute_lists ?limit doc lists =
       in
       if keep then begin
         incr accepted;
-        loop (Result_tree.match_paths doc ~root ~matches:witnesses :: acc) rest
+        loop (Result_tree.full doc root :: acc) rest
       end
       else loop acc rest
   in

@@ -9,9 +9,9 @@
 
     This implementation starts from the SLCA candidates and keeps those
     whose witness matches (one per keyword, the closest to the root) are
-    pairwise interconnected; the answer tree is the match-path tree. This
-    is the restriction of XSearch to its conjunctive ("all keywords")
-    mode. *)
+    pairwise interconnected; each answer is the whole subtree of its SLCA,
+    like every engine's. This is the restriction of XSearch to its
+    conjunctive ("all keywords") mode. *)
 
 module Document = Extract_store.Document
 
@@ -25,6 +25,6 @@ val interconnected : Document.t -> Document.node -> Document.node -> bool
 val compute_lists :
   ?limit:int -> Document.t -> Document.node array list -> Result_tree.t list
 (** Interconnected answers for pre-resolved posting lists, one per
-    surviving SLCA, as match-path result trees in document order. With
-    [limit], stops materializing answers once that many have been
+    surviving SLCA, as full-subtree results in document order. With
+    [limit], stops checking candidates once that many have been
     accepted. *)

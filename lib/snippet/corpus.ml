@@ -1,12 +1,5 @@
 type t = { dbs : (string * Pipeline.t) list (* sorted by name *) }
 
-type hit = Pipeline.hit = {
-  segment : int;
-  source : string;
-  score : float;
-  snippet : Pipeline.snippet_result;
-}
-
 let empty = { dbs = [] }
 
 let add t ~name db =
@@ -62,11 +55,3 @@ let load_file ?(on_warning = fun _ -> ()) path =
   | Some db -> db
   | exception (Codec.Corrupt reason as e) -> rebuild_or_reraise reason e
   | exception (Codec.Truncated reason as e) -> rebuild_or_reraise ("truncated: " ^ reason) e
-
-let run ?semantics ?config ?bound ?limit ?deadline t query_string =
-  Pipeline.run_merged ?semantics ?config ?bound ?limit ?deadline
-    (List.map
-       (fun (name, db) ->
-         { Pipeline.db; mask = None; source_of = (fun _ -> Some name); span = None })
-       t.dbs)
-    query_string

@@ -46,14 +46,13 @@ let snippet_to_html snippet =
   labelled_tree ~class_:"snippet" ~root:(Result_tree.root result)
     ~label:(doc_label doc)
     ~children:(fun n ->
-      Result_tree.children result n
+      Document.children doc n
       |> List.filter (fun c -> Document.is_element doc c && Snippet_tree.mem snippet c))
 
 let result_tree_to_html result =
   let doc = Result_tree.document result in
   labelled_tree ~class_:"result" ~root:(Result_tree.root result) ~label:(doc_label doc)
-    ~children:(fun n ->
-      Result_tree.children result n |> List.filter (Document.is_element doc))
+    ~children:(fun n -> Document.children doc n |> List.filter (Document.is_element doc))
 
 let css =
   {|

@@ -28,16 +28,6 @@ type t = {
   qview : qview Atomic.t;
 }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 (* Rebuild the query view from the store's current view, reusing the
    previous view's pipelines when the underlying arenas are unchanged —
    the base survives every add/remove (only compaction replaces it), and
@@ -100,18 +90,18 @@ let resync t =
   Atomic.set t.qview (refresh ~previous:(Atomic.get t.qview) (Live.view t.store))
 
 let add t ~name ~xml =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Live.add t.store ~name ~xml;
       resync t)
 
 let remove t name =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let existed = Live.remove t.store name in
       if existed then resync t;
       existed)
 
 let compact t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let generation = Live.compact t.store in
       resync t;
       generation)

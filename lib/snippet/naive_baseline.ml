@@ -19,6 +19,6 @@ let generate ~bound result =
           end
           else continue := false
         end)
-      (Result_tree.children result node)
+      (Document.children doc node)
   done;
   snippet

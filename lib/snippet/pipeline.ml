@@ -30,7 +30,6 @@ type t = {
 
 type observer = {
   on_built : t -> unit;
-  on_results : t -> Result_tree.t list -> unit;
   on_snippets : t -> snippet_result list -> unit;
 }
 
@@ -122,10 +121,6 @@ let count_snippets snips =
 let notify_built t =
   (match !observer with Some o -> o.on_built t | None -> ());
   t
-
-let notify_results t results =
-  (match !observer with Some o -> o.on_results t results | None -> ());
-  results
 
 let notify_snippets t snips =
   (match !observer with Some o -> o.on_snippets t snips | None -> ());
@@ -225,7 +220,7 @@ let searched ?semantics ?limit ?mask t query_string =
   Registry.incr queries_total;
   timed search_seconds "pipeline.search" (fun () ->
       let ctx = context_of ?mask t query_string in
-      ctx, notify_results t (Engine.run_ctx ?semantics ?limit ctx t.kinds))
+      ctx, Engine.run_ctx ?semantics ?limit ctx t.kinds)
 
 (* The rank stage: search with no limit (the best results may come last
    in document order) and score every result, generating no snippet. The
@@ -247,9 +242,9 @@ let search ?semantics ?limit ?mask t query_string =
       results)
 
 let run_differentiated ?semantics ?config ?(bound = default_bound) ?limit
-    ?(deadline = Deadline.never) ?mask t query_string =
+    ?(deadline = Deadline.never) t query_string =
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, results = searched ?semantics ?limit ?mask t query_string in
+  let ctx, results = searched ?semantics ?limit t query_string in
   timed snippet_seconds "pipeline.snippet" (fun () ->
       (* one analysis per result, shared between the differentiator and each
          result's IList construction; a result whose analysis would start
@@ -353,16 +348,16 @@ let run_merged ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = D
   hits
 
 (* One segment: the ranked answer of one database. *)
-let run_ranked ?semantics ?config ?bound ?limit ?deadline ?mask t query_string =
+let run_ranked ?semantics ?config ?bound ?limit ?deadline t query_string =
   run_merged ?semantics ?config ?bound ?limit ?deadline
-    [ { db = t; mask; source_of = (fun _ -> Some ""); span = None } ]
+    [ { db = t; mask = None; source_of = (fun _ -> Some ""); span = None } ]
     query_string
   |> List.map (fun h -> h.score, h.snippet)
 
 let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline.never)
-    ?mask t query_string =
+    t query_string =
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, results = searched ?semantics ?limit ?mask t query_string in
+  let ctx, results = searched ?semantics ?limit t query_string in
   timed snippet_seconds "pipeline.snippet" (fun () ->
       results
       |> List.map (snippet_one ?config ~bound ~deadline ~ctx t)

@@ -76,8 +76,6 @@ type snippet_result = {
 type observer = {
   on_built : t -> unit;
       (** After a build or load: the analyzed database is complete. *)
-  on_results : t -> Extract_search.Result_tree.t list -> unit;
-      (** After the search engine, before snippet generation. *)
   on_snippets : t -> snippet_result list -> unit;
       (** After snippet generation, before results are returned. *)
 }
@@ -105,7 +103,6 @@ val run :
   ?bound:int ->
   ?limit:int ->
   ?deadline:Extract_util.Deadline.t ->
-  ?mask:(int * int) array ->
   t ->
   string ->
   snippet_result list
@@ -113,10 +110,7 @@ val run :
     XSeek semantics, [default_bound], no result limit, no deadline. One
     {!Extract_search.Eval_ctx} is built per call: every keyword's posting
     list is resolved exactly once and shared by the engine, IList
-    construction and query-biased scoring. [mask] (here and on every run
-    variant) restricts evaluation to visible node-id intervals — see
-    {!Extract_search.Eval_ctx.make}; the live corpus passes the interval
-    set that hides tombstoned members. *)
+    construction and query-biased scoring. *)
 
 val run_ranked :
   ?semantics:Extract_search.Engine.semantics ->
@@ -124,7 +118,6 @@ val run_ranked :
   ?bound:int ->
   ?limit:int ->
   ?deadline:Extract_util.Deadline.t ->
-  ?mask:(int * int) array ->
   t ->
   string ->
   (float * snippet_result) list
@@ -143,7 +136,9 @@ type hit = {
 
 type segment = {
   db : t;
-  mask : (int * int) array option;  (** see {!run} *)
+  mask : (int * int) array option;
+      (** visible node-id intervals ({!Extract_search.Eval_ctx.make}):
+          the live corpus hides tombstoned members of its base *)
   source_of : Extract_search.Result_tree.t -> string option;
       (** the hit's source, or [None] to drop the result *)
   span : (string * (string * string) list) option;
@@ -170,7 +165,7 @@ val run_merged :
     segment's search records its own stage histogram and span, and its
     observer and [query.done] log line see the hits it contributed; the
     snippet stage is timed once, over all segments' hits.
-    {!Corpus.run}, {!Live_corpus.run} and {!Shard_set.run} are built on
+    {!run_ranked}, {!Live_corpus.run} and {!Shard_set.run} are built on
     it. *)
 
 val run_differentiated :
@@ -179,7 +174,6 @@ val run_differentiated :
   ?bound:int ->
   ?limit:int ->
   ?deadline:Extract_util.Deadline.t ->
-  ?mask:(int * int) array ->
   t ->
   string ->
   snippet_result list
@@ -197,7 +191,8 @@ val search :
   t ->
   string ->
   Extract_search.Result_tree.t list
-(** Search only (no snippets). *)
+(** Search only (no snippets). [mask] restricts evaluation to visible
+    node-id intervals ({!Extract_search.Eval_ctx.make}). *)
 
 val snippet_of :
   ?config:Config.t ->

@@ -21,7 +21,7 @@ let name_or_attribute_matches kinds result query node =
          Document.is_element doc c
          && Node_kind.is_attribute kinds c
          && matches_name query (Document.tag_name doc c))
-       (Result_tree.children result node)
+       (Document.children doc node)
 
 let highest_entities kinds result =
   let doc = Result_tree.document result in

@@ -118,31 +118,6 @@ let split ?(shards = 4) doc =
   { shards = Array.of_list (List.map make_shard groups); root_node_count = n }
 
 (* ------------------------------------------------------------------ *)
-(* Mask composition: a global visibility mask (the live store's
-   tombstone filter) becomes, per shard, the intersection with that
-   shard's global block shifted into local ids — plus the local root,
-   which is visible iff the global root is. A shard whose block the mask
-   hides entirely gets [[|(0,0)|]] (root only): every posting filtered,
-   no results, exactly like the global evaluation of that region. *)
-
-let translate_mask t ~shard mask =
-  let { global_first = g0; global_last = g1; _ } = t.shards.(shard) in
-  let off = g0 - 1 in
-  let root_visible = ref false in
-  let acc = ref [] in
-  Array.iter
-    (fun (lo, hi) ->
-      if lo <= 0 && 0 <= hi then root_visible := true;
-      let lo = max lo g0 and hi = min hi g1 in
-      if lo <= hi then acc := (lo - off, hi - off) :: !acc)
-    mask;
-  let body = List.rev !acc in
-  Array.of_list (if !root_visible then (0, 0) :: body else body)
-
-let to_global t ~shard local =
-  if local = 0 then 0 else local + (t.shards.(shard).global_first - 1)
-
-(* ------------------------------------------------------------------ *)
 (* Queries: every shard is one segment of a ranked merge *)
 
 type hit = {
@@ -152,12 +127,12 @@ type hit = {
   result : Pipeline.snippet_result;
 }
 
-let run ?semantics ?config ?bound ?limit ?mask ?deadline t query =
+let run ?semantics ?config ?bound ?limit ?deadline t query =
   Registry.incr queries_total;
   let segment i s =
     {
       Pipeline.db = s.db;
-      mask = Option.map (fun m -> translate_mask t ~shard:i m) mask;
+      mask = None;
       (* results rooted at the shard-local root are dropped: they have
          no counterpart in the unsharded evaluation (documented in the
          mli). One source for every shard, so equal scores keep shard
@@ -171,10 +146,13 @@ let run ?semantics ?config ?bound ?limit ?mask ?deadline t query =
     query
   |> List.map (fun (h : Pipeline.hit) ->
          let shard = h.Pipeline.segment and result = h.Pipeline.snippet in
+         (* a kept root is never the local root, so it lies in the
+            shard's global block, shifted down by [global_first - 1] *)
+         let local = Result_tree.root result.Pipeline.result in
          {
            shard;
            score = h.Pipeline.score;
-           global_root = to_global t ~shard (Result_tree.root result.Pipeline.result);
+           global_root = local + t.shards.(shard).global_first - 1;
            result;
          })
 

@@ -6,8 +6,7 @@
     subtrees: shard-local node 0 is a copy of the global root, local ids
     [1..len] are the global block [[global_first, global_last]] shifted
     down, so provenance is two integers per shard and translating a
-    result root back to a global node id is one addition
-    ({!to_global}). Depths, tags and texts are unchanged; only parents
+    result root back to a global node id is one addition. Depths, tags and texts are unchanged; only parents
     shift (the group's top-level children re-parent to the shard root).
 
     Divergence from unsharded evaluation, by design: results rooted at
@@ -40,26 +39,12 @@ val provenance : t -> int -> int * int
 (** [(global_first, global_last)] — the inclusive global node-id block
     shard [i]'s local ids [1..] map onto. *)
 
-(* lint: allow unused-export *)
-val to_global : t -> shard:int -> int -> int
-(** Translate a shard-local node id to the global id (local 0 — the
-    copied root — maps to global 0). Test use only: test/test_shard.ml checks
-    the id translation directly. *)
-
-(* lint: allow unused-export *)
-val translate_mask : t -> shard:int -> (int * int) array -> (int * int) array
-(** Project a global visibility mask (see {!Extract_search.Eval_ctx})
-    onto one shard: intersect with the shard's block, shift to local
-    ids, and keep the local root visible iff the global root is. A mask
-    that hides the whole block yields [[|(0, 0)|]] — every posting
-    filtered, no results, matching the global evaluation of that
-    region. Test use only: test/test_shard.ml checks the mask projection
-    directly. *)
-
 type hit = {
   shard : int;
   score : float;
-  global_root : int; (** the result root translated via {!to_global} *)
+  global_root : int;
+      (** the result root as a global node id: local [i] is
+          [global_first + i - 1] ({!provenance}) *)
   result : Pipeline.snippet_result;
 }
 
@@ -68,7 +53,6 @@ val run :
   ?config:Config.t ->
   ?bound:int ->
   ?limit:int ->
-  ?mask:(int * int) array ->
   ?deadline:Extract_util.Deadline.t ->
   t ->
   string ->
@@ -76,10 +60,9 @@ val run :
 (** One {!Pipeline.run_merged} pass with one segment per shard: every
     shard is ranked, the results rooted below the shard roots are
     sorted best first (ties toward the lower shard index), cut at
-    [limit], and only the kept hits are snippeted. [mask] is a
-    global-id mask, translated per shard. [deadline] is checked before
-    each kept hit's snippet, so a sharded query degrades on budget
-    exhaustion exactly like a flat one. When tracing, each shard's rank
+    [limit], and only the kept hits are snippeted. [deadline] is
+    checked before each kept hit's snippet, so a sharded query degrades
+    on budget exhaustion exactly like a flat one. When tracing, each shard's rank
     stage records a [shard.run{shard=i}] span under the caller's open
     span. *)
 

@@ -29,8 +29,9 @@ let check t n =
     invalid_arg (Printf.sprintf "Snippet_tree: node %d is not a result element" n)
 
 (* The missing element nodes between [n] (inclusive) and the nearest
-   snippet member above it, nearest-to-snippet last. Member sets of result
-   trees are ancestor-closed, so the walk stays inside the result. *)
+   snippet member above it, nearest-to-snippet last. The snippet holds the
+   result root and a result is a whole subtree, so the walk stays inside
+   the result. *)
 let missing_path t n =
   let doc = Result_tree.document t.result in
   let rec up acc n =
@@ -69,7 +70,7 @@ let nodes t =
 let contains_any t instances = Array.exists (fun n -> Hashtbl.mem t.set n) instances
 
 let snippet_children t n =
-  Result_tree.children t.result n
+  Document.children (Result_tree.document t.result) n
   |> List.filter (fun c -> Hashtbl.mem t.set c)
 
 let truncate_value max_value v =

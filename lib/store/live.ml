@@ -290,18 +290,8 @@ let view t = Atomic.get t.state
 (* ------------------------------------------------------------------ *)
 (* Mutation (single writer)                                            *)
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let close t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match t.journal with
       | Some w ->
         t.journal <- None;
@@ -329,7 +319,7 @@ let add t ~name ~xml =
      enter the journal, or recovery would choke on it forever. *)
   let doc = Document.load_string xml in
   let index = Inverted_index.build doc in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Journal.append (writer t) (Journal.Add_doc { name; xml });
       (* the record is durable; a crash from here on recovers to the
          post-add state. *)
@@ -339,7 +329,7 @@ let add t ~name ~xml =
       Registry.incr adds_total)
 
 let remove t name =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let view = Atomic.get t.state in
       if not (mem view name) then false
       else begin
@@ -387,7 +377,7 @@ let prune_old_generations dir keep =
 
 let compact t =
   if t.read_only then invalid_arg "Live: store opened read-only";
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       (* the rebuilt arena stays in memory as the new base: a mapped one
          would allocate a string for every text read *)
       let next = rebuild (Atomic.get t.state) in

@@ -21,13 +21,9 @@ let succ_of arr x =
   let i = lower_bound arr (x + 1) in
   if i >= Array.length arr then None else Some arr.(i)
 
-let subtree_range doc arr root =
+let in_subtree doc arr root =
   let lo = lower_bound arr root in
   let hi = lower_bound arr (Document.subtree_last doc root + 1) in
-  lo, hi
-
-let in_subtree doc arr root =
-  let lo, hi = subtree_range doc arr root in
   let out = ref [] in
   for i = hi - 1 downto lo do
     out := arr.(i) :: !out

@@ -4,8 +4,8 @@
     node ids, and a subtree is the contiguous interval
     [[root, Document.subtree_last doc root]] — so "the matches inside this
     result" is a range query, not a scan. These helpers are shared by the
-    SLCA merge, result shaping, match restriction and the ranker; they used
-    to live privately in [Slca]. *)
+    SLCA merge, XSearch's witnesses, match restriction and the ranker;
+    they used to live privately in [Slca]. *)
 
 val closest_in : Document.node array -> lo:Document.node -> hi:Document.node -> Document.node option
 (** Some element of the sorted array within [[lo, hi]], or [None]. *)
@@ -15,10 +15,6 @@ val pred_of : Document.node array -> Document.node -> Document.node option
 
 val succ_of : Document.node array -> Document.node -> Document.node option
 (** Smallest element strictly above [x]. *)
-
-val subtree_range : Document.t -> Document.node array -> Document.node -> int * int
-(** [subtree_range doc arr root] — the half-open index range [[i, j)] of
-    postings lying in [root]'s subtree. O(log |arr|). *)
 
 val in_subtree : Document.t -> Document.node array -> Document.node -> Document.node list
 (** The postings inside [root]'s subtree, in document order. O(log |arr|)

@@ -35,23 +35,13 @@ let lock = Mutex.create ()
 (* guarded-by: lock *)
 let table : (string, state) Hashtbl.t = Hashtbl.create 8
 
-let with_lock f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-    Mutex.unlock lock;
-    v
-  | exception e ->
-    Mutex.unlock lock;
-    raise e
-
 (* The pipeline consults fault points per result; with nothing configured
    the whole feature must cost one load — hence an Atomic flag in front
    of the mutex-guarded table. *)
 let armed = Atomic.make false
 
 let clear () =
-  with_lock (fun () -> Hashtbl.reset table);
+  Mutex.protect lock (fun () -> Hashtbl.reset table);
   Atomic.set armed false
 
 let parse_mode spec =
@@ -120,7 +110,7 @@ let configure config =
   in
   match parse_entries [] entries with
   | Ok parsed ->
-    with_lock (fun () ->
+    Mutex.protect lock (fun () ->
         List.iter
           (fun (point, mode, action, spec) ->
             Hashtbl.replace table point { mode; action; spec; hits = 0; fired = 0 })
@@ -149,7 +139,7 @@ let install_from_env () =
 let consult point =
   if not (Atomic.get armed) then `Pass
   else
-    with_lock (fun () ->
+    Mutex.protect lock (fun () ->
         match Hashtbl.find_opt table point with
         | None -> `Pass
         | Some st ->
@@ -181,7 +171,7 @@ let should_fail point =
     Unix._exit crash_exit_code
 
 let spec_of point =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table point with
       | Some st -> st.spec
       | None -> "?")
@@ -189,17 +179,17 @@ let spec_of point =
 let hit point = if should_fail point then raise (Injected (point, "spec " ^ spec_of point))
 
 let hits point =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table point with
       | Some st -> st.hits
       | None -> 0)
 
 let fired point =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table point with
       | Some st -> st.fired
       | None -> 0)
 
 let configured () =
-  with_lock (fun () -> Hashtbl.fold (fun point st acc -> (point, st.spec) :: acc) table [])
+  Mutex.protect lock (fun () -> Hashtbl.fold (fun point st acc -> (point, st.spec) :: acc) table [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

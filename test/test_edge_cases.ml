@@ -1,6 +1,6 @@
 (* Targeted edge cases across the pipeline: degenerate documents, queries
-   that match structure only, oversized bounds, multi-token values, value
-   truncation, and Match_paths-shaped snippet inputs. *)
+   that match structure only, oversized bounds, multi-token values and
+   value truncation. *)
 
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
@@ -146,31 +146,6 @@ let test_truncation_exact_boundary () =
   check bool "exact length untouched" true (contains_substring s "\"12345\"")
 
 (* ------------------------------------------------------------------ *)
-(* Match_paths-shaped results through the snippet pipeline *)
-
-let test_snippets_on_pruned_results () =
-  let db =
-    Pipeline.build
-      (Document.of_document
-         (Extract_datagen.Retail.generate
-            { Extract_datagen.Retail.default with Extract_datagen.Retail.retailers = 2 }))
-  in
-  let index = Pipeline.index db in
-  let kinds = Pipeline.kinds db in
-  let q = Query.of_string "apparel retailer" in
-  let pruned = Engine.run ~shape:Engine.Match_paths index kinds q in
-  check bool "pruned results exist" true (pruned <> []);
-  List.iter
-    (fun result ->
-      let out = Pipeline.snippet_of ~bound:5 db result q in
-      check bool "bound on pruned" true
-        (Snippet_tree.edge_count out.Pipeline.selection.Selector.snippet <= 5);
-      List.iter
-        (fun n -> check bool "snippet inside pruned result" true (Result_tree.mem result n))
-        (Snippet_tree.nodes out.Pipeline.selection.Selector.snippet))
-    pruned
-
-(* ------------------------------------------------------------------ *)
 (* Unicode round trips through the whole stack *)
 
 let test_unicode_end_to_end () =
@@ -215,8 +190,6 @@ let suites =
         Alcotest.test_case "truncation" `Quick test_render_truncates_long_values;
         Alcotest.test_case "truncation boundary" `Quick test_truncation_exact_boundary;
       ] );
-    ( "edge.shapes",
-      [ Alcotest.test_case "pruned results" `Quick test_snippets_on_pruned_results ] );
     ( "edge.unicode",
       [
         Alcotest.test_case "utf8 end to end" `Quick test_unicode_end_to_end;

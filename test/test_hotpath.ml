@@ -53,7 +53,7 @@ let test_run_ctx_equals_run () =
   let idx = Pipeline.index db in
   let kinds = Pipeline.kinds db in
   let q = Query.of_string "apparel store" in
-  let fingerprint r = Result_tree.root r, Array.to_list (Result_tree.members r) in
+  let fingerprint r = Result_tree.root r, Result_tree.size r in
   List.iter
     (fun semantics ->
       let direct = Engine.run ~semantics idx kinds q in
@@ -72,7 +72,7 @@ let test_limit_is_prefix_of_unlimited () =
   let idx = Pipeline.index db in
   let kinds = Pipeline.kinds db in
   let q = Query.of_string "apparel store" in
-  let fingerprint r = Result_tree.root r, Array.to_list (Result_tree.members r) in
+  let fingerprint r = Result_tree.root r, Result_tree.size r in
   List.iter
     (fun semantics ->
       let all = Engine.run ~semantics idx kinds q in

@@ -10,6 +10,7 @@ module Inverted_index = Extract_store.Inverted_index
 module Journal = Extract_store.Journal
 module Live = Extract_store.Live
 module Engine = Extract_search.Engine
+module Eval_ctx = Extract_search.Eval_ctx
 module Query = Extract_search.Query
 module Result_tree = Extract_search.Result_tree
 module Faults = Extract_util.Faults
@@ -669,7 +670,9 @@ let test_mask_filters_postings () =
   let intervals =
     List.map (fun r -> r, Document.subtree_last doc r) member_roots
   in
-  let run mask = Engine.run ~mask index kinds (Query.of_string "storm") in
+  let run mask =
+    Engine.run_ctx (Eval_ctx.make ~mask index (Query.of_string "storm")) kinds
+  in
   let all = Engine.run index kinds (Query.of_string "storm") in
   check bool "unmasked finds both" true (List.length all >= 2);
   (match intervals with
@@ -764,7 +767,7 @@ let test_live_limit_is_prefix () =
 
 let test_corpus_limit_is_prefix () =
   let corpus = ranked_corpus () in
-  check_limit_is_prefix (fun ?limit q -> Corpus.run ?limit corpus q)
+  check_limit_is_prefix (fun ?limit q -> Corpus_merge.run ?limit corpus q)
 
 let test_live_deadline_only_degrades () =
   let lc = ranked_store () in
@@ -774,8 +777,9 @@ let test_live_deadline_only_degrades () =
 
 let test_corpus_deadline_only_degrades () =
   let corpus = ranked_corpus () in
-  check_deadline_only_degrades (fun ?deadline q -> Corpus.run ~limit:25 ?deadline corpus q);
-  check_deadline_only_degrades (fun ?deadline q -> Corpus.run ?deadline corpus q)
+  check_deadline_only_degrades (fun ?deadline q ->
+      Corpus_merge.run ~limit:25 ?deadline corpus q);
+  check_deadline_only_degrades (fun ?deadline q -> Corpus_merge.run ?deadline corpus q)
 
 let suites =
   [

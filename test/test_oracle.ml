@@ -83,7 +83,7 @@ let corpora =
       "mixed", (fun () -> Document.of_xml (mixed_catalog ()));
     |]
 
-let semantics = [| Engine.Xseek; Engine.Slca; Engine.Elca |]
+let semantics = Array.of_list Engine.all_semantics
 
 (* Scores print as hex floats, so equal answers mean bit-equal scores. *)
 let answer semantics db query =

@@ -227,7 +227,7 @@ let retail_db = lazy (Pipeline.build (Lazy.force retail_doc))
 let queries =
   [ "apparel retailer"; "apparel store"; "suit"; "store texas"; "retailer"; "nosuchword" ]
 
-let result_fingerprint r = Result_tree.root r, Array.to_list (Result_tree.members r)
+let result_fingerprint r = Result_tree.root r, Result_tree.size r
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot roundtrip and integrity *)

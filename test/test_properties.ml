@@ -199,24 +199,38 @@ let prop_elca_covers =
       let covering = Lca.covering_nodes d lists in
       List.for_all (fun e -> List.mem e covering) elcas)
 
-(* The interval-based match restriction must agree with the naive filter
-   (membership test over the whole posting list) on every tree shape —
-   full subtrees and pruned match-path views alike. *)
+(* A result is its root's subtree interval. For every root, its
+   restriction of each posting list (against the naive filter), its
+   membership, size and element walk, and the closure of its members
+   under Document.children must agree with the subtree found by walking
+   parents. *)
 let prop_restrict_matches_equals_filter =
   Test.make ~name:"interval restrict_matches = naive filter" ~count:200
     arb_doc_and_keywords (fun (t, kws) ->
       let d = doc_of t in
       let idx = Inverted_index.build d in
       let lists = List.map (Inverted_index.lookup idx) kws in
-      let naive r arr = Array.to_list arr |> List.filter (Result_tree.mem r) in
-      let agree r = List.for_all (fun arr -> Result_tree.restrict_matches r arr = naive r arr) lists in
-      let ok = ref true in
-      for root = 0 to min (Document.node_count d - 1) 20 do
-        if not (agree (Result_tree.full d root)) then ok := false;
-        let matches = List.concat_map (fun arr -> naive (Result_tree.full d root) arr) lists in
-        if not (agree (Result_tree.match_paths d ~root ~matches)) then ok := false
-      done;
-      !ok)
+      let nodes = List.init (Document.node_count d) Fun.id in
+      List.for_all
+        (fun root ->
+          let r = Result_tree.full d root in
+          let rec under n =
+            n = root || match Document.parent d n with Some p -> under p | None -> false
+          in
+          let subtree = List.filter under nodes in
+          let elements = ref [] in
+          Result_tree.iter_elements r (fun n -> elements := n :: !elements);
+          List.for_all
+            (fun arr ->
+              Result_tree.restrict_matches r arr = List.filter under (Array.to_list arr))
+            lists
+          && List.for_all (fun n -> Result_tree.mem r n = under n) nodes
+          && Result_tree.size r = List.length subtree
+          && List.rev !elements = List.filter (Document.is_element d) subtree
+          && List.for_all
+               (fun n -> List.for_all (Result_tree.mem r) (Document.children d n))
+               subtree)
+        nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Snippets *)

@@ -205,26 +205,36 @@ let test_result_full () =
   check bool "member" true (Result_tree.mem r 8);
   check bool "outside" false (Result_tree.mem r 11)
 
-let test_result_of_members_closure () =
+(* A result is a whole subtree: closed upward to its root, holding every
+   child and the parent of each member, and nothing outside the root. *)
+let test_result_upward_closure () =
   let d, _ = setup dept in
-  (* give only deep nodes; ancestors must be added *)
-  let r = Result_tree.match_paths d ~root:0 ~matches:[ 8; 14 ] in
-  check bool "ancestor group1" true (Result_tree.mem r 1);
+  let r = Result_tree.full d 1 in
+  (* skill 8 lies under person 5 under group 1 *)
+  check bool "match in" true (Result_tree.mem r 8);
   check bool "ancestor person5" true (Result_tree.mem r 5);
-  check bool "root in" true (Result_tree.mem r 0);
-  check bool "sibling not in" false (Result_tree.mem r 2)
+  check bool "root in" true (Result_tree.mem r 1);
+  check bool "sibling not in" false (Result_tree.mem r 10)
 
-let test_result_of_members_outside () =
-  let d, _ = setup dept in
-  Alcotest.check_raises "outside root"
-    (Invalid_argument "Result_tree: a member lies outside the root's subtree") (fun () ->
-      ignore (Result_tree.match_paths d ~root:1 ~matches:[ 11 ]))
+let test_result_outside_root () =
+  let d, idx = setup dept in
+  (* person 5 spans nodes 5 to 9 *)
+  let r = Result_tree.full d 5 in
+  check bool "parent" false (Result_tree.mem r 1);
+  check bool "preceding sibling's text" false (Result_tree.mem r 4);
+  check bool "next group" false (Result_tree.mem r 10);
+  check bool "matches outside dropped" true
+    (Result_tree.restrict_matches r (Inverted_index.lookup idx "logic") = [ 8 ])
 
 let test_result_children_and_parent () =
   let d, _ = setup dept in
-  let r = Result_tree.match_paths d ~root:0 ~matches:[ 8; 14 ] in
-  check bool "children of root" true (Result_tree.children r 0 = [ 1; 10 ]);
-  check bool "children of group1" true (Result_tree.children r 1 = [ 5 ])
+  let r = Result_tree.full d 0 in
+  check bool "children of root" true (Document.children d 0 = [ 1; 10 ]);
+  check bool "children of group1" true (Document.children d 1 = [ 2; 5 ]);
+  check bool "children are members" true
+    (List.for_all (Result_tree.mem r) (Document.children d 0 @ Document.children d 1));
+  check bool "parent of a member is a member" true
+    (match Document.parent d 8 with Some p -> Result_tree.mem r p | None -> false)
 
 let test_result_edge_count () =
   let d, _ = setup dept in
@@ -333,17 +343,6 @@ let test_engine_empty_query () =
   let idx = Inverted_index.build d in
   check int "no keywords" 0 (List.length (Engine.run idx kinds (Query.of_string " ")))
 
-let test_engine_match_paths_shape () =
-  let d = load shop in
-  let kinds = Node_kind.of_document d in
-  let idx = Inverted_index.build d in
-  let full = Engine.run ~shape:Engine.Full_subtree idx kinds (Query.of_string "chair") in
-  let paths = Engine.run ~shape:Engine.Match_paths idx kinds (Query.of_string "chair") in
-  let fr = List.hd full and pr = List.hd paths in
-  check bool "pruned is smaller" true (Result_tree.size pr < Result_tree.size fr);
-  check bool "match node kept" true (Result_tree.mem pr 4);
-  check bool "sku dropped" false (Result_tree.mem pr 2)
-
 let test_engine_semantics_strings () =
   check bool "roundtrip" true
     (List.for_all
@@ -389,8 +388,8 @@ let suites =
     ( "search.result_tree",
       [
         Alcotest.test_case "full" `Quick test_result_full;
-        Alcotest.test_case "upward closure" `Quick test_result_of_members_closure;
-        Alcotest.test_case "outside root" `Quick test_result_of_members_outside;
+        Alcotest.test_case "upward closure" `Quick test_result_upward_closure;
+        Alcotest.test_case "outside root" `Quick test_result_outside_root;
         Alcotest.test_case "children/parent" `Quick test_result_children_and_parent;
         Alcotest.test_case "edge count" `Quick test_result_edge_count;
         Alcotest.test_case "restrict matches" `Quick test_result_restrict_matches;
@@ -410,7 +409,6 @@ let suites =
         Alcotest.test_case "slca roots" `Quick test_engine_slca_vs_xseek_roots;
         Alcotest.test_case "limit" `Quick test_engine_limit;
         Alcotest.test_case "empty query" `Quick test_engine_empty_query;
-        Alcotest.test_case "match paths" `Quick test_engine_match_paths_shape;
         Alcotest.test_case "semantics strings" `Quick test_engine_semantics_strings;
       ] );
   ]

@@ -1,7 +1,6 @@
 (* Sharded queries: splitting preserves every subtree below the root,
-   provenance intervals tile the corpus, mask translation matches the
-   global tombstone semantics, a limited answer is the prefix of the
-   unlimited one, and a shard directory roundtrips through
+   provenance intervals tile the corpus, a limited answer is the prefix
+   of the unlimited one, and a shard directory roundtrips through
    save_dir/load_dir. *)
 
 module Codec = Extract_store.Codec
@@ -56,9 +55,10 @@ let test_shard_docs_mirror_global () =
       (g1 - g0 + 2) (Document.node_count sdoc);
     check bool "root tag copied" true
       (Document.tag_name sdoc 0 = Document.tag_name doc 0);
-    (* every local node mirrors its global counterpart *)
+    (* every local node mirrors its global counterpart, shifted by the
+       shard's provenance *)
     for local = 1 to Document.node_count sdoc - 1 do
-      let g = Shard_set.to_global t ~shard:i local in
+      let g = local + g0 - 1 in
       if Document.is_element sdoc local then
         assert (Document.tag_name sdoc local = Document.tag_name doc g)
       else assert (Document.text sdoc local = Document.text doc g);
@@ -73,14 +73,14 @@ let test_shard_docs_mirror_global () =
    children; spanning results root at the global root and are dropped
    on both sides of the comparison) *)
 
-let global_roots_unsharded ?mask q =
-  Pipeline.search ~semantics:Engine.Slca ?mask (Lazy.force retail_db) q
+let global_roots_unsharded q =
+  Pipeline.search ~semantics:Engine.Slca (Lazy.force retail_db) q
   |> List.map Extract_search.Result_tree.root
   |> List.filter (fun r -> r <> 0)
   |> List.sort compare
 
-let global_roots_sharded ?mask q =
-  Shard_set.run ~semantics:Engine.Slca ?mask (Lazy.force sharded) q
+let global_roots_sharded q =
+  Shard_set.run ~semantics:Engine.Slca (Lazy.force sharded) q
   |> List.map (fun h -> h.Shard_set.global_root)
   |> List.sort compare
 
@@ -101,43 +101,6 @@ let test_hits_translate_roots () =
       check bool "root inside shard block" true
         (h.Shard_set.global_root >= g0 && h.Shard_set.global_root <= g1))
     hits
-
-(* ------------------------------------------------------------------ *)
-(* Mask translation *)
-
-let test_translate_mask_intersects_and_shifts () =
-  let t = Lazy.force sharded in
-  let g0, g1 = Shard_set.provenance t 1 in
-  (* full-corpus mask: the whole block is visible, shifted to local ids *)
-  let full = Shard_set.translate_mask t ~shard:1 [| (0, max_int) |] in
-  check bool "full mask keeps root" true (Array.exists (fun iv -> iv = (0, 0)) full);
-  check bool "full mask covers block" true
-    (Array.exists (fun (lo, hi) -> lo = 1 && hi = g1 - g0 + 1) full);
-  (* a mask that misses the block: only the root survives *)
-  let miss = Shard_set.translate_mask t ~shard:1 [| (0, g0 - 1) |] in
-  check bool "missed block = root only" true (miss = [| (0, 0) |]);
-  (* a mask that also hides the root: nothing visible *)
-  let hidden = Shard_set.translate_mask t ~shard:1 [| (1, g0 - 1) |] in
-  check int "hidden shard has empty mask" 0 (Array.length hidden);
-  (* partial overlap shifts by g0 - 1 *)
-  let partial = Shard_set.translate_mask t ~shard:1 [| (g0 + 2, g1 + 1000) |] in
-  check bool "partial overlap" true (partial = [| (3, g1 - g0 + 1) |])
-
-let test_masked_equivalence () =
-  let doc = Lazy.force retail_doc in
-  let t = Lazy.force sharded in
-  (* hide shard 0's whole block (plus keep everything else visible) *)
-  let _, h0 = Shard_set.provenance t 0 in
-  let mask = [| (0, 0); (h0 + 1, Document.node_count doc - 1) |] in
-  List.iter
-    (fun q ->
-      check bool (q ^ ": masked sharded = masked unsharded") true
-        (global_roots_sharded ~mask q = global_roots_unsharded ~mask q);
-      (* and nothing leaks from the hidden shard *)
-      List.iter
-        (fun h -> check bool "no hit from hidden shard" true (h.Shard_set.shard <> 0))
-        (Shard_set.run ~semantics:Engine.Slca ~mask t q))
-    queries
 
 let hit_key h = Shard_set.(h.shard, h.score, h.global_root)
 
@@ -211,41 +174,7 @@ let test_local_root_keeps_limit () =
   check bool "the prefix of the unlimited answer" true
     (List.map hit_key limited = List.map hit_key (List.filteri (fun i _ -> i < limit) all))
 
-(* ------------------------------------------------------------------ *)
-(* Ranking under a mask: a ranker takes document frequency from the
-   unmasked list length, so a mask over other members may not move a
-   score. *)
-
 let exact = Alcotest.float 0.
-
-let test_mask_keeps_other_scores () =
-  let doc = Lazy.force retail_doc in
-  let t = Lazy.force sharded in
-  (* hide the first retailer of shard 1, which holds more than that one *)
-  let g0, g1 = Shard_set.provenance t 1 in
-  let last = Document.subtree_last doc g0 in
-  check bool "shard 1 keeps other retailers" true (last < g1);
-  let mask = [| (0, g0 - 1); (last + 1, Document.node_count doc - 1) |] in
-  List.iter
-    (fun q ->
-      let unmasked = Shard_set.run t q in
-      let masked = Shard_set.run ~mask t q in
-      check bool (q ^ ": the mask hides something") true
-        (q = "nosuchword" || List.length masked < List.length unmasked);
-      List.iter
-        (fun h ->
-          let root = h.Shard_set.global_root in
-          check bool "not from the hidden retailer" true (root < g0 || root > last);
-          let same u =
-            u.Shard_set.shard = h.Shard_set.shard && u.Shard_set.global_root = root
-          in
-          match List.find_opt same unmasked with
-          | Some u ->
-            check exact (Printf.sprintf "%s: score of %d" q root) u.Shard_set.score
-              h.Shard_set.score
-          | None -> Alcotest.failf "%s: masked hit %d is no unmasked hit" q root)
-        masked)
-    queries
 
 (* ------------------------------------------------------------------ *)
 (* The merge itself *)
@@ -353,16 +282,6 @@ let suites =
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
         case "a search fault surfaces" test_search_fault_surfaces;
         case "a local root keeps the limit" test_local_root_keeps_limit;
-      ] );
-    ( "shard.ranking",
-      [
-        case "a mask leaves other scores alone" test_mask_keeps_other_scores;
-      ] );
-    ( "shard.mask",
-      [
-        case "translate: intersect, shift, root rule"
-          test_translate_mask_intersects_and_shifts;
-        case "masked equivalence and isolation" test_masked_equivalence;
       ] );
     ( "shard.merge",
       [

@@ -779,10 +779,10 @@ let test_corpus_deadline_passthrough () =
   let corpus =
     Corpus.of_list [ "league", Pipeline.of_xml_string league ]
   in
-  let hits = Corpus.run ~deadline:(expired_deadline ()) corpus "guard" in
+  let hits = Corpus_merge.run ~deadline:(expired_deadline ()) corpus "guard" in
   check bool "has hits" true (hits <> []);
   check bool "all degraded" true
-    (List.for_all (fun h -> h.Corpus.snippet.Pipeline.degraded) hits)
+    (List.for_all (fun h -> h.Pipeline.snippet.Pipeline.degraded) hits)
 
 let test_corpus_rebuilds_corrupt_artifact () =
   let dir = Filename.temp_file "extract_corpus" "" in

@@ -161,25 +161,25 @@ let test_corpus_add_replaces () =
 let test_corpus_run_merges () =
   let c = corpus () in
   (* "drama" only exists in movies; "store" only in retail *)
-  let drama = Corpus.run ~bound:4 c "drama" in
+  let drama = Corpus_merge.run ~bound:4 c "drama" in
   check bool "drama hits movies only" true
-    (drama <> [] && List.for_all (fun h -> h.Corpus.source = "movies") drama);
-  let store = Corpus.run ~bound:4 c "store" in
+    (drama <> [] && List.for_all (fun h -> h.Pipeline.source = "movies") drama);
+  let store = Corpus_merge.run ~bound:4 c "store" in
   check bool "store hits retail only" true
-    (store <> [] && List.for_all (fun h -> h.Corpus.source = "retail") store)
+    (store <> [] && List.for_all (fun h -> h.Pipeline.source = "retail") store)
 
 let test_corpus_scores_sorted () =
   let c = corpus () in
-  let hits = Corpus.run ~bound:4 c "drama movie" in
-  let scores = List.map (fun h -> h.Corpus.score) hits in
+  let hits = Corpus_merge.run ~bound:4 c "drama movie" in
+  let scores = List.map (fun h -> h.Pipeline.score) hits in
   check bool "descending" true (List.sort (fun a b -> compare b a) scores = scores)
 
 let test_corpus_limit () =
   let c = corpus () in
-  check bool "limit respected" true (List.length (Corpus.run ~limit:3 c "movie") <= 3)
+  check bool "limit respected" true (List.length (Corpus_merge.run ~limit:3 c "movie") <= 3)
 
 let test_corpus_empty () =
-  check int "empty corpus, no hits" 0 (List.length (Corpus.run Corpus.empty "anything"))
+  check int "empty corpus, no hits" 0 (List.length (Corpus_merge.run Corpus.empty "anything"))
 
 let suites =
   [
