@@ -707,8 +707,10 @@ let add_cmd =
   in
   let run dir file name =
     let name = match name with Some n -> n | None -> Filename.basename file in
+    (* check the name and parse before opening: a member that cannot be
+       added creates no store *)
+    live_guard dir (fun () -> Live.validate_name name);
     let xml = read_whole_file file in
-    (* parse before opening: a member that cannot parse creates no store *)
     (match Document.load_string xml with
     | _ -> ()
     | exception Extract_xml.Error.Parse_error (pos, msg) -> exit_parse_error file pos msg);

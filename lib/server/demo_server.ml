@@ -18,10 +18,10 @@ module Runtime = Extract_obs.Runtime
 module Live_store = Extract_store.Live
 
 (* ------------------------------------------------------------------ *)
-(* Server metrics: cache behaviour, shed load and per-connection
-   transport outcomes. Pipeline-level series (stage latencies, degraded
-   snippets, posting resolution) are recorded by the libraries
-   themselves; /metrics renders the whole registry. *)
+(* Server metrics: cache behaviour and shed load. Pipeline-level series
+   (stage latencies, degraded snippets, posting resolution) are recorded
+   by the libraries themselves, transport and pool series by [Http] and
+   [Pool]; /metrics renders the whole registry. *)
 
 let page_hits_total =
   Registry.counter ~help:"Cache hits" ~labels:[ "cache", "page" ]
@@ -35,63 +35,11 @@ let shed_total =
   Registry.counter ~help:"Requests shed with 503 because the budget was spent up front"
     "extract_requests_shed_total"
 
-let response_counter status =
-  Registry.counter ~help:"HTTP responses written, by status"
-    ~labels:[ "status", string_of_int status ]
-    "extract_http_responses_total"
-
-(* pre-register the statuses the server can produce, so /metrics shows
-   the full inventory from the first scrape *)
-let () =
-  List.iter
-    (fun s -> ignore (response_counter s))
-    [ 200; 400; 404; 405; 408; 413; 431; 500; 503 ]
-
 let admin_updates_total op =
   Registry.counter ~help:"Live-store updates applied via /admin, by operation"
     ~labels:[ "op", op ] "extract_admin_updates_total"
 
 let () = List.iter (fun op -> ignore (admin_updates_total op)) [ "add"; "remove"; "compact" ]
-
-let transport_error_counter kind =
-  Registry.counter ~help:"Connections dropped while writing the response"
-    ~labels:[ "kind", kind ] "extract_transport_errors_total"
-
-let () =
-  List.iter
-    (fun k -> ignore (transport_error_counter k))
-    [ "epipe"; "reset"; "write_timeout" ]
-
-(* domain-pool series: per-worker request/connection counters (the
-   "worker" label), the accept-queue occupancy and its shed path *)
-let worker_requests_total w =
-  Registry.counter ~help:"Requests handled, by pool worker"
-    ~labels:[ "worker", string_of_int w ] "extract_worker_requests_total"
-
-let worker_connections_total w =
-  Registry.counter ~help:"Connections handled, by pool worker"
-    ~labels:[ "worker", string_of_int w ] "extract_worker_connections_total"
-
-let keepalive_reuses_total =
-  Registry.counter ~help:"Requests served on an already-open keep-alive connection"
-    "extract_keepalive_reuses_total"
-
-let accept_queue_shed_total =
-  Registry.counter
-    ~help:"Connections answered 503 up front because the accept queue was full"
-    "extract_accept_queue_shed_total"
-
-let accept_queue_depth =
-  Registry.gauge ~help:"Connections waiting in the accept queue"
-    "extract_accept_queue_depth"
-
-let accept_queue_depth_peak =
-  Registry.gauge ~help:"Deepest accept-queue occupancy observed"
-    "extract_accept_queue_depth_peak"
-
-let queue_wait_seconds =
-  Registry.histogram ~help:"Seconds accepted connections waited for a pool worker"
-    "extract_queue_wait_seconds"
 
 let live_journal_lag =
   Registry.gauge
@@ -109,7 +57,7 @@ type t = {
       (* (depth, capacity) of the accept queue while a pool runs *)
 }
 
-type response = {
+type response = Http.response = {
   status : int;
   reason : string;
   content_type : string;
@@ -181,19 +129,11 @@ let ok ?(content_type = "text/html; charset=utf-8") body =
 
 let text_ok body = ok ~content_type:"text/plain; charset=utf-8" body
 
-let error ?(headers = []) status reason detail =
-  {
-    status;
-    reason;
-    content_type = "text/plain; charset=utf-8";
-    headers;
-    body = Printf.sprintf "%d %s\n%s\n" status reason detail;
-  }
+let error = Http.error
 
 (* load shedding: the budget is already gone, so decline the expensive
    work up front instead of producing an all-degraded page *)
-let overloaded detail =
-  error ~headers:[ "Retry-After", "1" ] 503 "Service Unavailable" detail
+let overloaded = Http.overloaded
 
 let home_page t =
   let buf = Buffer.create 1024 in
@@ -467,7 +407,7 @@ let stats_page t params =
    that invalidated it. The query view swap inside Live_corpus is the
    cache: unchanged segments keep their analyzed pipelines. *)
 
-type meth = Get | Post
+type meth = Http.meth = Get | Post
 
 let meth_name = function Get -> "GET" | Post -> "POST"
 
@@ -712,9 +652,10 @@ let snippet_cache_stats _ = 0, 0
 let degraded_served t = Atomic.get t.degraded_served
 
 (* ------------------------------------------------------------------ *)
-(* Transport *)
+(* Serving: the transport is [Http], the domain pool [Pool]; the server
+   hands them [handle_request] with the request's deadline. *)
 
-type config = {
+type config = Http.config = {
   timeout_ms : int;
   deadline_ms : int option;
   max_header_bytes : int;
@@ -724,561 +665,34 @@ type config = {
   log : string -> unit;
 }
 
-let default_config =
-  {
-    timeout_ms = 5_000;
-    deadline_ms = None;
-    max_header_bytes = 32_768;
-    workers = 1;
-    queue_depth = 64;
-    max_requests_per_conn = 100;
-    log = (fun msg -> Printf.eprintf "extract-serve: %s\n%!" msg);
-  }
+let default_config = Http.default_config
 
-(* A dying client must cost us one connection, not the process: without
-   this, the kernel answers a write to a closed peer with SIGPIPE and the
-   default disposition kills the server. Ignored, the write fails with
-   EPIPE, which the per-connection handler logs and drops. The once-guard
-   is an Atomic exchange rather than a lazy: forcing a lazy from two
-   domains at once raises Lazy.Undefined in one of them. *)
-let sigpipe_installed = Atomic.make false
+let listen = Http.listen
 
-let ensure_sigpipe_ignored () =
-  if not (Atomic.exchange sigpipe_installed true) then
-    try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-    with Invalid_argument _ | Sys_error _ -> ()
+let bound_port = Http.bound_port
 
-(* Every accepted socket, served or shed, gets TCP_NODELAY: a response
-   longer than one write(2) (64 KiB) leaves in several, and under
-   Nagle's algorithm its last short segment could wait for the peer's
-   ACK of the earlier ones. The read/write timeouts apply only when
-   [timeout_ms] is positive. *)
-let configure_socket fd timeout_ms =
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  if timeout_ms > 0 then begin
-    let seconds = float_of_int timeout_ms /. 1000. in
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
-    try Unix.setsockopt_float fd Unix.SO_SNDTIMEO seconds
-    with Unix.Unix_error _ | Invalid_argument _ -> ()
-  end
-
-let listen ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  (* a deep kernel backlog: under load-test bursts the accept queue, not
-     the kernel's, is the bound we want clients to hit *)
-  Unix.listen sock 128;
-  sock
-
-let bound_port sock =
-  match Unix.getsockname sock with
-  | Unix.ADDR_INET (_, port) -> port
-  | Unix.ADDR_UNIX _ -> invalid_arg "Demo_server.bound_port: not an inet socket"
-
-let max_request_line = 8192
-
-type read_outcome =
-  | Line of string
-  | Eof
-  | Timed_out
-  | Too_long
-  | Bad_cr
-
-let read_request_line fd =
-  (* byte-wise up to the first line terminator; ample for a request line *)
-  let buf = Buffer.create 128 in
-  let byte = Bytes.create 1 in
-  let rec loop n =
-    if n >= max_request_line then Too_long
-    else if Unix.read fd byte 0 1 <> 1 then Eof
-    else begin
-      match Bytes.get byte 0 with
-      | '\n' -> Line (Buffer.contents buf)
-      | '\r' ->
-        (* CR is only valid as the first half of the CRLF terminator *)
-        if Unix.read fd byte 0 1 <> 1 then Eof
-        else if Bytes.get byte 0 = '\n' then Line (Buffer.contents buf)
-        else Bad_cr
-      | c ->
-        Buffer.add_char buf c;
-        loop (n + 1)
-    end
-  in
-  try loop 0 with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) -> Timed_out
-  | Unix.Unix_error (Unix.ECONNRESET, _, _) -> Eof
-
-(* Consume the header block up to the blank line, bounded (an unmetered
-   sink would hand a hostile client free memoryless work), and while
-   draining remember the two headers the transport acts on: [Connection]
-   (comma-split, case-insensitive tokens) and [Content-Length]. EOF
-   before the blank line still yields the headers seen so far — the
-   request is served, but the connection cannot be kept alive. *)
-type request_headers = {
-  connection : string list; (* lowercased tokens *)
-  content_length : int option;
-  headers_eof : bool; (* peer closed before finishing the block *)
-}
-
-type header_outcome =
-  | Headers of request_headers
-  | Header_overflow
-  | Header_timeout
-  | Bad_content_length
-
-let read_headers ~max_bytes fd =
-  let byte = Bytes.create 1 in
-  let line = Buffer.create 64 in
-  let connection = ref [] in
-  let content_length = ref None in
-  let bad_length = ref false in
-  let lowercase_trim s = String.lowercase_ascii (String.trim s) in
-  let process_line l =
-    match String.index_opt l ':' with
-    | None -> ()
-    | Some i ->
-      let name = lowercase_trim (String.sub l 0 i) in
-      let value = String.trim (String.sub l (i + 1) (String.length l - i - 1)) in
-      (match name with
-      | "connection" ->
-        connection :=
-          !connection @ List.map lowercase_trim (String.split_on_char ',' value)
-      | "content-length" -> begin
-        match int_of_string_opt value with
-        | Some n when n >= 0 -> content_length := Some n
-        | Some _ | None -> bad_length := true
-      end
-      | _ -> ())
-  in
-  let finish eof =
-    if !bad_length then Bad_content_length
-    else
-      Headers
-        {
-          connection = !connection;
-          content_length = !content_length;
-          headers_eof = eof;
-        }
-  in
-  let rec loop consumed =
-    if consumed >= max_bytes then Header_overflow
-    else if Unix.read fd byte 0 1 <> 1 then finish true
-    else
-      match Bytes.get byte 0 with
-      | '\n' ->
-        let l = Buffer.contents line in
-        Buffer.clear line;
-        if l = "" then finish false
-        else begin
-          process_line l;
-          loop (consumed + 1)
-        end
-      | '\r' -> loop (consumed + 1) (* CRLF handled at '\n'; bare CR dropped *)
-      | c ->
-        Buffer.add_char line c;
-        loop (consumed + 1)
-  in
-  try loop 0 with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
-    Header_timeout
-  | Unix.Unix_error (Unix.ECONNRESET, _, _) -> finish true
-
-(* GET carries no useful body, but a client that declared one must have
-   it consumed before the next request can be framed on a keep-alive
-   connection. Bounded: a declared length past the cap is refused with
-   413 instead of being read. *)
-let max_body_bytes = 1_048_576
-
-let drain_body ~length fd =
-  let chunk = Bytes.create 4096 in
-  let rec loop remaining =
-    if remaining <= 0 then `Drained
-    else
-      match Unix.read fd chunk 0 (min remaining (Bytes.length chunk)) with
-      | 0 -> `Eof
-      | n -> loop (remaining - n)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-        ->
-        `Timeout
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof
-  in
-  loop length
-
-(* POST bodies are captured rather than drained — same bound, same
-   timeout discipline. A peer that closes mid-body gets 400, not a
-   request served from a silently truncated payload. *)
-let read_body ~length fd =
-  if length = 0 then `Body ""
-  else begin
-    let buf = Bytes.create length in
-    let rec loop off =
-      if off >= length then `Body (Bytes.unsafe_to_string buf)
-      else
-        match Unix.read fd buf off (length - off) with
-        | 0 -> `Eof
-        | n -> loop (off + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-          ->
-          `Timeout
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof
-    in
-    loop 0
-  end
-
-(* A connection's send buffer: each response's head and body are copied
-   into it and leave in one write(2) (up to the Unix library's 64 KiB
-   chunk), so the client takes the whole response in one wake-up however
-   the two sides are timed; written apart, whether the head alone woke
-   the client depended on that timing. The buffer is reused for the
-   connection's later responses and grows to its largest one, so a
-   page-cache hit allocates no copy of the page. *)
-(* domain-local — a connection is served by the one worker that took it *)
-type send_buffer = { mutable bytes : Bytes.t }
-
-let send_buffer () = { bytes = Bytes.empty }
-
-(* The response echoes the request's HTTP version (an HTTP/1.0 client
-   gets an HTTP/1.0 status line) and always carries Content-Length and
-   an explicit Connection header — keep-alive framing depends on both,
-   and error responses always say [close]. *)
-let write_response ~http11 ~keep_alive out fd r =
-  let extra =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) r.headers)
-  in
-  let head =
-    Printf.sprintf
-      "%s %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%sConnection: %s\r\n\r\n"
-      (if http11 then "HTTP/1.1" else "HTTP/1.0")
-      r.status r.reason r.content_type (String.length r.body) extra
-      (if keep_alive then "keep-alive" else "close")
-  in
-  let head_length = String.length head in
-  let length = head_length + String.length r.body in
-  if Bytes.length out.bytes < length then out.bytes <- Bytes.create length;
-  Bytes.blit_string head 0 out.bytes 0 head_length;
-  Bytes.blit_string r.body 0 out.bytes head_length (String.length r.body);
-  let rec write_all off =
-    if off < length then write_all (off + Unix.write fd out.bytes off (length - off))
-  in
-  write_all 0
-
-(* One connection, up to [max_requests] requests with HTTP/1.1
-   keep-alive. Every request gets a fresh deadline from the config —
-   the budget protects a request, not a connection. Errors (≥ 400)
-   always close: a client that just sent a malformed request cannot be
-   trusted to have framed the rest of the stream correctly. *)
-let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t fd =
-  configure_socket fd config.timeout_ms;
-  let out = send_buffer () in
-  let requests = worker_requests_total worker in
-  let rec loop served =
-    let last = served + 1 >= max_requests in
-    let finish ~http11 ~may_continue response =
-      let keep_alive = may_continue && (not last) && response.status < 400 in
-      Registry.incr (response_counter response.status);
-      Registry.incr requests;
-      if served > 0 then Registry.incr keepalive_reuses_total;
-      match write_response ~http11 ~keep_alive out fd response with
-      | () -> if keep_alive then loop (served + 1)
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-        Registry.incr (transport_error_counter "epipe");
-        config.log "client went away before the response was written (EPIPE); dropped"
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPROTOTYPE), _, _) ->
-        Registry.incr (transport_error_counter "reset");
-        config.log "connection reset by peer while writing response; dropped"
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-        ->
-        Registry.incr (transport_error_counter "write_timeout");
-        config.log "response write timed out (slow reader); dropped"
-    in
-    match read_request_line fd with
-    (* between keep-alive requests, a vanished or idle peer is normal
-       connection end, not an error worth a response *)
-    | Eof when served > 0 -> ()
-    | Timed_out when served > 0 -> ()
-    | Eof -> finish ~http11:false ~may_continue:false (error 400 "Bad Request" "empty request")
-    | Timed_out ->
-      finish ~http11:false ~may_continue:false
-        (error 408 "Request Timeout" "no request line within the read timeout")
-    | Too_long ->
-      finish ~http11:false ~may_continue:false
-        (error 400 "Bad Request"
-           (Printf.sprintf "request line longer than %d bytes" max_request_line))
-    | Bad_cr ->
-      finish ~http11:false ~may_continue:false
-        (error 400 "Bad Request" "bare CR in request line")
-    | Line line -> begin
-      match String.split_on_char ' ' line with
-      | (("GET" | "POST") as meth_str) :: target :: rest -> begin
-        let meth = if meth_str = "POST" then Post else Get in
-        let http11 = List.mem "HTTP/1.1" rest in
-        match read_headers ~max_bytes:config.max_header_bytes fd with
-        | Header_overflow ->
-          finish ~http11 ~may_continue:false
-            (error 431 "Request Header Fields Too Large"
-               (Printf.sprintf "headers longer than %d bytes" config.max_header_bytes))
-        | Header_timeout ->
-          finish ~http11 ~may_continue:false
-            (error 408 "Request Timeout" "headers not finished within the read timeout")
-        | Bad_content_length ->
-          finish ~http11 ~may_continue:false
-            (error 400 "Bad Request" "invalid Content-Length")
-        | Headers h -> begin
-          let wants_keepalive =
-            if List.mem "close" h.connection then false
-            else if List.mem "keep-alive" h.connection then true
-            else http11 (* HTTP/1.1 defaults to persistent connections *)
-          in
-          let body =
-            match h.content_length with
-            | None | Some 0 -> `Body ""
-            | Some n when n > max_body_bytes -> `Too_big
-            | Some n ->
-              if meth = Post then read_body ~length:n fd
-              else begin
-                (* a GET body is dead weight: consume it for keep-alive
-                   framing, never hand it to the routes *)
-                match drain_body ~length:n fd with
-                | `Drained -> `Body ""
-                | (`Eof | `Timeout) as r -> r
-              end
-          in
-          match body with
-          | `Too_big ->
-            finish ~http11 ~may_continue:false
-              (error 413 "Payload Too Large"
-                 (Printf.sprintf "request body longer than %d bytes" max_body_bytes))
-          | `Timeout ->
-            finish ~http11 ~may_continue:false
-              (error 408 "Request Timeout"
-                 "request body not finished within the read timeout")
-          | `Eof when meth = Post ->
-            finish ~http11 ~may_continue:false
-              (error 400 "Bad Request" "request body truncated (peer closed mid-body)")
-          | (`Eof | `Body _) as b ->
-            (* the budget clock starts once the request is fully read *)
-            let body = match b with `Body s -> s | `Eof -> "" in
-            let may_continue =
-              wants_keepalive && (not h.headers_eof)
-              && (match b with `Body _ -> true | `Eof -> false)
-            in
-            finish ~http11 ~may_continue
-              (handle_request
-                 ~deadline:(Deadline.of_ms_opt config.deadline_ms)
-                 ~meth ~body
-                 (* the queue wait belongs to the first request only: a
-                    keep-alive reuse never sat in the accept queue *)
-                 ~queue_wait:(if served = 0 then queue_wait else 0.)
-                 t target)
-        end
-      end
-      | _ ->
-        finish ~http11:false ~may_continue:false
-          (error 400 "Bad Request" (Printf.sprintf "unsupported request %S" line))
-    end
-  in
-  loop 0
+(* the budget clock starts once the request is fully read *)
+let handler config t ~meth ~body ~queue_wait target =
+  handle_request ~deadline:(Deadline.of_ms_opt config.deadline_ms) ~meth ~body ~queue_wait t
+    target
 
 let serve_once ?(config = default_config) t listening =
-  ensure_sigpipe_ignored ();
   mark_ready t;
-  let fd, _ = Unix.accept listening in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> handle_connection ~config ~max_requests:1 t fd)
+  Pool.serve_once ~config (handler config t) listening
 
-(* ------------------------------------------------------------------ *)
-(* Domain pool: one acceptor domain feeds a bounded queue of accepted
-   connections; a fixed pool of worker domains drains it, each running
-   the full keep-alive request loop. When the queue is full the
-   acceptor answers 503 + Retry-After itself — cheap, immediate
-   backpressure instead of unbounded queueing. *)
+type pool = Pool.t
 
-type conn_queue = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  items : (Unix.file_descr * float) Queue.t; (* guarded-by: lock — fd, enqueue time *)
-  depth : int;
-  mutable peak : int; (* guarded-by: lock — deepest occupancy seen *)
-  mutable closed : bool; (* guarded-by: lock *)
-}
-
-let queue_create depth =
-  {
-    lock = Mutex.create ();
-    nonempty = Condition.create ();
-    items = Queue.create ();
-    depth;
-    peak = 0;
-    closed = false;
-  }
-
-let queue_try_push q fd =
-  Mutex.lock q.lock;
-  let accepted = (not q.closed) && Queue.length q.items < q.depth in
-  if accepted then begin
-    Queue.add (fd, Deadline.now ()) q.items;
-    let len = Queue.length q.items in
-    Registry.set accept_queue_depth (float_of_int len);
-    if len > q.peak then begin
-      q.peak <- len;
-      Registry.set accept_queue_depth_peak (float_of_int len)
-    end;
-    Condition.signal q.nonempty
-  end;
-  Mutex.unlock q.lock;
-  accepted
-
-let queue_stat q =
-  Mutex.lock q.lock;
-  let s = Queue.length q.items, q.depth in
-  Mutex.unlock q.lock;
-  s
-
-(* blocks until an item or close; after close, drains remaining items
-   so no accepted connection is leaked. Returns the fd and how long it
-   sat in the queue — the saturation signal exported as the
-   queue-wait histogram and span. *)
-let queue_pop q =
-  Mutex.lock q.lock;
-  let rec wait () =
-    if not (Queue.is_empty q.items) then begin
-      let fd, enqueued = Queue.take q.items in
-      Registry.set accept_queue_depth (float_of_int (Queue.length q.items));
-      Some (fd, Float.max 0. (Deadline.now () -. enqueued))
-    end
-    else if q.closed then None
-    else begin
-      Condition.wait q.nonempty q.lock;
-      wait ()
-    end
-  in
-  let r = wait () in
-  Mutex.unlock q.lock;
-  r
-
-let queue_close q =
-  Mutex.lock q.lock;
-  q.closed <- true;
-  Condition.broadcast q.nonempty;
-  Mutex.unlock q.lock
-
-type pool = {
-  pool_listening : Unix.file_descr;
-  pool_queue : conn_queue;
-  acceptor : unit Domain.t;
-  pool_workers : unit Domain.t list;
-  stopping : bool Atomic.t;
-}
-
-let acceptor_loop ~config queue stopping listening =
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let rec loop () =
-    match Unix.accept listening with
-    | fd, _ ->
-      if Atomic.get stopping then close_quietly fd (* the stop poke; exit *)
-      else if queue_try_push queue fd then loop ()
-      else begin
-        (* queue full: shed on the acceptor itself so the client hears
-           503 now rather than waiting behind everyone else *)
-        Registry.incr accept_queue_shed_total;
-        configure_socket fd config.timeout_ms;
-        let r = overloaded "accept queue full" in
-        Registry.incr (response_counter r.status);
-        (try write_response ~http11:false ~keep_alive:false (send_buffer ()) fd r
-         with Unix.Unix_error _ -> ());
-        close_quietly fd;
-        loop ()
-      end
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if Atomic.get stopping then () else loop ()
-    | exception Unix.Unix_error (e, fn, _) ->
-      config.log
-        (Printf.sprintf "accept failed: %s in %s" (Unix.error_message e) fn);
-      if Atomic.get stopping then () else loop ()
-  in
-  loop ()
-
-let worker_loop ~config queue t w =
-  let connections = worker_connections_total w in
-  let rec loop () =
-    match queue_pop queue with
-    | None -> ()
-    | Some (fd, waited) ->
-      Registry.incr connections;
-      Registry.observe queue_wait_seconds waited;
-      (* nothing a single connection does may stop a worker *)
-      (match
-         Fun.protect
-           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-           (fun () ->
-             handle_connection ~worker:w ~queue_wait:waited ~config
-               ~max_requests:config.max_requests_per_conn t fd)
-       with
-      | () -> ()
-      | exception Unix.Unix_error (e, fn, _) ->
-        config.log
-          (Printf.sprintf "connection dropped: %s in %s" (Unix.error_message e) fn)
-      | exception e ->
-        config.log
-          (Printf.sprintf "connection handler failed: %s" (Printexc.to_string e)));
-      loop ()
-  in
-  loop ()
-
-(* The runtime's cap on live domains; a spawn past it fails. OCaml 5.1
-   fixes it when the compiler is built (Max_domains in caml/domain.h: 128
-   on 64-bit builds, 16 on 32-bit ones). Newer runtimes may let
-   OCAMLRUNPARAM change it, and 5.1's standard library has no call that
-   reads it, so this is the 5.1 value: under another cap the check can
-   refuse a pool the runtime would run, or pass one whose spawns fail. *)
-let max_domains = if Sys.word_size = 64 then 128 else 16
-
-let check_domain_budget ~workers =
-  (* the main domain, the acceptor and the workers *)
-  if workers > max_domains - 2 then
-    invalid_arg
-      (Printf.sprintf "%d worker(s) need 2 + %d domains; OCaml runs at most %d" workers
-         workers max_domains)
+let check_domain_budget = Pool.check_domain_budget
 
 let start_pool ?(config = default_config) t listening =
-  let workers = max 1 config.workers in
-  check_domain_budget ~workers;
-  ensure_sigpipe_ignored ();
-  let queue = queue_create (max 1 config.queue_depth) in
-  let stopping = Atomic.make false in
-  let acceptor =
-    Domain.spawn (fun () -> acceptor_loop ~config queue stopping listening)
-  in
-  let pool_workers =
-    List.init workers (fun w -> Domain.spawn (fun () -> worker_loop ~config queue t w))
-  in
+  let pool = Pool.start ~config (handler config t) listening in
   (* the pool is accepting: flip the readiness latch and expose the
      queue's saturation state to /readyz *)
-  Atomic.set t.queue_probe (Some (fun () -> queue_stat queue));
+  Atomic.set t.queue_probe (Some (fun () -> Pool.queue_stat pool));
   mark_ready t;
-  { pool_listening = listening; pool_queue = queue; acceptor; pool_workers; stopping }
+  pool
 
-let stop_pool pool =
-  Atomic.set pool.stopping true;
-  queue_close pool.pool_queue;
-  (* wake the acceptor parked in accept(2): closing the listening fd
-     from another domain is not reliably observed, so poke it with a
-     loopback connection instead — it sees [stopping] and exits *)
-  (try
-     let port = bound_port pool.pool_listening in
-     let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-     (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-      with Unix.Unix_error _ -> ());
-     try Unix.close s with Unix.Unix_error _ -> ()
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  Domain.join pool.acceptor;
-  List.iter Domain.join pool.pool_workers
+let stop_pool = Pool.stop
 
 (* On SIGTERM, the serving loop's last act is dumping the slowlog to
    stderr: when an operator (or an orchestrator) stops a misbehaving
@@ -1297,7 +711,6 @@ let install_sigterm_dump config =
   with Invalid_argument _ | Sys_error _ -> ()
 
 let serve ?(config = default_config) t ~port =
-  ensure_sigpipe_ignored ();
   install_sigterm_dump config;
   (* background GC/subsystem sampler feeding /metrics and /debug/runtime *)
   Runtime.start ();

@@ -3,11 +3,11 @@
     The original demonstration ran as a web site (Apache + PHP, paper §4):
     the user picks an XML data set, issues keyword queries, customizes the
     snippet size bound and browses snippets with links to the complete
-    results. This module is that service, self-contained: a tiny HTTP/1.1
-    server (plain [Unix] sockets, no dependencies) over a {!Corpus}, with
-    keep-alive connections, a fixed pool of OCaml 5 domain workers behind
-    a bounded accept queue, and a sharded LRU cache of rendered pages
-    shared across the workers.
+    results. This module is that service's routes over a {!Corpus}, with a
+    sharded LRU cache of rendered pages shared across the workers. It
+    serves through {!Http}, a dependency-free HTTP/1.1 transport over
+    plain [Unix] sockets, and {!Pool}, a fixed pool of OCaml 5 domain
+    workers behind a bounded accept queue.
 
     Routing:
 
@@ -78,13 +78,12 @@
 
     {2 Resilience (DESIGN.md §9)}
 
-    The transport assumes hostile or broken clients: SIGPIPE is ignored
-    (a dying client costs one connection, not the process), reads and
-    writes carry [SO_RCVTIMEO]/[SO_SNDTIMEO] timeouts so a slowloris
-    client can wedge at most one worker for one timeout, the request
-    line, header block and declared body are byte-bounded, and every
-    per-connection failure is logged and dropped while the pool keeps
-    serving. Each request may run under a deadline
+    {!Http} assumes hostile or broken clients: SIGPIPE is ignored,
+    reads and writes carry [SO_RCVTIMEO]/[SO_SNDTIMEO] timeouts so a
+    slowloris client can wedge at most one worker for one timeout, the
+    request line, header block and declared body are byte-bounded, and
+    every per-connection failure is logged and dropped while the pool
+    keeps serving. Each request may run under a deadline
     ({!config.deadline_ms}): snippets that would start after expiry
     degrade to the baseline (tagged in the HTML and counted on
     [/stats]), and a request whose budget is gone before search starts is
@@ -92,19 +91,10 @@
 
     {2 Multi-core serving (DESIGN.md §12)}
 
-    {!serve} runs an acceptor domain feeding a bounded queue of accepted
-    connections to [config.workers] worker domains; when the queue is
-    full the acceptor itself answers [503] + [Retry-After] immediately.
-    Each worker runs the keep-alive loop: up to
-    [config.max_requests_per_conn] requests per connection, [Connection]
-    and [Content-Length] honored, every error response closing the
-    connection. Responses echo the request's HTTP version and always
-    carry [Content-Length] and an explicit [Connection] header. A
-    response leaves in one write from a send buffer the connection
-    reuses, so a cached page is sent without allocating a copy of it;
-    every accepted socket sets [TCP_NODELAY], so the last segment of a
-    response longer than one write does not wait for the peer's
-    acknowledgement of the earlier ones. *)
+    {!serve} runs {!Pool}: an acceptor domain feeding a bounded queue of
+    accepted connections to [config.workers] worker domains, each
+    running {!Http}'s keep-alive loop with these routes; when the queue
+    is full the acceptor itself answers [503] + [Retry-After]. *)
 
 type t
 
@@ -134,7 +124,7 @@ val mark_ready : t -> unit
     when they start accepting; embedders driving {!handle_request}
     directly call it themselves once their corpus is in place. *)
 
-type response = {
+type response = Http.response = {
   status : int;
   reason : string;
   content_type : string;
@@ -142,7 +132,7 @@ type response = {
   body : string;
 }
 
-type meth = Get | Post
+type meth = Http.meth = Get | Post
 
 val handle_request :
   ?deadline:Extract_util.Deadline.t ->
@@ -188,39 +178,30 @@ val degraded_served : t -> int
     route (also on [/stats]). Pages containing any are never cached.
     Test use only: test/test_server.ml reads the counter directly. *)
 
-(** {1 Transport} *)
+(** {1 Serving}
 
-type config = {
+    The transport is {!Http} and the domain pool {!Pool}; these names
+    hand them {!handle_request}, with a deadline of
+    [config.deadline_ms] started once the request is read whole. *)
+
+type config = Http.config = {
   timeout_ms : int;
-      (** per-connection socket read/write timeout ([SO_RCVTIMEO] /
-          [SO_SNDTIMEO]); [0] disables. Default 5000. [TCP_NODELAY] is
-          set either way. *)
   deadline_ms : int option;
-      (** per-request snippet budget, started after the request is fully
-          read; [None] (default) = no deadline. *)
   max_header_bytes : int;
-      (** bound on the post-request-line header drain (default 32 KiB);
-          beyond it the request is answered 431. *)
   workers : int;
-      (** worker domains in the pool (default 1; values < 1 are clamped
-          to 1). Each worker runs connections to completion, so
-          [workers] bounds concurrently-served connections. *)
   queue_depth : int;
-      (** accepted connections allowed to wait for a worker (default 64;
-          clamped to ≥ 1). Beyond it the acceptor sheds with 503. *)
   max_requests_per_conn : int;
-      (** keep-alive requests served on one connection before the server
-          closes it (default 100) — bounds how long one client can hold
-          a worker. *)
   log : string -> unit;
-      (** dropped-connection and handler-failure reports (default:
-          stderr). *)
 }
+(** {!Http.config}: socket timeouts, the per-request deadline, the header
+    bound, the pool's size and queue depth, the keep-alive cap and the
+    drop log. *)
 
 val default_config : config
 
 val listen : port:int -> Unix.file_descr
-(** Bind and listen on 127.0.0.1:[port] ([port] 0 picks a free one). *)
+(** {!Http.listen}: bind and listen on 127.0.0.1:[port] ([port] 0 picks
+    a free one). *)
 
 val bound_port : Unix.file_descr -> int
 
@@ -233,34 +214,24 @@ val serve_once : ?config:config -> t -> Unix.file_descr -> unit
     reads too slowly is logged via [config.log] and dropped. Never
     raises for any of these per-connection conditions. *)
 
-type pool
+type pool = Pool.t
 (** A running acceptor + worker-domain pool (see {!start_pool}). *)
 
 (* lint: allow unused-export *)
 val check_domain_budget : workers:int -> unit
-(** Refuse a pool OCaml cannot run. [workers] workers hold 2 +
-    [workers] live domains: the main domain, the acceptor and the
-    workers. OCaml 5.1 runs at most 128 on 64-bit builds and 16 on
-    32-bit ones.
-    @raise Invalid_argument naming the numbers when the pool needs
-    more. Test use only beyond {!start_pool}: test/test_pool.ml checks the
-    budget without spawning a domain. *)
+(** {!Pool.check_domain_budget}. Test use only beyond {!start_pool}:
+    test/test_pool.ml checks the budget without spawning a domain. *)
 
 val start_pool : ?config:config -> t -> Unix.file_descr -> pool
-(** Start the domain pool on an already-listening socket and return
-    immediately: one acceptor domain pushing accepted connections into a
-    bounded queue ([config.queue_depth], overflow answered 503 +
-    [Retry-After] by the acceptor), [config.workers] worker domains each
-    running the keep-alive connection loop. The caller keeps ownership
-    of the listening socket.
+(** {!Pool.start} serving this server's routes, then flip the readiness
+    latch ({!mark_ready}) and expose the accept queue's saturation to
+    [/readyz]. The caller keeps ownership of the listening socket.
     @raise Invalid_argument before spawning anything when the pool
     fails {!check_domain_budget}. *)
 
 val stop_pool : pool -> unit
-(** Graceful stop: close the queue, wake the acceptor (a loopback poke —
-    closing the fd from another domain is not reliably observed), join
-    all domains. Connections already queued or in flight are served to
-    completion; the listening socket is left open for the caller. *)
+(** {!Pool.stop}: join every domain after the connections already queued
+    or in flight are served; the listening socket is left open. *)
 
 val serve : ?config:config -> t -> port:int -> unit
 (** [listen] + {!start_pool}, then announce the port on stdout and park
@@ -282,23 +253,3 @@ val url_decode : string -> string
 val parse_target : string -> string * (string * string) list
 (** Split a request target into path and decoded query parameters. Test use
     only: test/test_server.ml ["parse target"]. *)
-
-(* lint: allow unused-export *)
-val max_request_line : int
-(** 8192 — the byte bound on the request line, terminator excluded;
-    {!read_request_line} reads not one byte past it. Test use only:
-    test/test_server.ml ["request line bound"]. *)
-
-type read_outcome =
-  | Line of string  (** a complete request line, terminator stripped *)
-  | Eof  (** peer closed before a full line *)
-  | Timed_out  (** [SO_RCVTIMEO] expired mid-line *)
-  | Too_long  (** no terminator within {!max_request_line} bytes *)
-  | Bad_cr  (** a CR not immediately followed by LF *)
-
-(* lint: allow unused-export *)
-val read_request_line : Unix.file_descr -> read_outcome
-(** Read one LF- or CRLF-terminated line, byte-bounded. A bare CR inside
-    the line is rejected as {!Bad_cr} (answered 400), not silently
-    dropped. Test use only: test/test_server.ml ["request line forms"] and
-    ["request line bound"]. *)

@@ -95,6 +95,12 @@ val member_names : view -> string list
 
 (** {1 Updates (single writer, readers never block)} *)
 
+val validate_name : string -> unit
+(** Refuse a name no member may have: empty, or containing ['/'] or NUL.
+    {!add} checks it too; [extract add] checks it before it opens (and
+    so creates) the store.
+    @raise Invalid_argument naming the fault. *)
+
 val add : t -> name:string -> xml:string -> unit
 (** Add — or replace, when the name exists — a member document. The
     XML is parsed {e before} journalling, so unparsable input fails

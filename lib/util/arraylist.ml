@@ -7,8 +7,6 @@ type 'a t = {
    placeholder element of type ['a] to fill it with before then. *)
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
-
 let length t = t.len
 
 let is_empty t = t.len = 0
@@ -37,16 +35,9 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then invalid_arg "Arraylist.pop: empty";
-  t.len <- t.len - 1;
-  t.data.(t.len)
-
 let last t =
   if t.len = 0 then invalid_arg "Arraylist.last: empty";
   t.data.(t.len - 1)
-
-let clear t = t.len <- 0
 
 let iter f t =
   for i = 0 to t.len - 1 do
@@ -59,8 +50,3 @@ let iteri f t =
   done
 
 let to_array t = Array.sub t.data 0 t.len
-
-let sort cmp t =
-  let a = to_array t in
-  Array.sort cmp a;
-  Array.blit a 0 t.data 0 t.len

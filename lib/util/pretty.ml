@@ -1,6 +1,14 @@
 type tree = Node of string * tree list
 
-let render_with ~tee ~corner ~pipe ~blank t =
+let tee = "\xe2\x94\x9c\xe2\x94\x80\xe2\x94\x80 "
+
+let corner = "\xe2\x94\x94\xe2\x94\x80\xe2\x94\x80 "
+
+let pipe = "\xe2\x94\x82   "
+
+let blank = "    "
+
+let render t =
   let buf = Buffer.create 128 in
   let rec walk prefix is_last (Node (label, children)) ~top =
     if not top then begin
@@ -25,17 +33,3 @@ let render_with ~tee ~corner ~pipe ~blank t =
   let s = Buffer.contents buf in
   if s <> "" && s.[String.length s - 1] = '\n' then String.sub s 0 (String.length s - 1)
   else s
-
-let render t =
-  render_with ~tee:"\xe2\x94\x9c\xe2\x94\x80\xe2\x94\x80 "
-    ~corner:"\xe2\x94\x94\xe2\x94\x80\xe2\x94\x80 "
-    ~pipe:"\xe2\x94\x82   " ~blank:"    " t
-
-let render_ascii t = render_with ~tee:"|-- " ~corner:"`-- " ~pipe:"|   " ~blank:"    " t
-
-let rec size (Node (_, children)) = 1 + List.fold_left (fun acc c -> acc + size c) 0 children
-
-let rec depth (Node (_, children)) =
-  match children with
-  | [] -> 0
-  | _ -> 1 + List.fold_left (fun acc c -> max acc (depth c)) 0 children

@@ -15,8 +15,6 @@ let add_row t row =
          (List.length row));
   Arraylist.push t.rows row
 
-let row_count t = Arraylist.length t.rows
-
 let is_numeric s =
   s <> ""
   && String.for_all

@@ -13,10 +13,6 @@ val add_row : t -> string list -> unit
     width. *)
 
 (* lint: allow unused-export *)
-val row_count : t -> int
-(** Test use only: test/test_util.ml ["row count"]. *)
-
-(* lint: allow unused-export *)
 val render : t -> string
 (** Multi-line string, no trailing newline; what {!print} writes. Test
     use only: test/test_util.ml ["render"]. *)

@@ -380,6 +380,70 @@ let test_error_closes_keepalive_connection () =
       Unix.close fd)
 
 (* ------------------------------------------------------------------ *)
+(* The connection's read buffer: a request arrives in any cut, and the
+   bytes past its end are the next request's *)
+
+let test_post_body_in_header_write () =
+  let path = Filename.temp_file "extract_pool_live" "" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  let db =
+    Pipeline.build (Document.of_document (Extract_datagen.Paper_example.document ()))
+  in
+  let live = Extract_snippet.Live_corpus.open_dir path in
+  let srv = Demo_server.create ~live (Corpus.of_list [ "paper", db ]) in
+  Fun.protect ~finally:(fun () -> Extract_snippet.Live_corpus.close live) @@ fun () ->
+  with_pool srv (fun port ->
+      let fd = connect port in
+      let xml = "<store><city>Houston</city><name>Soccer West</name></store>" in
+      (* headers, body and a pipelined GET in one write *)
+      write_all fd
+        (Printf.sprintf
+           "POST /admin/add?name=a.xml HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s\
+            GET /live/search?q=soccer HTTP/1.1\r\n\r\n"
+           (String.length xml) xml);
+      let head1, body1 = recv_response fd in
+      check bool "post served" true (contains_substring head1 "HTTP/1.1 200 OK");
+      check bool "member added" true (contains_substring body1 "added a.xml");
+      let head2, body2 = recv_response fd in
+      check bool "pipelined get served" true (contains_substring head2 "HTTP/1.1 200 OK");
+      check bool "get sees the added member" true (contains_substring body2 "Soccer West");
+      Unix.close fd)
+
+let test_get_body_then_keepalive () =
+  let srv = server () in
+  with_pool srv (fun port ->
+      let fd = connect port in
+      write_all fd "GET /stats?data=paper HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+      let head1, body1 = recv_response fd in
+      check bool "get with a body served" true (contains_substring head1 "HTTP/1.1 200 OK");
+      check bool "kept alive" true (contains_substring head1 "Connection: keep-alive");
+      check bool "stats body" true (contains_substring body1 "nodes");
+      write_all fd "GET / HTTP/1.1\r\n\r\n";
+      let head2, body2 = recv_response fd in
+      check bool "next request framed after the body" true
+        (contains_substring head2 "HTTP/1.1 200 OK");
+      check bool "home body" true (contains_substring body2 "eXtract");
+      Unix.close fd)
+
+let test_request_one_byte_per_write () =
+  let srv = server () in
+  with_pool srv (fun port ->
+      let fd = connect port in
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      let trickle s = String.iter (fun c -> write_all fd (String.make 1 c)) s in
+      trickle "GET /stats?data=paper HTTP/1.1\r\nHost: x\r\n\r\n";
+      let head1, body1 = recv_response fd in
+      check bool "trickled request served" true (contains_substring head1 "HTTP/1.1 200 OK");
+      check bool "stats body" true (contains_substring body1 "nodes");
+      trickle "GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
+      let head2, _ = recv_response fd in
+      check bool "second trickled request served" true
+        (contains_substring head2 "HTTP/1.1 200 OK");
+      check bool "server closed" true (at_eof fd);
+      Unix.close fd)
+
+(* ------------------------------------------------------------------ *)
 (* Sending a cached page *)
 
 let cached_page_target = "/search?data=retail&q=jeans&bound=6"
@@ -728,6 +792,13 @@ let suites =
         Alcotest.test_case "request cap closes" `Quick test_max_requests_per_conn;
         Alcotest.test_case "errors close keep-alive" `Quick
           test_error_closes_keepalive_connection;
+      ] );
+    ( "pool.reader",
+      [
+        Alcotest.test_case "post body in the header write" `Quick
+          test_post_body_in_header_write;
+        Alcotest.test_case "get body, then keep-alive" `Quick test_get_body_then_keepalive;
+        Alcotest.test_case "one byte per write" `Quick test_request_one_byte_per_write;
       ] );
     ( "pool.transport",
       [

@@ -3,6 +3,7 @@
 
 module Lru = Extract_util.Lru
 module Demo_server = Extract_server.Demo_server
+module Http = Extract_server.Http
 module Corpus = Extract_snippet.Corpus
 module Pipeline = Extract_snippet.Pipeline
 module Document = Extract_store.Document
@@ -289,37 +290,47 @@ let logging_config () =
 
 let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
-let request_line data =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
-      write_all a data;
-      Unix.shutdown a Unix.SHUTDOWN_SEND;
-      Demo_server.read_request_line b)
+(* One request read from [data], handed to the reader in one read. *)
+let read_request data =
+  let off = ref 0 in
+  let refill buf pos len =
+    let n = min len (String.length data - !off) in
+    Bytes.blit_string data !off buf pos n;
+    off := !off + n;
+    n
+  in
+  Http.read_request ~max_header_bytes:quiet_config.Demo_server.max_header_bytes
+    (Http.reader refill)
+
+let rejected_with data detail =
+  match read_request data with
+  | Http.Rejected { response; _ } ->
+    response.Demo_server.status = 400 && contains_substring response.Demo_server.body detail
+  | Http.Request _ | Http.Eof | Http.Timed_out -> false
 
 let test_read_request_line_forms () =
-  (match request_line "GET / HTTP/1.0\r\n" with
-  | Demo_server.Line l -> check string "crlf" "GET / HTTP/1.0" l
+  (match read_request "GET / HTTP/1.0\r\n\r\n" with
+  | Http.Request q ->
+    check string "crlf" "/" q.Http.target;
+    check bool "crlf version" false q.Http.http11
   | _ -> Alcotest.fail "crlf line not read");
-  (match request_line "GET / HTTP/1.0\n" with
-  | Demo_server.Line l -> check string "bare lf" "GET / HTTP/1.0" l
+  (match read_request "GET / HTTP/1.0\n\n" with
+  | Http.Request q -> check string "bare lf" "/" q.Http.target
   | _ -> Alcotest.fail "lf line not read");
-  check bool "bare CR rejected" true (request_line "GET /\rHTTP/1.0\n" = Demo_server.Bad_cr);
-  check bool "eof mid-line" true (request_line "GET /incompl" = Demo_server.Eof);
-  check bool "empty" true (request_line "" = Demo_server.Eof)
+  check bool "bare CR rejected" true (rejected_with "GET /\rHTTP/1.0\n" "bare CR");
+  check bool "eof mid-line" true (read_request "GET /incompl" = Http.Eof);
+  check bool "empty" true (read_request "" = Http.Eof)
 
+(* the request line holds at most 8,192 content bytes *)
 let test_read_request_line_bound_exact () =
-  let max = Demo_server.max_request_line in
-  (* max - 1 content bytes + terminator: the longest accepted line *)
-  (match request_line (String.make (max - 1) 'a' ^ "\n") with
-  | Demo_server.Line l -> check int "longest line kept whole" (max - 1) (String.length l)
+  let line target_bytes = "GET /" ^ String.make target_bytes 'a' ^ " HTTP/1.0" in
+  (* 8,191 content bytes + terminator: the longest accepted line *)
+  (match read_request (line 8177 ^ "\n\n") with
+  | Http.Request q -> check int "longest line kept whole" 8178 (String.length q.Http.target)
   | _ -> Alcotest.fail "line at the bound rejected");
-  (* max content bytes: over, even with a terminator right behind *)
+  (* 8,192 content bytes: over, even with a terminator right behind *)
   check bool "one more byte is too long" true
-    (request_line (String.make max 'a' ^ "\n") = Demo_server.Too_long)
+    (rejected_with (line 8178 ^ "\n\n") "request line longer than 8192 bytes")
 
 let with_server_socket f =
   let s = server () in

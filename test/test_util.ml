@@ -38,15 +38,6 @@ let test_arraylist_set () =
   Arraylist.set t 1 42;
   check bool "after set" true (to_list t = [ 1; 42; 3 ])
 
-let test_arraylist_pop () =
-  let t = of_list [ 1; 2; 3 ] in
-  check int "pop" 3 (Arraylist.pop t);
-  check int "length after pop" 2 (Arraylist.length t);
-  check int "pop" 2 (Arraylist.pop t);
-  check int "pop" 1 (Arraylist.pop t);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Arraylist.pop: empty") (fun () ->
-      ignore (Arraylist.pop t))
-
 let test_arraylist_bounds () =
   let t = of_list [ 1 ] in
   Alcotest.check_raises "get out of bounds"
@@ -56,13 +47,6 @@ let test_arraylist_bounds () =
     (Invalid_argument "Arraylist: index -1 out of bounds [0,1)") (fun () ->
       ignore (Arraylist.get t (-1)))
 
-let test_arraylist_clear_reuse () =
-  let t = of_list [ 1; 2 ] in
-  Arraylist.clear t;
-  check int "cleared" 0 (Arraylist.length t);
-  Arraylist.push t 9;
-  check int "reused" 9 (Arraylist.get t 0)
-
 let test_arraylist_iter_fold_map () =
   let t = of_list [ 1; 2; 3; 4 ] in
   let sum = ref 0 in
@@ -71,16 +55,6 @@ let test_arraylist_iter_fold_map () =
   let seen = ref [] in
   Arraylist.iteri (fun i x -> seen := (i, x) :: !seen) t;
   check bool "iteri in order" true (List.rev !seen = [ 0, 1; 1, 2; 2, 3; 3, 4 ])
-
-let test_arraylist_sort () =
-  let t = of_list [ 3; 1; 2 ] in
-  Arraylist.sort compare t;
-  check bool "sorted" true (to_list t = [ 1; 2; 3 ])
-
-let test_arraylist_make () =
-  let t = Arraylist.make 5 'x' in
-  check int "make length" 5 (Arraylist.length t);
-  check bool "make fill" true (to_list t = [ 'x'; 'x'; 'x'; 'x'; 'x' ])
 
 (* ------------------------------------------------------------------ *)
 (* Interner *)
@@ -231,29 +205,15 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "bad row" (Invalid_argument "Table.add_row: expected 2 cells, got 1")
     (fun () -> Table.add_row t [ "only" ])
 
-let test_table_row_count () =
-  let t = Table.create [ "x" ] in
-  check int "empty" 0 (Table.row_count t);
-  Table.add_row t [ "1" ];
-  check int "one" 1 (Table.row_count t)
-
 (* ------------------------------------------------------------------ *)
 (* Pretty *)
 
 let tree = Pretty.Node ("root", [ Pretty.Node ("a", [ Pretty.Node ("a1", []) ]); Pretty.Node ("b", []) ])
 
-let test_pretty_counts () =
-  check int "size" 4 (Pretty.size tree);
-  check int "depth" 2 (Pretty.depth tree);
-  check int "leaf depth" 0 (Pretty.depth (Pretty.Node ("x", [])))
-
-let test_pretty_render_ascii () =
-  let s = Pretty.render_ascii tree in
-  check string "ascii rendition" "root\n|-- a\n|   `-- a1\n`-- b" s
-
 let test_pretty_render_unicode_lines () =
   let s = Pretty.render tree in
-  check int "line count" 4 (List.length (String.split_on_char '\n' s))
+  check int "line count" 4 (List.length (String.split_on_char '\n' s));
+  check string "layout" "root\n\u{251c}\u{2500}\u{2500} a\n\u{2502}   \u{2514}\u{2500}\u{2500} a1\n\u{2514}\u{2500}\u{2500} b" s
 
 (* ------------------------------------------------------------------ *)
 (* Deadline *)
@@ -370,12 +330,8 @@ let suites =
         Alcotest.test_case "empty" `Quick test_arraylist_empty;
         Alcotest.test_case "push/get" `Quick test_arraylist_push_get;
         Alcotest.test_case "set" `Quick test_arraylist_set;
-        Alcotest.test_case "pop" `Quick test_arraylist_pop;
         Alcotest.test_case "bounds" `Quick test_arraylist_bounds;
-        Alcotest.test_case "clear/reuse" `Quick test_arraylist_clear_reuse;
         Alcotest.test_case "iter/fold/map" `Quick test_arraylist_iter_fold_map;
-        Alcotest.test_case "sort" `Quick test_arraylist_sort;
-        Alcotest.test_case "make" `Quick test_arraylist_make;
       ] );
     ( "util.interner",
       [
@@ -406,12 +362,9 @@ let suites =
       [
         Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
-        Alcotest.test_case "row count" `Quick test_table_row_count;
       ] );
     ( "util.pretty",
       [
-        Alcotest.test_case "counts" `Quick test_pretty_counts;
-        Alcotest.test_case "ascii" `Quick test_pretty_render_ascii;
         Alcotest.test_case "unicode lines" `Quick test_pretty_render_unicode_lines;
       ] );
     ( "util.deadline",
